@@ -282,56 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8765)
-    serve.add_argument(
-        "--datasets",
-        default="facebook",
-        help="comma-separated datasets to serve, one scenario each",
-    )
-    serve.add_argument("--scale", type=float, default=0.2)
-    serve.add_argument(
-        "--threshold", default="bounded", choices=["bounded", "fractional"]
-    )
-    serve.add_argument("--size-cap", type=int, default=8)
-    serve.add_argument("--model", default="ic", choices=["ic", "lt"])
-    serve.add_argument("--seed", type=int, default=7)
-    serve.add_argument(
-        "--pool-size",
-        type=int,
-        default=600,
-        help="warm sample-pool target per shard",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="sampler worker processes per shard (default: all cores)",
-    )
-    serve.add_argument(
-        "--round-size",
-        type=int,
-        default=256,
-        help="samples per synchronous merge round (bounds shard memory)",
-    )
-    serve.add_argument(
-        "--memory-budget-mb",
-        type=float,
-        default=None,
-        help=(
-            "evict cold shards once the summed pool footprint exceeds "
-            "this many MiB (default: no eviction)"
-        ),
-    )
-    serve.add_argument(
-        "--solver",
-        default="UBG",
-        choices=["UBG", "MAF", "BT", "MB", "GreedyC"],
-        help="default solver for requests that do not name one",
-    )
-    serve.add_argument(
-        "--warm",
-        action="store_true",
-        help="build and warm every scenario's shard before serving",
-    )
+    _add_scenario_flags(serve)
     _add_observability_flags(serve)
 
     cluster = sub.add_parser(
@@ -363,42 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "stable across restarts either way)"
         ),
     )
-    cluster.add_argument(
-        "--datasets",
-        default="facebook",
-        help="comma-separated datasets to serve, one scenario each",
-    )
-    cluster.add_argument("--scale", type=float, default=0.2)
-    cluster.add_argument(
-        "--threshold", default="bounded", choices=["bounded", "fractional"]
-    )
-    cluster.add_argument("--size-cap", type=int, default=8)
-    cluster.add_argument("--model", default="ic", choices=["ic", "lt"])
-    cluster.add_argument("--seed", type=int, default=7)
-    cluster.add_argument("--pool-size", type=int, default=600)
-    cluster.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="sampler worker processes per shard (default: all cores)",
-    )
-    cluster.add_argument("--round-size", type=int, default=256)
-    cluster.add_argument(
-        "--memory-budget-mb",
-        type=float,
-        default=None,
-        help="per-replica cold-shard eviction budget in MiB",
-    )
-    cluster.add_argument(
-        "--solver",
-        default="UBG",
-        choices=["UBG", "MAF", "BT", "MB", "GreedyC"],
-    )
-    cluster.add_argument(
-        "--warm",
-        action="store_true",
-        help="each replica warms every scenario before serving",
-    )
+    _add_scenario_flags(cluster)
     cluster.add_argument(
         "--heartbeat-interval",
         type=float,
@@ -439,14 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "'python -m repro report --cluster RUNDIR')"
         ),
     )
-    cluster.add_argument(
-        "--no-keepalive",
-        action="store_true",
-        help=(
-            "disable router->replica connection pooling (one fresh "
-            "connection per forward, as before PR 10)"
-        ),
-    )
     _add_observability_flags(cluster)
 
     figure = sub.add_parser("figure", help="regenerate a paper figure")
@@ -460,6 +368,61 @@ def _build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--seed", type=int, default=7)
 
     return parser
+
+
+def _add_scenario_flags(subparser) -> None:
+    """The scenario and shard flags ``serve`` and ``cluster`` share."""
+    subparser.add_argument(
+        "--datasets",
+        default="facebook",
+        help="comma-separated datasets to serve, one scenario each",
+    )
+    subparser.add_argument("--scale", type=float, default=0.2)
+    subparser.add_argument(
+        "--threshold", default="bounded", choices=["bounded", "fractional"]
+    )
+    subparser.add_argument("--size-cap", type=int, default=8)
+    subparser.add_argument("--model", default="ic", choices=["ic", "lt"])
+    subparser.add_argument("--seed", type=int, default=7)
+    subparser.add_argument(
+        "--pool-size",
+        type=int,
+        default=600,
+        help="warm sample-pool target per shard",
+    )
+    subparser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="sampler worker processes per shard (default: all cores)",
+    )
+    subparser.add_argument(
+        "--round-size",
+        type=int,
+        default=256,
+        help="samples per synchronous merge round (bounds shard memory)",
+    )
+    subparser.add_argument(
+        "--memory-budget-mb",
+        type=float,
+        default=None,
+        help=(
+            "evict cold shards once a server's summed pool footprint "
+            "exceeds this many MiB (per replica in a cluster; default: "
+            "no eviction)"
+        ),
+    )
+    subparser.add_argument(
+        "--solver",
+        default="UBG",
+        choices=["UBG", "MAF", "BT", "MB", "GreedyC"],
+        help="default solver for requests that do not name one",
+    )
+    subparser.add_argument(
+        "--warm",
+        action="store_true",
+        help="build and warm every scenario's shard before serving",
+    )
 
 
 def _add_observability_flags(subparser) -> None:
@@ -793,13 +756,9 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    from repro.serving import (
-        ShardApp,
-        ShardStore,
-        default_scenarios,
-        run_server,
-    )
+def _scenarios_and_budget(args):
+    """The scenario specs and memory budget (bytes) the flags name."""
+    from repro.serving import default_scenarios
 
     names = [d.strip() for d in args.datasets.split(",") if d.strip()]
     scenarios = default_scenarios(
@@ -816,6 +775,13 @@ def _cmd_serve(args) -> int:
         if args.memory_budget_mb
         else None
     )
+    return scenarios, budget
+
+
+def _cmd_serve(args) -> int:
+    from repro.serving import ShardApp, ShardStore, run_server
+
+    scenarios, budget = _scenarios_and_budget(args)
     store = ShardStore(
         scenarios,
         workers=args.workers,
@@ -838,23 +804,9 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    from repro.serving import ClusterConfig, default_scenarios, run_cluster
+    from repro.serving import ClusterConfig, run_cluster
 
-    names = [d.strip() for d in args.datasets.split(",") if d.strip()]
-    scenarios = default_scenarios(
-        names,
-        scale=args.scale,
-        threshold=args.threshold,
-        size_cap=args.size_cap,
-        model=args.model,
-        seed=args.seed,
-        pool_size=args.pool_size,
-    )
-    budget = (
-        int(args.memory_budget_mb * 1024 * 1024)
-        if args.memory_budget_mb
-        else None
-    )
+    scenarios, budget = _scenarios_and_budget(args)
     replica_ports = None
     if args.replica_ports:
         replica_ports = tuple(
@@ -877,7 +829,6 @@ def _cmd_cluster(args) -> int:
         breaker_threshold=args.breaker_threshold,
         breaker_reset_seconds=args.breaker_reset_seconds,
         run_dir=args.run_dir,
-        pool_connections=not args.no_keepalive,
     )
     return run_cluster(config)
 

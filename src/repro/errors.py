@@ -88,8 +88,18 @@ class ServingError(ReproError):
     Examples: an unknown scenario name, a malformed ``/solve`` payload
     (non-positive budget, unknown solver), or operations on a store
     that has been shut down. The HTTP front end maps this (and every
-    other :class:`ReproError`) to a ``400`` response; unexpected
+    other :class:`ReproError`) to a ``400`` response, except
+    :class:`UnknownScenarioError`, which is a ``404``; unexpected
     exceptions become ``500`` so no connection is ever dropped.
+    """
+
+
+class UnknownScenarioError(ServingError):
+    """Raised when a request names a scenario the server does not hold.
+
+    The HTTP front end maps this type — and only this type — to ``404``.
+    The status is chosen by type, never by matching message text, since
+    error messages echo client input.
     """
 
 

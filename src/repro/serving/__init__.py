@@ -15,14 +15,16 @@ over HTTP without re-sampling from scratch on every request:
   cross-``ci_width`` requests onto one shared pool top-up);
 - :mod:`repro.serving.server` — the :class:`ShardApp` request logic and
   the stdlib ``ThreadingHTTPServer`` front end
-  (:func:`start_http_server` / :func:`run_server`);
+  (:func:`start_http_server` / :func:`run_server`), whose one HTTP
+  handler serves both a replica's :class:`ShardApp` and the cluster's
+  :class:`RouterApp`;
 - :mod:`repro.serving.cluster` — the multi-replica deployment: a
   :class:`Supervisor` spawning/health-checking/restarting replica
   subprocesses and :class:`ServingCluster` pairing it with the router
   (``python -m repro cluster``);
 - :mod:`repro.serving.router` — the cluster front door: rendezvous
   hashing of scenarios to replicas, per-replica circuit breakers,
-  retry-with-failover;
+  retry-with-failover over one fresh connection per forward;
 - :mod:`repro.serving.loadgen` — the reusable load/chaos harness the
   serving benchmarks drive both deployments with;
 - :mod:`repro.serving.fleet` — the fleet observability plane's metrics
@@ -37,7 +39,6 @@ eviction policy, the locking contract and the cluster topology.
 from repro.serving.batching import RequestBatcher
 from repro.serving.cluster import (
     ClusterConfig,
-    ReplicaConfig,
     ServingCluster,
     Supervisor,
     run_cluster,
@@ -50,7 +51,6 @@ from repro.serving.router import (
     RouterApp,
     assign_replica,
     rendezvous_order,
-    start_router_server,
 )
 from repro.serving.scenarios import ScenarioSpec, build_instance, default_scenarios
 from repro.serving.server import ShardApp, ShardHTTPServer, run_server, start_http_server
@@ -63,7 +63,6 @@ __all__ = [
     "LoadGenerator",
     "LoadPhase",
     "PhaseResult",
-    "ReplicaConfig",
     "ReplicaEndpoint",
     "RequestBatcher",
     "RouterApp",
@@ -82,5 +81,4 @@ __all__ = [
     "run_cluster",
     "run_server",
     "start_http_server",
-    "start_router_server",
 ]

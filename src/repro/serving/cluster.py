@@ -46,13 +46,10 @@ from repro.errors import ClusterError
 from repro.obs import metrics
 from repro.obs.events import EventJournal
 from repro.obs.manifest import build_manifest, write_manifest
-from repro.serving.router import (
-    ReplicaEndpoint,
-    RouterApp,
-    RouterHTTPServer,
-    start_router_server,
-)
+from repro.serving.router import ReplicaEndpoint, RouterApp
 from repro.serving.scenarios import ScenarioSpec
+from repro.serving.server import ShardApp, ShardHTTPServer, start_http_server
+from repro.serving.shards import ShardStore
 from repro.utils.faults import FaultInjector
 from repro.utils.retry import RetryPolicy
 
@@ -64,47 +61,19 @@ DEFAULT_RESTART_POLICY = RetryPolicy(
 
 
 @dataclass(frozen=True)
-class ReplicaConfig:
-    """Everything one replica subprocess needs, in picklable form.
-
-    Shipped to the spawned child as the single argument of
-    :func:`_replica_main`. ``port`` is pre-reserved by the supervisor
-    and stable across restarts; ``instances`` optionally carries
-    pre-built ``(graph, communities)`` pairs so tests and benchmarks
-    skip per-replica dataset builds.
-    """
-
-    replica_id: str
-    host: str
-    port: int
-    scenarios: Dict[str, ScenarioSpec]
-    instances: Optional[Dict[str, Tuple]] = None
-    workers: Optional[int] = None
-    round_size: int = 256
-    memory_budget_bytes: Optional[int] = None
-    default_solver: str = "UBG"
-    warm: bool = False
-    drain_timeout: float = 10.0
-    sampler_retry: Optional[RetryPolicy] = None
-    fault_injector: Optional[FaultInjector] = None
-    #: Cluster run directory. When set, the replica opens its own obs
-    #: session (pid-stamped trace/metrics files — every incarnation of
-    #: a restarted replica keeps its own artifacts) and streams
-    #: lifecycle events to ``replica-<id>.events.jsonl``.
-    run_dir: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class ClusterConfig:
     """Declarative description of a whole serving cluster.
 
     One frozen object the CLI, tests and benchmarks all build; the
-    supervisor and router read their knobs from it. ``replica_ports``
-    pins replica ports explicitly (length must equal ``replicas``);
-    left ``None``, the supervisor reserves ephemeral ports itself.
-    ``fault_injector`` rides to the replicas (shard-level chaos);
-    ``router_fault_injector`` stays in the router process (forwarding
-    latency chaos).
+    supervisor and router read their knobs from it, and every replica
+    subprocess is spawned with it (it is picklable). ``instances``
+    optionally carries pre-built ``(graph, communities)`` pairs so
+    tests and benchmarks skip per-replica dataset builds.
+    ``replica_ports`` pins replica ports explicitly (length must equal
+    ``replicas``); left ``None``, the supervisor reserves ephemeral
+    ports itself. ``fault_injector`` rides to the replicas (shard-level
+    chaos); ``router_fault_injector`` stays in the router process
+    (forwarding latency chaos).
     """
 
     scenarios: Dict[str, ScenarioSpec]
@@ -134,10 +103,12 @@ class ClusterConfig:
     #: ``events.jsonl`` (cluster/supervisor lifecycle), per-replica
     #: event and trace/metrics files, ``cluster.manifest.json`` and the
     #: final ``cluster.metrics.json`` aggregation — the inputs of
-    #: ``python -m repro report --cluster RUNDIR``.
+    #: ``python -m repro report --cluster RUNDIR``. Each replica then
+    #: opens its own obs session (pid-stamped trace/metrics files, so
+    #: every incarnation of a restarted replica keeps its own
+    #: artifacts) and streams lifecycle events to
+    #: ``replica-<id>.events.jsonl``.
     run_dir: Optional[str] = None
-    #: Keep-alive connection pooling on the router→replica hop.
-    pool_connections: bool = True
 
     def __post_init__(self) -> None:
         if not self.scenarios:
@@ -162,21 +133,19 @@ class ClusterConfig:
             )
 
 
-def _replica_main(config: ReplicaConfig) -> None:
+def _replica_main(config: ClusterConfig, replica_id: str, port: int) -> None:
     """Entry point of one replica subprocess (spawn target).
 
     Builds the full PR-6 stack — :class:`ShardStore` → :class:`ShardApp`
-    → :class:`ShardHTTPServer` — on the pre-reserved port, then serves
-    until SIGTERM. The SIGTERM handler runs the drain protocol on a
-    side thread (calling ``shutdown()`` from a signal handler in the
-    serving main thread would deadlock): stop accepting, finish
-    in-flight requests, exit 0. The process detaches into its own
-    process group so a chaos kill can take out the replica *and* its
-    sampler worker children in one ``killpg``.
+    → :class:`ShardHTTPServer` — for ``replica_id`` on its pre-reserved
+    ``port`` (stable across restarts), then serves until SIGTERM. The
+    SIGTERM handler runs the drain protocol on a side thread (calling
+    ``shutdown()`` from a signal handler in the serving main thread
+    would deadlock): stop accepting, finish in-flight requests, exit 0.
+    The process detaches into its own process group so a chaos kill can
+    take out the replica *and* its sampler worker children in one
+    ``killpg``.
     """
-    from repro.serving.server import ShardApp, ShardHTTPServer
-    from repro.serving.shards import ShardStore
-
     if hasattr(os, "setpgrp"):
         try:
             os.setpgrp()
@@ -186,18 +155,15 @@ def _replica_main(config: ReplicaConfig) -> None:
     owns_session = False
     if config.run_dir:
         journal = EventJournal(
-            os.path.join(
-                config.run_dir, f"replica-{config.replica_id}.events.jsonl"
-            ),
-            source=f"replica-{config.replica_id}",
+            os.path.join(config.run_dir, f"replica-{replica_id}.events.jsonl"),
+            source=f"replica-{replica_id}",
         )
         if not obs.enabled():
             # Pid-stamped artifact names: a restarted replica is a new
             # process, and JsonlSink truncates on open — without the pid
             # each incarnation would clobber its predecessor's trace.
             prefix = os.path.join(
-                config.run_dir,
-                f"replica-{config.replica_id}-{os.getpid()}",
+                config.run_dir, f"replica-{replica_id}-{os.getpid()}"
             )
             obs.enable(
                 trace_out=prefix + ".trace.jsonl",
@@ -222,15 +188,15 @@ def _replica_main(config: ReplicaConfig) -> None:
         on_evict=on_evict,
     )
     app = ShardApp(store, default_solver=config.default_solver)
-    server = ShardHTTPServer((config.host, config.port), app)
+    server = ShardHTTPServer((config.host, port), app)
 
     def _drain(signum, frame) -> None:
         def _run() -> None:
             if journal is not None:
-                journal.emit("server.drain.begin", port=config.port)
+                journal.emit("server.drain.begin", port=port)
             server.drain(config.drain_timeout)
             if journal is not None:
-                journal.emit("server.drain.end", port=config.port)
+                journal.emit("server.drain.end", port=port)
 
         threading.Thread(target=_run, daemon=True).start()
 
@@ -242,9 +208,7 @@ def _replica_main(config: ReplicaConfig) -> None:
                 with shard.lock:
                     shard.warm()
         if journal is not None:
-            journal.emit(
-                "server.started", port=config.port, warm=config.warm
-            )
+            journal.emit("server.started", port=port, warm=config.warm)
         server.serve_forever()
     finally:
         server.server_close()
@@ -386,25 +350,9 @@ class Supervisor:
         self._monitor.start()
 
     def _spawn(self, state: _ReplicaState):
-        config = ReplicaConfig(
-            replica_id=state.replica_id,
-            host=self.config.host,
-            port=state.port,
-            scenarios=self.config.scenarios,
-            instances=self.config.instances,
-            workers=self.config.workers,
-            round_size=self.config.round_size,
-            memory_budget_bytes=self.config.memory_budget_bytes,
-            default_solver=self.config.default_solver,
-            warm=self.config.warm,
-            drain_timeout=self.config.drain_timeout,
-            sampler_retry=self.config.sampler_retry,
-            fault_injector=self.config.fault_injector,
-            run_dir=self.config.run_dir,
-        )
         process = self._ctx.Process(
             target=_replica_main,
-            args=(config,),
+            args=(self.config, state.replica_id, state.port),
             name=f"repro-replica-{state.replica_id}",
         )
         process.start()
@@ -674,10 +622,9 @@ class ServingCluster:
             breaker_reset_seconds=config.breaker_reset_seconds,
             forward_timeout=config.forward_timeout,
             fault_injector=config.router_fault_injector,
-            pool_connections=config.pool_connections,
             supervisor_status=self.supervisor.status,
         )
-        self.router_server: Optional[RouterHTTPServer] = None
+        self.router_server: Optional[ShardHTTPServer] = None
         self.journal: Optional[EventJournal] = None
         self._owns_session = False
 
@@ -704,7 +651,7 @@ class ServingCluster:
                 )
                 self._owns_session = True
         self.supervisor.start()
-        self.router_server = start_router_server(
+        self.router_server = start_http_server(
             self.router_app, self.config.host, self.config.router_port
         )
         if self.journal is not None:
@@ -724,7 +671,6 @@ class ServingCluster:
         topology = {
             "router_host": host,
             "router_port": port,
-            "pool_connections": self.config.pool_connections,
             "replicas": [
                 {
                     "replica_id": endpoint.replica_id,
@@ -755,7 +701,6 @@ class ServingCluster:
             self.router_server.drain(self.config.drain_timeout)
             self.router_server = None
         self.supervisor.stop()
-        self.router_app.close_pools()
         if self.journal is not None:
             self.journal.emit("cluster.stopped")
             self.journal.close()

@@ -21,9 +21,11 @@ three jobs:
   failover target merely pays a cold-build before replying.
 
 The router never parses a replica's answer: response bytes stream back
-unchanged, preserving byte-identity end to end. Framing hardening is
-shared with the shard server via
-:func:`repro.serving.server.read_json_body`.
+unchanged, preserving byte-identity end to end. Each forward opens a
+fresh connection to the replica and closes it once the answer is read.
+:func:`repro.serving.server.start_http_server` serves a
+:class:`RouterApp` with the same HTTP handler as a replica, so both
+front doors share framing checks and error mapping.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import http.client
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 from hashlib import sha256
 
@@ -42,11 +43,6 @@ from repro.obs.events import EventJournal
 from repro.obs.metrics import to_prometheus_text
 from repro.obs.tracer import PARENT_HEADER, TRACE_HEADER, new_trace_id
 from repro.serving.fleet import FleetMetricsAggregator
-from repro.serving.server import (
-    GracefulHTTPServer,
-    RequestRejected,
-    read_json_body,
-)
 from repro.utils.faults import FaultInjector
 
 #: Fault-injection site fired before each forward attempt — chaos tests
@@ -219,45 +215,6 @@ class CircuitBreaker:
         return opened
 
 
-class _ReplicaPool:
-    """Idle keep-alive connections to one replica (bounded LIFO).
-
-    LIFO keeps the hottest connection hottest; connections beyond
-    ``size`` close instead of parking. The pool never validates an
-    idle connection — staleness (replica restarted, server-side idle
-    timeout) surfaces as a send/read error, which the router retries
-    once on a fresh connection before charging the breaker.
-    """
-
-    __slots__ = ("size", "_idle", "_lock")
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self._idle: List[http.client.HTTPConnection] = []
-        self._lock = threading.Lock()
-
-    def acquire(self) -> Optional[http.client.HTTPConnection]:
-        with self._lock:
-            return self._idle.pop() if self._idle else None
-
-    def release(self, conn: http.client.HTTPConnection) -> None:
-        with self._lock:
-            if len(self._idle) < self.size:
-                self._idle.append(conn)
-                return
-        conn.close()
-
-    def idle(self) -> int:
-        with self._lock:
-            return len(self._idle)
-
-    def close(self) -> None:
-        with self._lock:
-            idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
-
-
 class RouterApp:
     """Transport-independent routing logic for the cluster front door.
 
@@ -274,6 +231,9 @@ class RouterApp:
     serves the fleet view.
     """
 
+    #: ``Server`` header the HTTP front end answers with.
+    server_version = "repro-imc-router/1.0"
+
     def __init__(
         self,
         replicas: Callable[[], List[ReplicaEndpoint]],
@@ -282,8 +242,6 @@ class RouterApp:
         breaker_reset_seconds: float = 1.0,
         forward_timeout: float = 300.0,
         fault_injector: Optional[FaultInjector] = None,
-        pool_connections: bool = True,
-        pool_size: int = 8,
         journal: Optional[EventJournal] = None,
         supervisor_status: Optional[Callable[[], Dict]] = None,
         scrape_cache_seconds: float = 1.0,
@@ -293,8 +251,6 @@ class RouterApp:
         self.breaker_reset_seconds = breaker_reset_seconds
         self.forward_timeout = forward_timeout
         self.faults = fault_injector
-        self.pool_connections = pool_connections
-        self.pool_size = pool_size
         self.journal = journal
         self.supervisor_status = supervisor_status
         self.fleet = FleetMetricsAggregator(
@@ -303,7 +259,6 @@ class RouterApp:
         self.started = time.monotonic()
         self._lock = threading.Lock()
         self._breakers: Dict[str, CircuitBreaker] = {}
-        self._pools: Dict[str, _ReplicaPool] = {}
         self.counters = {"routed": 0, "failovers": 0, "failed": 0}
 
     # -- bookkeeping ----------------------------------------------------
@@ -333,38 +288,19 @@ class RouterApp:
         else:
             journal.emit("breaker.closed", replica=replica_id)
 
-    def _pool(self, replica_id: str) -> _ReplicaPool:
-        with self._lock:
-            pool = self._pools.get(replica_id)
-            if pool is None:
-                pool = self._pools[replica_id] = _ReplicaPool(self.pool_size)
-            return pool
-
-    def close_pools(self) -> None:
-        """Close every idle pooled connection (router shutdown)."""
-        with self._lock:
-            pools = list(self._pools.values())
-        for pool in pools:
-            pool.close()
-
     def _count(self, field: str) -> None:
         with self._lock:
             self.counters[field] += 1
 
     # -- endpoints ------------------------------------------------------
 
-    def healthz(self) -> Dict[str, str]:
-        """Liveness payload for the router process itself."""
-        return {"status": "ok"}
-
     def status(self) -> Dict[str, object]:
         """Fleet-truth snapshot: one curl answers "is the cluster ok".
 
-        Per replica: supervisor health, breaker state, idle pooled
-        connections and the age of the last successful metrics scrape;
-        plus router counters, pooling config and — when wired by
-        :class:`~repro.serving.cluster.ServingCluster` — the
-        supervisor's own restart/incident view.
+        Per replica: supervisor health, breaker state and the age of
+        the last successful metrics scrape; plus router counters and —
+        when wired by :class:`~repro.serving.cluster.ServingCluster` —
+        the supervisor's own restart/incident view.
         """
         endpoints = self.replicas()
         with self._lock:
@@ -372,7 +308,6 @@ class RouterApp:
             breakers = {
                 rid: breaker for rid, breaker in self._breakers.items()
             }
-            pools = dict(self._pools)
         payload: Dict[str, object] = {
             "replicas": [
                 {
@@ -385,11 +320,6 @@ class RouterApp:
                         if ep.replica_id in breakers
                         else "closed"
                     ),
-                    "pooled_connections": (
-                        pools[ep.replica_id].idle()
-                        if ep.replica_id in pools
-                        else 0
-                    ),
                     "last_scrape_age_seconds": self.fleet.scrape_age(
                         ep.replica_id
                     ),
@@ -398,10 +328,6 @@ class RouterApp:
             ],
             "requests": counters,
             "uptime_seconds": time.monotonic() - self.started,
-            "connection_pooling": {
-                "enabled": self.pool_connections,
-                "pool_size": self.pool_size,
-            },
         }
         if self.supervisor_status is not None:
             payload["supervisor"] = self.supervisor_status()
@@ -438,11 +364,6 @@ class RouterApp:
             if ep.healthy and self.breaker(ep.replica_id).allow()
         ]
         return available if available else ranked
-
-    def route_solve(self, payload: Dict) -> Tuple[int, bytes]:
-        """Back-compat entry: :meth:`handle_solve` minus the headers."""
-        status, response, _headers = self.handle_solve(payload)
-        return status, response
 
     def handle_solve(
         self, payload: Dict, inbound_headers=None
@@ -481,14 +402,13 @@ class RouterApp:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         with trace.context(trace_id, remote_parent):
             with trace.span("router/solve", scenario=scenario):
-                status, response, replica_headers = self._route(
+                status, response, upstream_timing = self._route(
                     scenario, body
                 )
         elapsed = time.perf_counter() - began
         metrics.observe("router.request.seconds", elapsed)
         headers = {TRACE_HEADER: trace_id}
         router_timing = f"router;dur={elapsed * 1e3:.3f}"
-        upstream_timing = _header(replica_headers, "Server-Timing")
         headers["Server-Timing"] = (
             f"{upstream_timing}, {router_timing}"
             if upstream_timing
@@ -498,8 +418,13 @@ class RouterApp:
 
     def _route(
         self, scenario: str, body: bytes
-    ) -> Tuple[int, bytes, Dict[str, str]]:
-        """The candidate loop: try, charge breakers, fail over."""
+    ) -> Tuple[int, bytes, Optional[str]]:
+        """The candidate loop: try, charge breakers, fail over.
+
+        Returns ``(status, body_bytes, server_timing)``, the last being
+        the answering replica's ``Server-Timing`` header (``None`` when
+        no replica answered).
+        """
         candidates = self.candidates(scenario)
         if not candidates:
             metrics.inc("router.requests.failed")
@@ -509,7 +434,7 @@ class RouterApp:
                 json.dumps({"error": "no replicas available"}).encode(
                     "utf-8"
                 ),
-                {},
+                None,
             )
         errors: List[str] = []
         for attempt, endpoint in enumerate(candidates):
@@ -527,7 +452,7 @@ class RouterApp:
                         self.faults.fire(
                             FORWARD_SITE, replica=endpoint.replica_id
                         )
-                    status, replica_headers, response = self._forward(
+                    status, server_timing, response = self._forward(
                         endpoint, body, trace.propagation_headers()
                     )
             except (OSError, http.client.HTTPException) as exc:
@@ -544,7 +469,7 @@ class RouterApp:
             self._count("routed")
             if status >= 400:
                 metrics.inc("router.requests.failed")
-            return status, response, replica_headers
+            return status, response, server_timing
         metrics.inc("router.requests.failed")
         self._count("failed")
         return (
@@ -552,182 +477,34 @@ class RouterApp:
             json.dumps(
                 {"error": "all replicas failed", "detail": errors}
             ).encode("utf-8"),
-            {},
+            None,
         )
-
-    def _connect(self, endpoint: ReplicaEndpoint) -> http.client.HTTPConnection:
-        return http.client.HTTPConnection(
-            endpoint.host, endpoint.port, timeout=self.forward_timeout
-        )
-
-    def _roundtrip(
-        self,
-        conn: http.client.HTTPConnection,
-        body: bytes,
-        extra_headers: Dict[str, str],
-    ) -> Tuple[int, Dict[str, str], bytes, bool]:
-        headers = {"Content-Type": "application/json"}
-        headers.update(extra_headers)
-        conn.request("POST", "/solve", body=body, headers=headers)
-        response = conn.getresponse()
-        data = response.read()
-        reusable = not response.will_close
-        return response.status, dict(response.getheaders()), data, reusable
 
     def _forward(
         self,
         endpoint: ReplicaEndpoint,
         body: bytes,
-        extra_headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, Dict[str, str], bytes]:
+        extra_headers: Dict[str, str],
+    ) -> Tuple[int, Optional[str], bytes]:
         """POST ``body`` to one replica's ``/solve``; return its answer.
 
-        With pooling on, reuses an idle keep-alive connection when one
-        exists. A reused connection that fails to round-trip gets ONE
-        retry on a fresh connection — the failure is indistinguishable
-        from an idle connection gone stale (replica restarted under the
-        same port, server-side timeout), and charging the breaker for
-        router-side connection hygiene would trip failover spuriously.
-        A fresh connection's failure propagates to the caller as a real
-        replica failure.
+        Returns ``(status, server_timing, body_bytes)``; connection
+        and protocol errors propagate to :meth:`_route`, which charges
+        them to the replica's breaker. Each forward opens its own
+        connection and closes it once the answer is read. Connections
+        are not kept alive: ``http.client`` writes the headers and the
+        body separately, and on a reused connection the body write
+        waits out the replica's delayed ACK (about 40 ms).
         """
-        extra_headers = extra_headers or {}
-        pool = (
-            self._pool(endpoint.replica_id) if self.pool_connections else None
+        headers = {"Content-Type": "application/json"}
+        headers.update(extra_headers)
+        conn = http.client.HTTPConnection(
+            endpoint.host, endpoint.port, timeout=self.forward_timeout
         )
-        conn = pool.acquire() if pool is not None else None
-        reused = conn is not None
-        if conn is None:
-            conn = self._connect(endpoint)
         try:
-            status, headers, data, reusable = self._roundtrip(
-                conn, body, extra_headers
-            )
-        except (OSError, http.client.HTTPException):
+            conn.request("POST", "/solve", body=body, headers=headers)
+            response = conn.getresponse()
+            data = response.read()
+        finally:
             conn.close()
-            if not reused:
-                raise
-            conn = self._connect(endpoint)
-            try:
-                status, headers, data, reusable = self._roundtrip(
-                    conn, body, extra_headers
-                )
-            except (OSError, http.client.HTTPException):
-                conn.close()
-                raise
-        if pool is not None and reusable:
-            pool.release(conn)
-        else:
-            conn.close()
-        return status, headers, data
-
-
-def _header(headers: Dict[str, str], name: str) -> Optional[str]:
-    """Case-insensitive lookup in a plain header dict."""
-    for key, value in headers.items():
-        if key.lower() == name.lower():
-            return value
-    return None
-
-
-class RouterHTTPServer(GracefulHTTPServer):
-    """Threaded HTTP server bound to a :class:`RouterApp`."""
-
-    def __init__(self, address: Tuple[str, int], app: RouterApp) -> None:
-        super().__init__(address, _RouterHandler)
-        self.app = app
-
-
-class _RouterHandler(BaseHTTPRequestHandler):
-    """JSON adapter between HTTP and :class:`RouterApp`."""
-
-    server_version = "repro-imc-router/1.0"
-    protocol_version = "HTTP/1.1"
-    timeout = 60
-
-    def log_message(self, *args) -> None:  # noqa: D102 - silence stderr
-        pass
-
-    @property
-    def app(self) -> RouterApp:
-        return self.server.app  # type: ignore[attr-defined]
-
-    def _send(
-        self,
-        code: int,
-        body: bytes,
-        content_type: str,
-        extra_headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(self, code: int, payload: Dict) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self._send(code, body, "application/json")
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        try:
-            if self.path == "/healthz":
-                self._send_json(200, self.app.healthz())
-            elif self.path == "/status":
-                self._send_json(200, self.app.status())
-            elif self.path == "/metrics":
-                self._send(
-                    200,
-                    self.app.prometheus().encode("utf-8"),
-                    "text/plain; version=0.0.4",
-                )
-            elif self.path == "/metrics.json":
-                self._send_json(200, self.app.metrics_json())
-            else:
-                self._send_json(404, {"error": f"no such path {self.path}"})
-        except Exception as exc:  # noqa: BLE001 - answer, never drop
-            self._send_json(500, {"error": str(exc)})
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        try:
-            if self.path == "/solve":
-                payload = read_json_body(self.headers, self.rfile)
-                status, body, headers = self.app.handle_solve(
-                    payload, self.headers
-                )
-                self._send(status, body, "application/json", headers)
-            elif self.path == "/shutdown":
-                self._send_json(200, {"status": "shutting down"})
-                threading.Thread(
-                    target=self.server.shutdown, daemon=True
-                ).start()
-            else:
-                self._send_json(404, {"error": f"no such path {self.path}"})
-        except RequestRejected as exc:
-            self.close_connection = True
-            self._send_json(exc.status, {"error": exc.message})
-        except ServingError as exc:
-            self._send_json(400, {"error": str(exc)})
-        except Exception as exc:  # noqa: BLE001 - answer, never drop
-            self._send_json(500, {"error": str(exc)})
-
-
-def start_router_server(
-    app: RouterApp, host: str = "127.0.0.1", port: int = 0
-) -> RouterHTTPServer:
-    """Start serving ``app`` on a daemon thread; returns the server.
-
-    ``port=0`` binds an ephemeral port — read the actual one from
-    ``server.server_address[1]``. The caller owns shutdown (via
-    ``server.drain()`` for a graceful stop, or ``server.shutdown();
-    server.server_close()``).
-    """
-    server = RouterHTTPServer((host, port), app)
-    thread = threading.Thread(
-        target=server.serve_forever, name="repro-router", daemon=True
-    )
-    thread.start()
-    server._serve_thread = thread  # type: ignore[attr-defined]
-    return server
+        return response.status, response.getheader("Server-Timing"), data

@@ -1,13 +1,17 @@
-"""HTTP front end: the always-on shard server.
+"""HTTP front end: the always-on shard server and the one HTTP handler.
 
 Stdlib only — ``http.server.ThreadingHTTPServer`` with one handler
 thread per connection. The request logic lives in :class:`ShardApp`
 (plain methods over dicts) so tests can drive it without sockets; the
-handler is a thin JSON adapter.
+handler is a thin JSON adapter. The same handler and server class
+(:class:`ShardHTTPServer`, :func:`start_http_server`) also serve the
+cluster front door, :class:`~repro.serving.router.RouterApp`: both apps
+answer the same paths with the same framing and error mapping.
 
 Endpoints:
 
-- ``GET /healthz`` — liveness probe (``{"status": "ok"}``).
+- ``GET /healthz`` — liveness probe (``{"status": "ok"}``), answered by
+  the handler itself.
 - ``GET /status`` — scenarios, per-shard state, hit/miss/eviction and
   request counters, uptime; when the server was started inside an
   instrumentation session with a trace sink, the tail of its *own*
@@ -28,14 +32,15 @@ Endpoints:
 - ``POST /shutdown`` — graceful stop: responds, then stops accepting
   connections and closes every shard.
 
-Error mapping: a :class:`~repro.errors.ServingError` on an unknown
-scenario is ``404``; any other :class:`~repro.errors.ReproError` is
-``400``; unexpected exceptions are ``500`` — a request is answered in
-all cases, never dropped. Malformed framing is rejected *before* the
-body is read: a missing ``Content-Length`` is ``411``, a declared
-length above :data:`MAX_BODY_BYTES` is ``413`` — so a malicious or
-broken client can neither hang a handler thread on an unbounded read
-nor balloon a replica's memory with one giant body.
+Error mapping: an :class:`~repro.errors.UnknownScenarioError` is
+``404``; any other :class:`~repro.errors.ReproError` is ``400``;
+unexpected exceptions are ``500`` — a request is answered in all
+cases, never dropped. The status follows the exception's type, never
+its message, which may echo client input. Malformed framing is
+rejected *before* the body is read: a missing ``Content-Length`` is
+``411``, a declared length above :data:`MAX_BODY_BYTES` is ``413`` — so
+a malicious or broken client can neither hang a handler thread on an
+unbounded read nor balloon a replica's memory with one giant body.
 """
 
 from __future__ import annotations
@@ -44,15 +49,18 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 
-from repro.errors import ReproError, ServingError
+from repro.errors import ReproError, ServingError, UnknownScenarioError
 from repro.obs import metrics, trace
 from repro.obs.metrics import to_prometheus_text
 from repro.obs.sinks import read_jsonl
 from repro.obs.tracer import PARENT_HEADER, TRACE_HEADER, new_trace_id
 from repro.serving.batching import RequestBatcher
 from repro.serving.shards import ShardStore
+
+if TYPE_CHECKING:
+    from repro.serving.router import RouterApp
 
 #: Hard cap on request-body size. Solve payloads are a few hundred
 #: bytes; anything past this is a broken or hostile client and is
@@ -82,9 +90,7 @@ def read_json_body(headers, rfile, max_bytes: int = MAX_BODY_BYTES) -> Dict:
     stream: missing → :class:`RequestRejected` 411 (Length Required),
     non-integer or negative → 400, above ``max_bytes`` → 413 (Payload
     Too Large). Only then reads exactly the declared bytes and parses
-    them as JSON (bad encoding/JSON → 400). Shared by the shard-server
-    and router handlers so both front doors reject malformed framing
-    identically.
+    them as JSON (bad encoding/JSON → 400).
     """
     declared = headers.get("Content-Length")
     if declared is None:
@@ -119,6 +125,9 @@ def read_json_body(headers, rfile, max_bytes: int = MAX_BODY_BYTES) -> Dict:
 class ShardApp:
     """Transport-independent request logic over a :class:`ShardStore`."""
 
+    #: ``Server`` header the HTTP front end answers with.
+    server_version = "repro-imc-serve/1.0"
+
     def __init__(
         self,
         store: ShardStore,
@@ -142,10 +151,6 @@ class ShardApp:
             self.requests[field] += 1
 
     # -- endpoints ------------------------------------------------------
-
-    def healthz(self) -> Dict[str, str]:
-        """Liveness payload."""
-        return {"status": "ok"}
 
     def status(self) -> Dict[str, object]:
         """Full server snapshot (shards, counters, live trace tail)."""
@@ -173,15 +178,19 @@ class ShardApp:
 
     def handle_solve(
         self, payload: Dict, inbound_headers=None
-    ) -> Tuple[Dict, Dict[str, str]]:
+    ) -> Tuple[int, bytes, Dict[str, str]]:
         """HTTP-facing solve: adopt trace context, answer with headers.
 
-        Returns ``(response, headers)``. The inbound
-        ``X-Repro-Trace-Id`` / ``X-Repro-Parent-Span`` headers (minted
-        locally when absent, so a standalone replica's answers stay
-        traceable) become the adopted context for every span the solve
-        opens, and the response headers echo the trace id plus a
-        ``Server-Timing`` per-phase breakdown. Both ride as *headers*
+        Returns ``(status, body_bytes, headers)``, the shape
+        :meth:`RouterApp.handle_solve
+        <repro.serving.router.RouterApp.handle_solve>` returns, so one
+        HTTP handler serves both apps; the body is the JSON answer with
+        sorted keys. The inbound ``X-Repro-Trace-Id`` /
+        ``X-Repro-Parent-Span`` headers (minted locally when absent, so
+        a standalone replica's answers stay traceable) become the
+        adopted context for every span the solve opens, and the
+        response headers echo the trace id plus a ``Server-Timing``
+        per-phase breakdown. Both ride as *headers*
         so the JSON body — and its byte-identity contract — is
         untouched by observability.
         """
@@ -206,7 +215,8 @@ class ShardApp:
                 f"{name};dur={seconds * 1e3:.3f}"
                 for name, seconds in timings.items()
             )
-        return response, headers
+        body = json.dumps(response, sort_keys=True).encode("utf-8")
+        return 200, body, headers
 
     def solve(
         self,
@@ -366,11 +376,12 @@ class ShardApp:
 class GracefulHTTPServer(ThreadingHTTPServer):
     """Threaded HTTP server with in-flight tracking and graceful drain.
 
-    Base for the shard-server and router front doors. :meth:`drain`
-    implements the SIGTERM protocol both use: stop accepting new
-    connections, let every in-flight handler finish (bounded by a
-    timeout), then close the listening socket — so a rolling restart
-    never cuts a request mid-solve.
+    Base of :class:`ShardHTTPServer`, which serves both the shard
+    server and the router front door. :meth:`drain` implements the
+    SIGTERM protocol both use: stop accepting new connections, let
+    every in-flight handler finish (bounded by a timeout), then close
+    the listening socket — so a rolling restart never cuts a request
+    mid-solve.
     """
 
     daemon_threads = True
@@ -429,17 +440,29 @@ class GracefulHTTPServer(ThreadingHTTPServer):
 
 
 class ShardHTTPServer(GracefulHTTPServer):
-    """Threaded HTTP server bound to a :class:`ShardApp`."""
+    """Threaded HTTP server bound to an app.
 
-    def __init__(self, address: Tuple[str, int], app: ShardApp) -> None:
+    The app is a :class:`ShardApp` (one replica, or ``python -m repro
+    serve``) or a :class:`~repro.serving.router.RouterApp` (the cluster
+    front door). Either way the same :class:`_Handler` answers.
+    """
+
+    def __init__(
+        self, address: Tuple[str, int], app: Union[ShardApp, RouterApp]
+    ) -> None:
         super().__init__(address, _Handler)
         self.app = app
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """JSON adapter between HTTP and :class:`ShardApp`."""
+    """JSON adapter between HTTP and the server's app.
 
-    server_version = "repro-imc-serve/1.0"
+    Answers ``/healthz`` and ``/shutdown`` itself and hands ``/status``,
+    ``/metrics``, ``/metrics.json`` and ``/solve`` to the app. The app's
+    ``handle_solve`` returns ``(status, body_bytes, headers)``, which go
+    out unchanged.
+    """
+
     protocol_version = "HTTP/1.1"
     #: Socket timeout while reading a request, so a client that stalls
     #: mid-headers or sends fewer body bytes than it declared cannot
@@ -450,8 +473,12 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     @property
-    def app(self) -> ShardApp:
+    def app(self) -> Union[ShardApp, RouterApp]:
         return self.server.app  # type: ignore[attr-defined]
+
+    @property
+    def server_version(self) -> str:  # the Server header names the app
+        return self.app.server_version
 
     def _send(
         self,
@@ -475,7 +502,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         try:
             if self.path == "/healthz":
-                self._send_json(200, self.app.healthz())
+                self._send_json(200, {"status": "ok"})
             elif self.path == "/status":
                 self._send_json(200, self.app.status())
             elif self.path == "/metrics":
@@ -494,11 +521,10 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         try:
             if self.path == "/solve":
-                response, headers = self.app.handle_solve(
-                    self._read_body(), self.headers
+                status, body, headers = self.app.handle_solve(
+                    read_json_body(self.headers, self.rfile), self.headers
                 )
-                body = json.dumps(response, sort_keys=True).encode("utf-8")
-                self._send(200, body, "application/json", headers)
+                self._send(status, body, "application/json", headers)
             elif self.path == "/shutdown":
                 self._send_json(200, {"status": "shutting down"})
                 threading.Thread(
@@ -512,26 +538,25 @@ class _Handler(BaseHTTPRequestHandler):
             # than desynchronise the next keep-alive request.
             self.close_connection = True
             self._send_json(exc.status, {"error": exc.message})
-        except ServingError as exc:
-            code = 404 if "unknown scenario" in str(exc) else 400
-            self._send_json(code, {"error": str(exc)})
+        except UnknownScenarioError as exc:
+            self._send_json(404, {"error": str(exc)})
         except ReproError as exc:
             self._send_json(400, {"error": str(exc)})
         except Exception as exc:  # noqa: BLE001 - answer, never drop
             self._send_json(500, {"error": str(exc)})
 
-    def _read_body(self) -> Dict:
-        return read_json_body(self.headers, self.rfile)
-
 
 def start_http_server(
-    app: ShardApp, host: str = "127.0.0.1", port: int = 0
+    app: Union[ShardApp, RouterApp], host: str = "127.0.0.1", port: int = 0
 ) -> ShardHTTPServer:
     """Start serving ``app`` on a daemon thread; returns the server.
 
-    ``port=0`` binds an ephemeral port — read the actual one from
+    ``app`` is a :class:`ShardApp` or a
+    :class:`~repro.serving.router.RouterApp`. ``port=0`` binds an
+    ephemeral port — read the actual one from
     ``server.server_address[1]``. The caller owns shutdown:
-    ``server.shutdown(); server.server_close(); app.close()``.
+    ``server.drain()`` for a graceful stop, or ``server.shutdown();
+    server.server_close()``, then ``app.close()`` for a shard app.
     """
     server = ShardHTTPServer((host, port), app)
     thread = threading.Thread(

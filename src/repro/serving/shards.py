@@ -38,7 +38,7 @@ from repro.core.bt import BT, MB
 from repro.core.maf import MAF
 from repro.core.objective import evaluate_benefit
 from repro.core.ubg import UBG, GreedyC
-from repro.errors import ServingError
+from repro.errors import ServingError, UnknownScenarioError
 from repro.obs import metrics, trace
 from repro.obs.diagnostics import (
     bernoulli_sample_variance,
@@ -336,7 +336,7 @@ class ShardStore:
                 return shard
             spec = self._specs.get(name)
         if spec is None:
-            raise ServingError(
+            raise UnknownScenarioError(
                 f"unknown scenario {name!r} "
                 f"(known: {', '.join(self.scenario_names())})"
             )

@@ -193,7 +193,7 @@ class TestRouterApp:
     def test_all_replicas_dead_is_503_with_detail(self):
         dead = ReplicaEndpoint("r0", "127.0.0.1", _free_port(), True)
         router = RouterApp(lambda: [dead], breaker_threshold=3)
-        status, body = router.route_solve(
+        status, body, _ = router.handle_solve(
             {"scenario": "planted", "budget": 3}
         )
         assert status == 503
@@ -203,7 +203,7 @@ class TestRouterApp:
     def test_missing_scenario_rejected_before_forwarding(self):
         router = RouterApp(lambda: [])
         with pytest.raises(ServingError, match="scenario"):
-            router.route_solve({"budget": 3})
+            router.handle_solve({"budget": 3})
 
     def test_routes_to_live_replica_and_passes_bytes_through(self):
         spec = _spec()
@@ -211,7 +211,7 @@ class TestRouterApp:
         try:
             endpoint = ReplicaEndpoint("r0", "127.0.0.1", port, True)
             router = RouterApp(lambda: [endpoint])
-            status, body = router.route_solve(
+            status, body, _ = router.handle_solve(
                 {"scenario": "planted", "budget": 3}
             )
             assert status == 200
@@ -238,7 +238,7 @@ class TestRouterApp:
                 ReplicaEndpoint(order[1], "127.0.0.1", port, True),
             ]
             router = RouterApp(lambda: endpoints)
-            status, body = router.route_solve(
+            status, body, _ = router.handle_solve(
                 {"scenario": "planted", "budget": 3}
             )
             assert status == 200
@@ -255,12 +255,14 @@ class TestRouterApp:
             lambda: [dead], breaker_threshold=2, breaker_reset_seconds=60.0
         )
         for _ in range(2):
-            router.route_solve({"scenario": "planted", "budget": 3})
+            router.handle_solve({"scenario": "planted", "budget": 3})
         assert router.breaker("r0").state() == "open"
         # With the breaker open the replica is skipped during candidate
         # selection, but as the only replica it is still *tried* (the
         # all-unavailable fallback) — refusing without trying is worse.
-        status, _ = router.route_solve({"scenario": "planted", "budget": 3})
+        status, _, _ = router.handle_solve(
+            {"scenario": "planted", "budget": 3}
+        )
         assert status == 503
 
     def test_unhealthy_replicas_are_skipped(self):
@@ -276,7 +278,7 @@ class TestRouterApp:
                 ReplicaEndpoint(order[1], "127.0.0.1", port, True),
             ]
             router = RouterApp(lambda: endpoints)
-            status, _ = router.route_solve(
+            status, _, _ = router.handle_solve(
                 {"scenario": "planted", "budget": 3}
             )
             assert status == 200
@@ -296,7 +298,7 @@ class TestRouterApp:
             )
             router = RouterApp(lambda: [endpoint], fault_injector=injector)
             began = time.perf_counter()
-            status, _ = router.route_solve(
+            status, _, _ = router.handle_solve(
                 {"scenario": "planted", "budget": 3}
             )
             elapsed = time.perf_counter() - began

@@ -23,7 +23,9 @@ from repro.graph.generators import planted_partition_graph
 from repro.graph.weights import assign_weighted_cascade
 from repro.obs.sinks import JsonlSink
 from repro.serving import (
+    ReplicaEndpoint,
     RequestBatcher,
+    RouterApp,
     ScenarioSpec,
     ShardApp,
     ShardStore,
@@ -370,18 +372,118 @@ def _get(port: int, path: str):
         return response.status, response.read()
 
 
-class TestHTTPServer:
+@pytest.fixture
+def served(tmp_path):
+    """A shard server on an ephemeral port: ``(app, port, trace_path)``."""
+    store = _store()
+    trace_path = tmp_path / "trace.jsonl"
+    app = ShardApp(store, trace_path=str(trace_path))
+    server = start_http_server(app)
+    yield app, server.server_address[1], trace_path
+    server.shutdown()
+    server.server_close()
+    app.close()
+
+
+class _FrontDoorTests:
+    """Framing and error mapping, run against every front door.
+
+    Each subclass supplies ``port``, where the front door under test
+    listens: the shard server itself, or a router in front of it. Both are
+    served by the same HTTP handler, so both must answer alike.
+    """
+
+    def test_error_mapping(self, port):
+        assert _post(port, "/solve", {"scenario": "nope", "budget": 2})[0] == 404
+        assert _post(port, "/solve", {"scenario": "planted"})[0] == 400
+        assert _post(port, "/solve", {"scenario": "planted", "budget": 0})[0] == 400
+        assert (
+            _post(
+                port,
+                "/solve",
+                {"scenario": "planted", "budget": 2, "solver": "Oracle"},
+            )[0]
+            == 400
+        )
+        # Error messages echo client input, so text that merely looks
+        # like an unknown scenario must not turn a bad request into 404.
+        assert (
+            _post(
+                port,
+                "/solve",
+                {"scenario": "planted", "budget": "unknown scenario"},
+            )[0]
+            == 400
+        )
+        assert (
+            _post(
+                port,
+                "/solve",
+                {
+                    "scenario": "planted",
+                    "budget": 2,
+                    "solver": "unknown scenario",
+                },
+            )[0]
+            == 400
+        )
+        assert _get(port, "/healthz")[0] == 200  # server still alive
+
+    def test_missing_content_length_is_411(self, port):
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            conn.putrequest("POST", "/solve", skip_accept_encoding=True)
+            conn.endheaders()
+            response = conn.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 411
+            assert "Content-Length" in body["error"]
+        finally:
+            conn.close()
+
+    def test_oversized_content_length_is_413_without_reading(self, port):
+        from repro.serving.server import MAX_BODY_BYTES
+
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            conn.putrequest("POST", "/solve", skip_accept_encoding=True)
+            # Declare a giant body but never send it: the server must
+            # reject on the header alone, not block reading the body.
+            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            conn.endheaders()
+            response = conn.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 413
+            assert "exceeds" in body["error"]
+        finally:
+            conn.close()
+
+    def test_malformed_content_length_is_400(self, port):
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            conn.putrequest("POST", "/solve", skip_accept_encoding=True)
+            conn.putheader("Content-Length", "banana")
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == 400
+        finally:
+            conn.close()
+
+    def test_invalid_json_body_is_400_and_server_survives(self, port):
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            conn.request("POST", "/solve", body=b"{not json")
+            response = conn.getresponse()
+            assert response.status == 400
+        finally:
+            conn.close()
+        assert _get(port, "/healthz")[0] == 200
+
+
+class TestHTTPServer(_FrontDoorTests):
     @pytest.fixture
-    def served(self, tmp_path):
-        store = _store()
-        trace_path = tmp_path / "trace.jsonl"
-        app = ShardApp(store, trace_path=str(trace_path))
-        server = start_http_server(app)
-        port = server.server_address[1]
-        yield app, port, trace_path
-        server.shutdown()
-        server.server_close()
-        app.close()
+    def port(self, served):
+        return served[1]
 
     def test_healthz_and_metrics(self, served):
         _, port, _ = served
@@ -408,75 +510,6 @@ class TestHTTPServer:
         for field in ("seeds", "objective", "num_samples"):
             assert second[field] == first[field]
 
-    def test_error_mapping(self, served):
-        _, port, _ = served
-        assert _post(port, "/solve", {"scenario": "nope", "budget": 2})[0] == 404
-        assert _post(port, "/solve", {"scenario": "planted"})[0] == 400
-        assert _post(port, "/solve", {"scenario": "planted", "budget": 0})[0] == 400
-        assert (
-            _post(
-                port,
-                "/solve",
-                {"scenario": "planted", "budget": 2, "solver": "Oracle"},
-            )[0]
-            == 400
-        )
-        assert _get(port, "/healthz")[0] == 200  # server still alive
-
-    def test_missing_content_length_is_411(self, served):
-        _, port, _ = served
-        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
-        try:
-            conn.putrequest("POST", "/solve", skip_accept_encoding=True)
-            conn.endheaders()
-            response = conn.getresponse()
-            body = json.loads(response.read())
-            assert response.status == 411
-            assert "Content-Length" in body["error"]
-        finally:
-            conn.close()
-
-    def test_oversized_content_length_is_413_without_reading(self, served):
-        from repro.serving.server import MAX_BODY_BYTES
-
-        _, port, _ = served
-        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
-        try:
-            conn.putrequest("POST", "/solve", skip_accept_encoding=True)
-            # Declare a giant body but never send it: the server must
-            # reject on the header alone, not block reading the body.
-            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
-            conn.endheaders()
-            response = conn.getresponse()
-            body = json.loads(response.read())
-            assert response.status == 413
-            assert "exceeds" in body["error"]
-        finally:
-            conn.close()
-
-    def test_malformed_content_length_is_400(self, served):
-        _, port, _ = served
-        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
-        try:
-            conn.putrequest("POST", "/solve", skip_accept_encoding=True)
-            conn.putheader("Content-Length", "banana")
-            conn.endheaders()
-            response = conn.getresponse()
-            assert response.status == 400
-        finally:
-            conn.close()
-
-    def test_invalid_json_body_is_400_and_server_survives(self, served):
-        _, port, _ = served
-        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
-        try:
-            conn.request("POST", "/solve", body=b"{not json")
-            response = conn.getresponse()
-            assert response.status == 400
-        finally:
-            conn.close()
-        assert _get(port, "/healthz")[0] == 200
-
     def test_status_reads_live_trace_tail(self, served):
         app, port, trace_path = served
         with JsonlSink(str(trace_path)) as sink:
@@ -490,6 +523,17 @@ class TestHTTPServer:
         assert payload["trace_tail"] == [{"name": "span-1"}]
         assert payload["scenarios"] == ["planted"]
         assert payload["requests"]["total"] == 0
+
+
+class TestRouterFrontDoor(_FrontDoorTests):
+    @pytest.fixture
+    def port(self, served):
+        _, port, _ = served
+        replica = ReplicaEndpoint("r0", "127.0.0.1", port, True)
+        server = start_http_server(RouterApp(lambda: [replica]))
+        yield server.server_address[1]
+        server.shutdown()
+        server.server_close()
 
 
 # ----------------------------------------------------------------------
