@@ -1,20 +1,23 @@
 """Chaos floor — the whole cluster stack under concurrent fire.
 
 Three replicas behind the rendezvous router, 200+ concurrent clients
-round-robining six distinct queries over three scenarios, three phases
+round-robining six distinct queries over three scenarios, four phases
 through :mod:`repro.serving.loadgen` across two cluster incarnations:
 
-**Cluster A (observability off)**:
+**Cluster A (observability off)** isolates the router→replica
+connection-pooling win:
 
-1. **plain**: the baseline latency distribution, against which the
-   observability overhead is measured.
+1. **plain-unpooled**: keep-alive pooling disabled — every forward
+   opens a fresh upstream connection.
+2. **plain-pooled**: pooling re-enabled — the before/after p50/p95
+   land in the manifest under ``connection_pooling``.
 
 **Cluster B (full observability plane: ``run_dir`` set, so the event
 journal, cross-process tracing and fleet scraping are all live)**:
 
-2. **fault-free**: records the golden deterministic answer per query
+3. **fault-free**: records the golden deterministic answer per query
    and the obs-enabled latency distribution.
-3. **replica-kill**: the same flood, but once an eighth of the requests
+4. **replica-kill**: the same flood, but once an eighth of the requests
    have completed, the replica *owning the hottest scenario* is
    SIGKILLed (whole process group — sampler workers included).
 
@@ -23,7 +26,7 @@ The floor asserts:
 - **zero client-visible errors** in every phase — every request gets a
   200, no transport failures (the router fails requests over to the
   rendezvous successor, which cold-rebuilds the shard byte-identically);
-- **all three phases byte-identical** to the fault-free golden
+- **all four phases byte-identical** to the fault-free golden
   (volatile ``batched``/``cache_hit`` flags aside);
 - **every response traceable** with the plane enabled — both cluster-B
   phases carry an ``X-Repro-Trace-Id`` on 100% of answers, kill
@@ -35,7 +38,7 @@ The floor asserts:
 - **the reporter tells the story** — ``render_cluster_report`` on the
   run dir renders the kill → respawn incident;
 - **observability is cheap** — obs-enabled fault-free p95 within 5%
-  (plus a small absolute allowance) of the plain p95;
+  (plus a small absolute allowance) of the plain pooled p95;
 - **restart within the backoff bound** — the supervisor's
   ``restart_log`` shows the victim respawned no earlier than its
   policy delay and healthy again within the schedule-plus-startup
@@ -151,15 +154,20 @@ def test_cluster_load(benchmark, tmp_path):
     queries = _queries()
 
     def run():
-        # --- Cluster A: observability off. ---
+        # --- Cluster A: observability off; pooling before/after. ---
         with ServingCluster(_config(instance)) as cluster:
             host, port = cluster.router_address
             generator = LoadGenerator(host, port)
-            # Warm every shard's solve cache first so the measured
-            # phase does not pay the one-off cold-build cost.
+            # Warm every shard's solve cache first so neither measured
+            # phase pays the one-off cold-build cost.
             generator.run_phase(LoadPhase("warmup", queries, clients=CLIENTS))
-            plain = generator.run_phase(
-                LoadPhase("plain", queries, clients=CLIENTS)
+            cluster.router_app.pool_connections = False
+            unpooled = generator.run_phase(
+                LoadPhase("plain-unpooled", queries, clients=CLIENTS)
+            )
+            cluster.router_app.pool_connections = True
+            pooled = generator.run_phase(
+                LoadPhase("plain-pooled", queries, clients=CLIENTS)
             )
 
         # --- Cluster B: full observability plane + chaos. ---
@@ -198,7 +206,8 @@ def test_cluster_load(benchmark, tmp_path):
             # flight — the merged counters must add up exactly.
             fleet_doc = cluster.router_app.fleet.aggregate(force=True)
         return (
-            plain,
+            unpooled,
+            pooled,
             clean,
             killed,
             victim,
@@ -207,16 +216,18 @@ def test_cluster_load(benchmark, tmp_path):
             fleet_doc,
         )
 
-    plain, clean, killed, victim, restart_log, counters, fleet_doc = (
+    unpooled, pooled, clean, killed, victim, restart_log, counters, fleet_doc = (
         benchmark.pedantic(run, rounds=1)
     )
 
-    # Floor 1: zero client-visible errors, in all three phases (golden()
+    # Floor 1: zero client-visible errors, in all four phases (golden()
     # raises on any transport error or non-200).
     clean_golden = clean.golden()
-    # Floor 2: neither the kill nor the obs toggle changed an answer.
+    # Floor 2: neither the kill nor the pooling/obs toggles changed an
+    # answer.
     assert killed.golden() == clean_golden
-    assert plain.golden() == clean_golden
+    assert unpooled.golden() == clean_golden
+    assert pooled.golden() == clean_golden
     # Floor 3: with the plane enabled, every answered request is
     # traceable — the SIGKILL phase included.
     assert clean.traceability() == 1.0
@@ -257,16 +268,17 @@ def test_cluster_load(benchmark, tmp_path):
     assert "replica.killed" in report_text
     assert "replica.respawned" in report_text
     # Floor 7: the plane is cheap — obs-enabled fault-free p95 within
-    # the overhead ceiling of the plain p95.
-    plain_p95 = plain.percentiles()["p95"]
+    # the overhead ceiling of the plain pooled p95.
+    plain_p95 = pooled.percentiles()["p95"]
     obs_p95 = clean.percentiles()["p95"]
     assert obs_p95 <= plain_p95 * OVERHEAD_RELATIVE + OVERHEAD_ABSOLUTE, (
         f"observability overhead too high: obs p95 {obs_p95:.4f}s vs "
-        f"plain p95 {plain_p95:.4f}s"
+        f"plain pooled p95 {plain_p95:.4f}s"
     )
 
     percentiles = {
-        "plain": plain.percentiles(),
+        "plain-unpooled": unpooled.percentiles(),
+        "plain-pooled": pooled.percentiles(),
         "fault-free": clean.percentiles(),
         "replica-kill": killed.percentiles(),
     }
@@ -280,6 +292,16 @@ def test_cluster_load(benchmark, tmp_path):
             "budgets": list(BUDGETS),
             "victim": victim,
             "latency_seconds": percentiles,
+            "connection_pooling": {
+                "before": {
+                    "p50": percentiles["plain-unpooled"]["p50"],
+                    "p95": percentiles["plain-unpooled"]["p95"],
+                },
+                "after": {
+                    "p50": percentiles["plain-pooled"]["p50"],
+                    "p95": percentiles["plain-pooled"]["p95"],
+                },
+            },
             "traceability": {
                 "fault-free": clean.traceability(),
                 "replica-kill": killed.traceability(),
@@ -298,7 +320,8 @@ def test_cluster_load(benchmark, tmp_path):
 
     rows = []
     for label, result in (
-        ("plain", plain),
+        ("plain-unpooled", unpooled),
+        ("plain-pooled", pooled),
         ("fault-free", clean),
         ("replica-kill", killed),
     ):
@@ -314,7 +337,7 @@ def test_cluster_load(benchmark, tmp_path):
             )
         )
     emit(
-        f"serving cluster under load ({CLIENTS} clients x 3 phases, "
+        f"serving cluster under load ({CLIENTS} clients x 4 phases, "
         f"{REPLICAS} replicas, victim={victim} killed mid-phase, "
         "obs plane on for the last two phases)",
         ascii_table(

@@ -355,6 +355,14 @@ def _build_parser() -> argparse.ArgumentParser:
             "'python -m repro report --cluster RUNDIR')"
         ),
     )
+    cluster.add_argument(
+        "--no-keepalive",
+        action="store_true",
+        help=(
+            "disable router->replica connection pooling (one fresh "
+            "connection per forward)"
+        ),
+    )
     _add_observability_flags(cluster)
 
     figure = sub.add_parser("figure", help="regenerate a paper figure")
@@ -829,6 +837,7 @@ def _cmd_cluster(args) -> int:
         breaker_threshold=args.breaker_threshold,
         breaker_reset_seconds=args.breaker_reset_seconds,
         run_dir=args.run_dir,
+        pool_connections=not args.no_keepalive,
     )
     return run_cluster(config)
 

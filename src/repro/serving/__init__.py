@@ -24,7 +24,7 @@ over HTTP without re-sampling from scratch on every request:
   (``python -m repro cluster``);
 - :mod:`repro.serving.router` — the cluster front door: rendezvous
   hashing of scenarios to replicas, per-replica circuit breakers,
-  retry-with-failover over one fresh connection per forward;
+  retry-with-failover;
 - :mod:`repro.serving.loadgen` — the reusable load/chaos harness the
   serving benchmarks drive both deployments with;
 - :mod:`repro.serving.fleet` — the fleet observability plane's metrics

@@ -109,6 +109,8 @@ class ClusterConfig:
     #: artifacts) and streams lifecycle events to
     #: ``replica-<id>.events.jsonl``.
     run_dir: Optional[str] = None
+    #: Keep-alive connection pooling on the router→replica hop.
+    pool_connections: bool = True
 
     def __post_init__(self) -> None:
         if not self.scenarios:
@@ -622,6 +624,7 @@ class ServingCluster:
             breaker_reset_seconds=config.breaker_reset_seconds,
             forward_timeout=config.forward_timeout,
             fault_injector=config.router_fault_injector,
+            pool_connections=config.pool_connections,
             supervisor_status=self.supervisor.status,
         )
         self.router_server: Optional[ShardHTTPServer] = None
@@ -671,6 +674,7 @@ class ServingCluster:
         topology = {
             "router_host": host,
             "router_port": port,
+            "pool_connections": self.config.pool_connections,
             "replicas": [
                 {
                     "replica_id": endpoint.replica_id,
@@ -701,6 +705,7 @@ class ServingCluster:
             self.router_server.drain(self.config.drain_timeout)
             self.router_server = None
         self.supervisor.stop()
+        self.router_app.close_pools()
         if self.journal is not None:
             self.journal.emit("cluster.stopped")
             self.journal.close()

@@ -21,8 +21,8 @@ three jobs:
   failover target merely pays a cold-build before replying.
 
 The router never parses a replica's answer: response bytes stream back
-unchanged, preserving byte-identity end to end. Each forward opens a
-fresh connection to the replica and closes it once the answer is read.
+unchanged, preserving byte-identity end to end. Forwards reuse idle
+keep-alive connections to the replica unless pooling is switched off.
 :func:`repro.serving.server.start_http_server` serves a
 :class:`RouterApp` with the same HTTP handler as a replica, so both
 front doors share framing checks and error mapping.
@@ -215,6 +215,45 @@ class CircuitBreaker:
         return opened
 
 
+class _ReplicaPool:
+    """Idle keep-alive connections to one replica (bounded LIFO).
+
+    LIFO keeps the hottest connection hottest; connections beyond
+    ``size`` close instead of parking. The pool never validates an
+    idle connection — staleness (replica restarted, server-side idle
+    timeout) surfaces as a send/read error, which the router retries
+    once on a fresh connection before charging the breaker.
+    """
+
+    __slots__ = ("size", "_idle", "_lock")
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self._idle: List[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def acquire(self) -> Optional[http.client.HTTPConnection]:
+        with self._lock:
+            return self._idle.pop() if self._idle else None
+
+    def release(self, conn: http.client.HTTPConnection) -> None:
+        with self._lock:
+            if len(self._idle) < self.size:
+                self._idle.append(conn)
+                return
+        conn.close()
+
+    def idle(self) -> int:
+        with self._lock:
+            return len(self._idle)
+
+    def close(self) -> None:
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+
 class RouterApp:
     """Transport-independent routing logic for the cluster front door.
 
@@ -242,6 +281,8 @@ class RouterApp:
         breaker_reset_seconds: float = 1.0,
         forward_timeout: float = 300.0,
         fault_injector: Optional[FaultInjector] = None,
+        pool_connections: bool = True,
+        pool_size: int = 8,
         journal: Optional[EventJournal] = None,
         supervisor_status: Optional[Callable[[], Dict]] = None,
         scrape_cache_seconds: float = 1.0,
@@ -251,6 +292,8 @@ class RouterApp:
         self.breaker_reset_seconds = breaker_reset_seconds
         self.forward_timeout = forward_timeout
         self.faults = fault_injector
+        self.pool_connections = pool_connections
+        self.pool_size = pool_size
         self.journal = journal
         self.supervisor_status = supervisor_status
         self.fleet = FleetMetricsAggregator(
@@ -259,6 +302,7 @@ class RouterApp:
         self.started = time.monotonic()
         self._lock = threading.Lock()
         self._breakers: Dict[str, CircuitBreaker] = {}
+        self._pools: Dict[str, _ReplicaPool] = {}
         self.counters = {"routed": 0, "failovers": 0, "failed": 0}
 
     # -- bookkeeping ----------------------------------------------------
@@ -288,6 +332,20 @@ class RouterApp:
         else:
             journal.emit("breaker.closed", replica=replica_id)
 
+    def _pool(self, replica_id: str) -> _ReplicaPool:
+        with self._lock:
+            pool = self._pools.get(replica_id)
+            if pool is None:
+                pool = self._pools[replica_id] = _ReplicaPool(self.pool_size)
+            return pool
+
+    def close_pools(self) -> None:
+        """Close every idle pooled connection (router shutdown)."""
+        with self._lock:
+            pools = list(self._pools.values())
+        for pool in pools:
+            pool.close()
+
     def _count(self, field: str) -> None:
         with self._lock:
             self.counters[field] += 1
@@ -297,10 +355,11 @@ class RouterApp:
     def status(self) -> Dict[str, object]:
         """Fleet-truth snapshot: one curl answers "is the cluster ok".
 
-        Per replica: supervisor health, breaker state and the age of
-        the last successful metrics scrape; plus router counters and —
-        when wired by :class:`~repro.serving.cluster.ServingCluster` —
-        the supervisor's own restart/incident view.
+        Per replica: supervisor health, breaker state, idle pooled
+        connections and the age of the last successful metrics scrape;
+        plus router counters, pooling config and — when wired by
+        :class:`~repro.serving.cluster.ServingCluster` — the
+        supervisor's own restart/incident view.
         """
         endpoints = self.replicas()
         with self._lock:
@@ -308,6 +367,7 @@ class RouterApp:
             breakers = {
                 rid: breaker for rid, breaker in self._breakers.items()
             }
+            pools = dict(self._pools)
         payload: Dict[str, object] = {
             "replicas": [
                 {
@@ -320,6 +380,11 @@ class RouterApp:
                         if ep.replica_id in breakers
                         else "closed"
                     ),
+                    "pooled_connections": (
+                        pools[ep.replica_id].idle()
+                        if ep.replica_id in pools
+                        else 0
+                    ),
                     "last_scrape_age_seconds": self.fleet.scrape_age(
                         ep.replica_id
                     ),
@@ -328,6 +393,10 @@ class RouterApp:
             ],
             "requests": counters,
             "uptime_seconds": time.monotonic() - self.started,
+            "connection_pooling": {
+                "enabled": self.pool_connections,
+                "pool_size": self.pool_size,
+            },
         }
         if self.supervisor_status is not None:
             payload["supervisor"] = self.supervisor_status()
@@ -480,6 +549,25 @@ class RouterApp:
             None,
         )
 
+    def _connect(self, endpoint: ReplicaEndpoint) -> http.client.HTTPConnection:
+        return http.client.HTTPConnection(
+            endpoint.host, endpoint.port, timeout=self.forward_timeout
+        )
+
+    def _roundtrip(
+        self,
+        conn: http.client.HTTPConnection,
+        body: bytes,
+        extra_headers: Dict[str, str],
+    ) -> Tuple[int, Optional[str], bytes, bool]:
+        headers = {"Content-Type": "application/json"}
+        headers.update(extra_headers)
+        conn.request("POST", "/solve", body=body, headers=headers)
+        response = conn.getresponse()
+        data = response.read()
+        timing = response.getheader("Server-Timing")
+        return response.status, timing, data, not response.will_close
+
     def _forward(
         self,
         endpoint: ReplicaEndpoint,
@@ -488,23 +576,41 @@ class RouterApp:
     ) -> Tuple[int, Optional[str], bytes]:
         """POST ``body`` to one replica's ``/solve``; return its answer.
 
-        Returns ``(status, server_timing, body_bytes)``; connection
-        and protocol errors propagate to :meth:`_route`, which charges
-        them to the replica's breaker. Each forward opens its own
-        connection and closes it once the answer is read. Connections
-        are not kept alive: ``http.client`` writes the headers and the
-        body separately, and on a reused connection the body write
-        waits out the replica's delayed ACK (about 40 ms).
+        Returns ``(status, server_timing, body_bytes)``. With pooling
+        on, reuses an idle keep-alive connection when one exists. A
+        reused connection that fails to round-trip gets ONE retry on a
+        fresh connection — the failure is indistinguishable from an idle
+        connection gone stale (replica restarted under the same port,
+        server-side timeout), and charging the breaker for router-side
+        connection hygiene would trip failover spuriously. A fresh
+        connection's failure propagates to :meth:`_route`, which charges
+        it to the replica's breaker.
         """
-        headers = {"Content-Type": "application/json"}
-        headers.update(extra_headers)
-        conn = http.client.HTTPConnection(
-            endpoint.host, endpoint.port, timeout=self.forward_timeout
+        pool = (
+            self._pool(endpoint.replica_id) if self.pool_connections else None
         )
+        conn = pool.acquire() if pool is not None else None
+        reused = conn is not None
+        if conn is None:
+            conn = self._connect(endpoint)
         try:
-            conn.request("POST", "/solve", body=body, headers=headers)
-            response = conn.getresponse()
-            data = response.read()
-        finally:
+            status, timing, data, reusable = self._roundtrip(
+                conn, body, extra_headers
+            )
+        except (OSError, http.client.HTTPException):
             conn.close()
-        return response.status, response.getheader("Server-Timing"), data
+            if not reused:
+                raise
+            conn = self._connect(endpoint)
+            try:
+                status, timing, data, reusable = self._roundtrip(
+                    conn, body, extra_headers
+                )
+            except (OSError, http.client.HTTPException):
+                conn.close()
+                raise
+        if pool is not None and reusable:
+            pool.release(conn)
+        else:
+            conn.close()
+        return status, timing, data

@@ -1,7 +1,7 @@
 """Fleet observability plane tests: trace propagation across the
 router -> replica hop (including failover siblings), header byte-identity,
-fleet metrics aggregation, router ``/status`` fleet truth and the
-cluster run reporter.
+fleet metrics aggregation, router ``/status`` fleet truth, connection
+pooling and the cluster run reporter.
 
 The fast lane runs in-process ShardApp servers behind a RouterApp — no
 subprocesses. The slow lane SIGKILLs a real replica mid-flood and
@@ -186,6 +186,7 @@ class TestRouterFleetObservability:
             assert forward["parent_id"] == solve["span_id"]
             assert recorder.metrics["counters"]["router.trace.minted"] == 1
         finally:
+            router.close_pools()
             server.drain(5.0)
             app.close()
 
@@ -229,6 +230,7 @@ class TestRouterFleetObservability:
             }
             assert router.counters["failovers"] == 1
         finally:
+            router.close_pools()
             server.drain(5.0)
             app.close()
 
@@ -247,6 +249,7 @@ class TestRouterFleetObservability:
             assert counters["router.trace.adopted"] == 1
             assert counters.get("router.trace.minted", 0) == 0
         finally:
+            router.close_pools()
             server.drain(5.0)
             app.close()
 
@@ -317,9 +320,41 @@ class TestRouterFleetObservability:
             payload = router.status()
             (replica,) = payload["replicas"]
             assert replica["breaker"] == "closed"
+            assert replica["pooled_connections"] == 1  # kept alive
             assert replica["last_scrape_age_seconds"] is not None
             assert replica["last_scrape_age_seconds"] < 60.0
+            assert payload["connection_pooling"] == {
+                "enabled": True,
+                "pool_size": 8,
+            }
         finally:
+            router.close_pools()
+            server.drain(5.0)
+            app.close()
+
+    def test_pooling_reuses_connections_and_can_be_disabled(self):
+        app, server, port = _serve()
+        endpoint = ReplicaEndpoint("r0", "127.0.0.1", port, True)
+        pooled = RouterApp(lambda: [endpoint])
+        unpooled = RouterApp(lambda: [endpoint], pool_connections=False)
+        try:
+            for _ in range(3):
+                status, _, _ = pooled.handle_solve(
+                    {"scenario": "planted", "budget": 3}
+                )
+                assert status == 200
+            assert pooled._pool("r0").idle() == 1  # round-tripped, kept
+            pooled.close_pools()
+            assert pooled._pool("r0").idle() == 0
+            status, _, _ = unpooled.handle_solve(
+                {"scenario": "planted", "budget": 3}
+            )
+            assert status == 200
+            assert (
+                unpooled.status()["replicas"][0]["pooled_connections"] == 0
+            )
+        finally:
+            pooled.close_pools()
             server.drain(5.0)
             app.close()
 

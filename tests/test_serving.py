@@ -530,10 +530,12 @@ class TestRouterFrontDoor(_FrontDoorTests):
     def port(self, served):
         _, port, _ = served
         replica = ReplicaEndpoint("r0", "127.0.0.1", port, True)
-        server = start_http_server(RouterApp(lambda: [replica]))
+        router = RouterApp(lambda: [replica])
+        server = start_http_server(router)
         yield server.server_address[1]
         server.shutdown()
         server.server_close()
+        router.close_pools()
 
 
 # ----------------------------------------------------------------------
