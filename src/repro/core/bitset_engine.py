@@ -14,20 +14,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from repro.core.flat_engine import _popcount
 from repro.errors import SolverError
 from repro.obs import metrics
 from repro.sampling.pool import RICSamplePool
-
-# int.bit_count() exists from Python 3.10; fall back for 3.9.
-if hasattr(int, "bit_count"):
-
-    def _popcount(x: int) -> int:
-        return x.bit_count()
-
-else:  # pragma: no cover - exercised only on Python 3.9
-
-    def _popcount(x: int) -> int:
-        return bin(x).count("1")
 
 
 class BitsetCoverage:

@@ -6,23 +6,23 @@ The third and fastest member of the coverage-engine family:
   ``set`` objects;
 - ``BitsetCoverage`` packs each sample's covered members into an int
   bitset but still walks ``node -> {sample_idx: mask}`` nested dicts;
-- ``FlatCoverage`` (this module) *compiles* the pool's inverted index
-  into parallel contiguous sequences once, so a marginal evaluation is
-  a slice + zip over flat storage with zero dict lookups in the loop.
+- ``FlatCoverage`` (this module) reads the pool's inverted index
+  compiled into parallel contiguous sequences
+  (:class:`~repro.sampling.pool.FlatIndex`), so a marginal evaluation
+  is a zip over flat storage with zero dict lookups in the loop.
 
-Layout after compilation: each touching node owns one *slot*; slot
-``s`` covers the half-open range ``entry_off[s]:entry_off[s+1]`` of two
-parallel flat sequences, ``entry_sample`` (sample index) and
-``entry_mask`` (that node's member bitset within the sample). The
-mutable per-sample state — ``covered_mask``, ``covered_count``,
-``thresholds`` — is three flat parallel sequences indexed by sample.
-Offsets live in an ``array('q')``; the hot-loop operands live in plain
-lists because member masks are arbitrary-precision ints and list
-slicing/zip iterates at C speed without re-boxing.
-
-Construction compacts the pool first (:meth:`RICSamplePool.compact`):
-duplicate reach frozensets are interned and the inverted index sealed
-into tuples, so compilation reads only immutable data.
+The compiled index is built at most once per pool size and shared
+read-only by every engine on the pool
+(:meth:`RICSamplePool.flat_index`). Each engine keeps only its own
+state: per sample, the member bits still uncovered and the members
+still needed to reach the threshold; per slot, the entries that can
+still contribute. A marginal call drops an entry for good once its
+sample has reached its threshold (the sample's uncovered bits are
+then cleared) or once all of the node's member bits in it are covered;
+either way ``mask & uncovered`` is zero. Both conditions are monotone
+while seeds are only added, a dropped entry adds nothing to either
+gain, and the surviving terms are summed in the original order, so the
+``(ĉ, ν)`` pairs are bit-identical to an unpruned scan.
 
 Behaviour is identical to the other engines (the hypothesis suite
 cross-checks all three on random pools); selection is uniform via
@@ -32,8 +32,7 @@ and the CLI.
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import SolverError
 from repro.obs import metrics
@@ -41,10 +40,7 @@ from repro.sampling.pool import RICSamplePool
 
 # int.bit_count() exists from Python 3.10; fall back for 3.9.
 if hasattr(int, "bit_count"):
-
-    def _popcount(x: int) -> int:
-        return x.bit_count()
-
+    _popcount = int.bit_count
 else:  # pragma: no cover - exercised only on Python 3.9
 
     def _popcount(x: int) -> int:
@@ -52,56 +48,49 @@ else:  # pragma: no cover - exercised only on Python 3.9
 
 
 class FlatCoverage:
-    """Incremental ĉ/ν coverage over a pool, compiled to flat arrays.
+    """Incremental ĉ/ν coverage over a pool's compiled flat index.
 
     The public surface mirrors :class:`~repro.core.objective.CoverageState`
     and :class:`~repro.core.bitset_engine.BitsetCoverage`: ``add_seed``,
     ``gain_influenced``, ``gain_fractional``, ``gain_pair``, ``resync``
     and the two estimate accessors. Like its siblings, it snapshots the
     pool's sample count at construction and fails fast (``SolverError``)
-    when the pool has grown, until :meth:`resync` recompiles.
+    when the pool has grown, until :meth:`resync` reloads the index.
     """
 
-    def __init__(self, pool: RICSamplePool, compact: bool = True) -> None:
+    def __init__(self, pool: RICSamplePool) -> None:
         self.pool = pool
-        if compact:
-            pool.compact()
         self.seeds: List[int] = []
         self._seed_set = set()
         self._resyncing = False
-        self._compile()
+        self._load()
 
-    def _compile(self) -> None:
-        """Compile the pool's inverted index into the flat layout.
+    def _load(self) -> None:
+        """Bind the pool's flat index and reset this engine's state.
 
-        Also resets the covered state and replays the current seed set,
-        so it doubles as the :meth:`resync` body.
+        Replays the current seed set, so it doubles as the
+        :meth:`resync` body.
         """
-        pool = self.pool
-        samples = pool.samples
-        self._thresholds: List[int] = [s.threshold for s in samples]
-        slot_of: Dict[int, int] = {}
-        entry_off = array("q", [0])
-        entry_sample: List[int] = []
-        entry_mask: List[int] = []
-        for node in pool.touching_nodes():
-            masks: Dict[int, int] = {}
-            for sample_idx, member_idx in pool.coverage_of(node):
-                masks[sample_idx] = masks.get(sample_idx, 0) | (1 << member_idx)
-            slot_of[node] = len(entry_off) - 1
-            for sample_idx, mask in masks.items():
-                entry_sample.append(sample_idx)
-                entry_mask.append(mask)
-            entry_off.append(len(entry_sample))
-        self._slot_of = slot_of
-        self._entry_off = entry_off
-        self._entry_sample = entry_sample
-        self._entry_mask = entry_mask
-        self._covered_mask: List[int] = [0] * len(samples)
-        self._covered_count: List[int] = [0] * len(samples)
+        index = self.pool.flat_index()
+        self._thresholds = index.thresholds
+        self._slot_of = index.slot_of
+        self._entry_off = index.entry_off
+        self._entry_sample = index.entry_sample
+        self._entry_mask = index.entry_mask
+        num_samples = len(index.thresholds)
+        # Per slot: the (sample, mask) entries that survived the last
+        # marginal call, or None until the slot is first evaluated.
+        self._live: List[Optional[List[Tuple[int, int]]]] = [None] * (
+            len(index.entry_off) - 1
+        )
+        # Per sample: member bits not yet covered (-1 sets every bit;
+        # 0 once the sample reached its threshold, since no further
+        # bit counts) and the members still needed to reach it.
+        self._uncovered: List[int] = [-1] * num_samples
+        self._need: List[int] = list(index.thresholds)
         self._influenced = 0
         self._fractional = 0.0
-        self._synced_samples = len(samples)
+        self._synced_samples = num_samples
         for node in self.seeds:
             self._apply_seed(node)
 
@@ -110,7 +99,7 @@ class FlatCoverage:
         if self._resyncing:
             raise SolverError(
                 "flat engine is mid-resync() (another thread is "
-                "recompiling it); concurrent marginal/accessor calls "
+                "reloading it); concurrent marginal/accessor calls "
                 "would read half-built arrays — serialize engine access "
                 "(see the locking contract in docs/serving.md)"
             )
@@ -118,18 +107,18 @@ class FlatCoverage:
             raise SolverError(
                 f"pool grew from {self._synced_samples} to "
                 f"{len(self.pool.samples)} samples since this flat "
-                "engine was compiled; call resync() or rebuild the engine"
+                "engine was loaded; call resync() or rebuild the engine"
             )
 
     def resync(self) -> None:
         """Incorporate samples added to the pool since the last sync.
 
-        Recompiles the flat layout from the grown pool (compacting
-        again so the new samples' reach sets are interned too) and
-        replays the current seed set. The compile is O(total coverage),
-        the same order as building the engine fresh — IMCAF doubles the
-        pool per stage, so the recompile cost is within a constant
-        factor of the incremental path and keeps the layout contiguous.
+        Loads the grown pool's flat index (compiling it if no engine
+        has yet), resets the pruned entry lists and replays the current
+        seed set. The compile is O(total coverage), the same order as
+        building the engine fresh — IMCAF doubles the pool per stage,
+        so the recompile cost is within a constant factor of the
+        incremental path and keeps the layout contiguous.
 
         Not thread-safe: a concurrent :meth:`resync` (or any marginal /
         accessor call while one is in progress) raises ``SolverError``
@@ -147,8 +136,7 @@ class FlatCoverage:
         metrics.inc("coverage.resyncs")
         self._resyncing = True
         try:
-            self.pool.compact()
-            self._compile()
+            self._load()
         finally:
             self._resyncing = False
 
@@ -187,25 +175,25 @@ class FlatCoverage:
             return
         lo = self._entry_off[slot]
         hi = self._entry_off[slot + 1]
-        covered_mask = self._covered_mask
-        covered_count = self._covered_count
+        uncovered = self._uncovered
+        needs = self._need
         thresholds = self._thresholds
         for sample_idx, mask in zip(
             self._entry_sample[lo:hi], self._entry_mask[lo:hi]
         ):
-            new_bits = mask & ~covered_mask[sample_idx]
+            new_bits = mask & uncovered[sample_idx]
             if not new_bits:
                 continue
-            threshold = thresholds[sample_idx]
-            before = covered_count[sample_idx]
             added = _popcount(new_bits)
-            covered_mask[sample_idx] |= new_bits
-            covered_count[sample_idx] = before + added
-            if before < threshold:
-                effective = min(before + added, threshold) - before
-                self._fractional += effective / threshold
-                if before + added >= threshold:
-                    self._influenced += 1
+            need = needs[sample_idx]
+            if added >= need:
+                self._fractional += need / thresholds[sample_idx]
+                self._influenced += 1
+                uncovered[sample_idx] = 0
+            else:
+                self._fractional += added / thresholds[sample_idx]
+                uncovered[sample_idx] ^= new_bits
+                needs[sample_idx] = need - added
 
     def add_seed(self, node: int) -> None:
         """Add ``node`` and update the flat covered state."""
@@ -219,34 +207,44 @@ class FlatCoverage:
     # -- marginals ------------------------------------------------------
 
     def gain_pair(self, node: int) -> Tuple[int, float]:
-        """Marginal (ĉ, ν) gains of adding ``node``."""
+        """Marginal (ĉ, ν) gains of adding ``node``.
+
+        Prunes the node's dead entries (sample saturated, or every
+        member bit already covered) as a side effect; see the module
+        docstring for why that leaves every answer unchanged.
+        """
         self._check_sync()
         if node in self._seed_set:
             return 0, 0.0
         slot = self._slot_of.get(node)
         if slot is None:
             return 0, 0.0
-        lo = self._entry_off[slot]
-        hi = self._entry_off[slot + 1]
+        entries = self._live[slot]
+        if entries is None:
+            lo = self._entry_off[slot]
+            hi = self._entry_off[slot + 1]
+            entries = zip(self._entry_sample[lo:hi], self._entry_mask[lo:hi])
+        kept: List[Tuple[int, int]] = []
+        keep = kept.append
         gain_c = 0
         gain_nu = 0.0
-        covered_mask = self._covered_mask
-        covered_count = self._covered_count
+        uncovered = self._uncovered
+        needs = self._need
         thresholds = self._thresholds
-        for sample_idx, mask in zip(
-            self._entry_sample[lo:hi], self._entry_mask[lo:hi]
-        ):
-            before = covered_count[sample_idx]
-            threshold = thresholds[sample_idx]
-            if before >= threshold:
-                continue
-            new_bits = mask & ~covered_mask[sample_idx]
+        for entry in entries:
+            sample_idx, mask = entry
+            new_bits = mask & uncovered[sample_idx]
             if not new_bits:
                 continue
+            keep(entry)
             added = _popcount(new_bits)
-            gain_nu += (min(before + added, threshold) - before) / threshold
-            if before + added >= threshold:
+            need = needs[sample_idx]
+            if added >= need:
+                gain_nu += need / thresholds[sample_idx]
                 gain_c += 1
+            else:
+                gain_nu += added / thresholds[sample_idx]
+        self._live[slot] = kept
         return gain_c, gain_nu
 
     def gain_influenced(self, node: int) -> int:

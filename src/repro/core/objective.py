@@ -238,7 +238,7 @@ def evaluate_benefit(
         )
     if not pool.samples:
         return 0.0
-    from repro.core.bitset_engine import _popcount
+    from repro.core.flat_engine import _popcount
 
     masks: Dict[int, int] = {}
     for v in set(seeds):

@@ -8,12 +8,46 @@ previously generated samples.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from array import array
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import SamplingError
 from repro.obs import metrics
 from repro.sampling.ric import RICSample, RICSampler
 from repro.sampling.rr import RRSampler
+
+
+class FlatIndex(NamedTuple):
+    """A pool's inverted index compiled into flat parallel sequences.
+
+    Each touching node owns one *slot*; slot ``s`` covers the half-open
+    range ``entry_off[s]:entry_off[s+1]`` of ``entry_sample`` (sample
+    index) and ``entry_mask`` (that node's member bitset within the
+    sample), one entry per distinct sample the node touches.
+    ``thresholds`` is indexed by sample. Offsets live in an
+    ``array('q')``; samples and masks live in plain lists because member
+    masks are arbitrary-precision ints and list slicing iterates at C
+    speed without re-boxing.
+
+    Read-only: every coverage engine on the pool shares one instance
+    and keeps its own covered state beside it.
+    """
+
+    thresholds: List[int]
+    slot_of: Dict[int, int]
+    entry_off: array
+    entry_sample: List[int]
+    entry_mask: List[int]
 
 
 class RICSamplePool:
@@ -27,6 +61,10 @@ class RICSamplePool:
       (MAF's node-appearance frequency),
     - ``community_counts`` — per-community source frequency in ``R``
       (MAF's community frequency).
+
+    :meth:`flat_index` compiles ``coverage_of`` into the flat layout the
+    flat coverage engine reads; it is built on demand and dropped by
+    every :meth:`add`.
     """
 
     def __init__(self, sampler: RICSampler) -> None:
@@ -48,6 +86,9 @@ class RICSamplePool:
         self._interned_through = 0
         self._reach_sets_total = 0
         self._pending_rewrites = 0
+        # Compiled form of the index for the current sample count;
+        # add() drops it, flat_index() rebuilds it on demand.
+        self._flat_index: Optional[FlatIndex] = None
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -63,7 +104,9 @@ class RICSamplePool:
         A pool sealed by :meth:`compact` may keep growing: appending to
         a node whose coverage entry was frozen into a tuple thaws that
         entry back into a list (re-run :meth:`compact` to re-seal).
+        Appending also drops the compiled :meth:`flat_index`.
         """
+        self._flat_index = None
         index = len(self.samples)
         if self._interned_through:
             # The pool has been compacted at least once: intern the new
@@ -197,6 +240,39 @@ class RICSamplePool:
             "interned_duplicates": rewritten,
             "coverage_entries": entries,
         }
+
+    def flat_index(self) -> FlatIndex:
+        """The inverted index compiled to a :class:`FlatIndex`.
+
+        Compacts the pool and compiles on first use, then returns the
+        same instance until :meth:`add` drops it, so the index is built
+        at most once per pool size however many engines read it.
+        Callers must not mutate it.
+        """
+        index = self._flat_index
+        if index is not None:
+            return index
+        self.compact()
+        slot_of: Dict[int, int] = {}
+        entry_off = array("q", [0])
+        entry_sample: List[int] = []
+        entry_mask: List[int] = []
+        for node in self._touch_counts:
+            masks: Dict[int, int] = {}
+            for sample_idx, member_idx in self._coverage[node]:
+                masks[sample_idx] = masks.get(sample_idx, 0) | (1 << member_idx)
+            slot_of[node] = len(entry_off) - 1
+            entry_sample.extend(masks)
+            entry_mask.extend(masks.values())
+            entry_off.append(len(entry_sample))
+        index = self._flat_index = FlatIndex(
+            [s.threshold for s in self.samples],
+            slot_of,
+            entry_off,
+            entry_sample,
+            entry_mask,
+        )
+        return index
 
     def touch_count(self, node: int) -> int:
         """Number of distinct samples ``node`` touches (MAF frequency)."""

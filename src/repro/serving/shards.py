@@ -36,7 +36,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.communities.structure import CommunityStructure
 from repro.core.bt import BT, MB
 from repro.core.maf import MAF
-from repro.core.objective import evaluate_benefit
 from repro.core.ubg import UBG, GreedyC
 from repro.errors import ServingError, UnknownScenarioError
 from repro.obs import metrics, trace
@@ -144,7 +143,9 @@ class WarmShard:
         Requires :attr:`lock`. Each round generates at most
         ``round_size`` samples (fanned across the shard's workers),
         merges them synchronously, re-seals the pool and bumps
-        :attr:`version`. Returns whether any growth happened.
+        :attr:`version`. After the last round it compiles the pool's
+        flat coverage index, so :attr:`bytes` counts it and timed
+        solves only read it. Returns whether any growth happened.
         """
         if len(self.pool) >= target:
             return False
@@ -158,6 +159,7 @@ class WarmShard:
                 self.pool.compact()
                 self.version += 1
                 rounds += 1
+            self.pool.flat_index()
             self.bytes = pool_memory_bytes(self.pool)
             span.set(rounds=rounds, num_samples=len(self.pool))
         return True
@@ -216,12 +218,12 @@ class WarmShard:
                 self.pool, k
             )
             seeds = sorted(selection.seeds)
-            objective = evaluate_benefit(self.pool, seeds, engine="flat")
             n = len(self.pool)
             influenced = self.pool.influenced_count(seeds)
             halfwidth = self.pool.total_benefit * normal_halfwidth(
                 bernoulli_sample_variance(influenced, n), n, delta=CI_DELTA
             )
+            objective = self.pool.total_benefit * influenced / n
             relative = halfwidth / objective if objective > 0 else None
             target = ci_width
             if width_provider is not None:

@@ -2,8 +2,9 @@
 
 The flat engine must be behaviourally indistinguishable from
 ``CoverageState``/``BitsetCoverage`` (the hypothesis suite cross-checks
-random pools; here we pin the engine-specific mechanics: compilation,
-sync guards, resync after growth, and the compaction contract).
+random pools; here we pin the engine-specific mechanics: the shared
+compiled index, sync guards, resync after growth, the compaction
+contract, and agreement on a serving-sized pool deep into saturation).
 """
 
 import pytest
@@ -12,13 +13,15 @@ from repro.communities.structure import Community, CommunityStructure
 from repro.core.bitset_engine import BitsetCoverage
 from repro.core.flat_engine import FlatCoverage
 from repro.core.objective import CoverageState, evaluate_benefit
-from repro.core.ubg import UBG
+from repro.core.ubg import UBG, GreedyC
 from repro.errors import SolverError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import planted_partition_graph
 from repro.graph.weights import assign_weighted_cascade
+from repro.sampling.parallel import ParallelRICSampler
 from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSample, RICSampler
+from repro.serving.scenarios import ScenarioSpec, build_instance
 
 
 def build_pool(samples=120, seed=3):
@@ -196,3 +199,47 @@ def test_bitset_and_flat_agree_after_interleaved_growth():
             bitset.add_seed(seed)
             flat.add_seed(seed)
     assert flat.influenced_count == bitset.influenced_count
+
+
+def test_flat_index_is_built_once_per_pool_size_and_shared():
+    pool = build_pool(samples=60)
+    index = pool.flat_index()
+    assert pool.flat_index() is index
+    first, second = FlatCoverage(pool), FlatCoverage(pool)
+    assert pool.flat_index() is index  # engines reuse, never rebuild
+    node = pool.touching_nodes()[0]
+    first.add_seed(node)
+    assert second.gain_pair(node) == CoverageState(pool).gain_pair(node)
+    pool.grow(10)  # add() drops the index; the next reader rebuilds
+    grown = pool.flat_index()
+    assert grown is not index
+    assert len(grown.thresholds) == len(pool)
+    first.resync()
+    second.resync()
+    assert pool.flat_index() is grown
+
+
+def test_flat_matches_bitset_on_a_saturated_serving_pool():
+    # A 600-sample facebook pool as a serving shard warms it: budgets up
+    # to 40 drive most samples past their thresholds, which the small
+    # hypothesis pools never reach.
+    spec = ScenarioSpec(
+        name="fb", dataset="facebook", scale=0.2, seed=100, pool_size=600
+    )
+    graph, communities = build_instance(spec)
+    sampler = ParallelRICSampler(
+        graph, communities, seed=spec.seed, model=spec.model, workers=1
+    )
+    try:
+        pool = RICSamplePool(sampler)
+        pool.grow(spec.pool_size)
+        for k in (2, 8, 20, 40):
+            for solver in (UBG, GreedyC):
+                flat = solver(engine="flat").solve(pool, k)
+                bitset = solver(engine="bitset").solve(pool, k)
+                assert flat.seeds == bitset.seeds
+                assert flat.objective == bitset.objective
+        # The last budget really saturates the pool.
+        assert pool.influenced_count(flat.seeds) >= 0.9 * len(pool)
+    finally:
+        sampler.close()

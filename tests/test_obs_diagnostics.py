@@ -458,6 +458,18 @@ def test_compact_shrinks_footprint_but_not_composition(small_pool):
         assert pool_memory_bytes(small_pool) < before["bytes"]
 
 
+def test_footprint_counts_the_flat_index_while_resident(small_pool):
+    small_pool.compact()
+    bare = pool_memory_bytes(small_pool)
+    small_pool.flat_index()
+    assert pool_memory_bytes(small_pool) > bare
+    # Growth drops the index; the footprint no longer counts it.
+    small_pool.grow(1)
+    grown = pool_memory_bytes(small_pool)
+    small_pool.flat_index()
+    assert pool_memory_bytes(small_pool) > grown
+
+
 def test_observe_pool_emits_gated_metrics(small_pool):
     # Outside a session: metrics untouched, composition still returned.
     composition = observe_pool(small_pool)

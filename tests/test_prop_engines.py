@@ -80,6 +80,14 @@ def pool_seeds_growth(draw):
     return pool, seeds, growth, late_seeds
 
 
+def _assert_marginals_agree(reference, *engines):
+    """Every node's (ĉ, ν) marginal is identical across the engines."""
+    for v in range(NUM_NODES):
+        expected = reference.gain_pair(v)
+        for engine in engines:
+            assert engine.gain_pair(v) == expected
+
+
 @given(pool_seeds_growth())
 @settings(max_examples=150, deadline=None)
 def test_three_engines_agree_on_state_and_marginals(args):
@@ -87,24 +95,19 @@ def test_three_engines_agree_on_state_and_marginals(args):
     reference = CoverageState(pool)
     bitset = BitsetCoverage(pool)
     flat = FlatCoverage(pool)
+    _assert_marginals_agree(reference, bitset, flat)
     for v in seeds:
-        # Marginal of v must agree *before* it becomes a seed...
-        expected = reference.gain_pair(v)
-        assert bitset.gain_pair(v) == expected
-        assert flat.gain_pair(v) == expected
         reference.add_seed(v)
         bitset.add_seed(v)
         flat.add_seed(v)
-        # ... and the running state after.
+        # Every node's marginal after every seed: the flat engine's
+        # pruned entry lists carry over from one round to the next.
+        _assert_marginals_agree(reference, bitset, flat)
         assert flat.influenced_count == reference.influenced_count
         assert bitset.influenced_count == reference.influenced_count
         assert flat.fractional_count == pytest.approx(
             reference.fractional_count
         )
-    for v in range(NUM_NODES):
-        expected = reference.gain_pair(v)
-        assert bitset.gain_pair(v) == expected
-        assert flat.gain_pair(v) == expected
     assert flat.estimate_benefit() == pytest.approx(
         reference.estimate_benefit()
     )
@@ -127,10 +130,14 @@ def test_engines_agree_after_resync_growth(args):
         reference.add_seed(v)
         bitset.add_seed(v)
         flat.add_seed(v)
+    # Evaluate every node before the pool grows, so pruned entry lists
+    # and the compiled index exist that resync() must not carry over.
+    _assert_marginals_agree(reference, bitset, flat)
     pool.add_many(growth)
     reference.resync()
     bitset.resync()
     flat.resync()
+    _assert_marginals_agree(reference, bitset, flat)
     for v in late_seeds:
         if v in flat.seeds:
             continue
@@ -140,6 +147,7 @@ def test_engines_agree_after_resync_growth(args):
         reference.add_seed(v)
         bitset.add_seed(v)
         flat.add_seed(v)
+    _assert_marginals_agree(reference, bitset, flat)
     assert flat.influenced_count == reference.influenced_count
     assert bitset.influenced_count == reference.influenced_count
     assert flat.estimate_benefit() == pytest.approx(
@@ -152,3 +160,26 @@ def test_engines_agree_after_resync_growth(args):
         fresh.add_seed(v)
     assert fresh.influenced_count == flat.influenced_count
     assert fresh.fractional_count == pytest.approx(flat.fractional_count)
+
+
+@given(pool_seeds_growth())
+@settings(max_examples=100, deadline=None)
+def test_flat_engines_sharing_a_pool_keep_their_own_state(args):
+    pool, seeds, _, late_seeds = args
+    # Both flat engines read the pool's one compiled index; each must
+    # see only its own seeds and pruned entries.
+    first, second = FlatCoverage(pool), FlatCoverage(pool)
+    first_reference, second_reference = CoverageState(pool), CoverageState(pool)
+    _assert_marginals_agree(first_reference, first, second)
+    for v in seeds:
+        first.add_seed(v)
+        first_reference.add_seed(v)
+        _assert_marginals_agree(first_reference, first)
+        _assert_marginals_agree(second_reference, second)
+    for v in late_seeds:
+        second.add_seed(v)
+        second_reference.add_seed(v)
+        _assert_marginals_agree(second_reference, second)
+        _assert_marginals_agree(first_reference, first)
+    assert first.influenced_count == first_reference.influenced_count
+    assert second.influenced_count == second_reference.influenced_count

@@ -21,6 +21,7 @@ from repro.communities.structure import Community, CommunityStructure
 from repro.errors import ServingError
 from repro.graph.generators import planted_partition_graph
 from repro.graph.weights import assign_weighted_cascade
+from repro.obs.diagnostics import pool_memory_bytes
 from repro.obs.sinks import JsonlSink
 from repro.serving import (
     ReplicaEndpoint,
@@ -185,6 +186,11 @@ class TestWarmShard:
         assert len(shard.pool) == 120
         assert shard.version == 3  # ceil(120 / 50) synchronous rounds
         assert shard.bytes > 0
+        # The flat index was built before the footprint was measured,
+        # so the byte budget sees it and solves only read it.
+        with shard.lock:
+            shard.pool.flat_index()
+            assert pool_memory_bytes(shard.pool) == shard.bytes
         shard.close()
 
     def test_solve_caches_per_version(self):
