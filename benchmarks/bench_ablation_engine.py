@@ -1,9 +1,10 @@
-"""Ablation — coverage-engine choice (bitset masks vs reference sets).
+"""Ablation — coverage-engine choice (flat mask engine vs reference sets).
 
-The bitset engine packs per-sample covered-member masks into integers;
-marginal evaluation becomes a few AND/OR/popcounts. Identical results
-by construction (property-tested); this ablation measures the speedup
-on a realistic pool.
+The flat engine reads the pool's per-node member masks and keeps the
+covered members of each sample as an integer bitset; marginal
+evaluation becomes a few ANDs and popcounts over entries that can still
+contribute. Identical results by construction (property-tested); this
+ablation measures the speedup on a realistic pool.
 """
 
 from conftest import emit
@@ -27,21 +28,21 @@ def test_ablation_engine_choice(benchmark):
     with reference_timer:
         reference_seeds = greedy_maxr(pool, K, engine="reference")
 
-    bitset_timer = Stopwatch()
-    bitset_seeds = benchmark.pedantic(
-        greedy_maxr, args=(pool, K), kwargs={"engine": "bitset"}, rounds=1
+    flat_timer = Stopwatch()
+    flat_seeds = benchmark.pedantic(
+        greedy_maxr, args=(pool, K), kwargs={"engine": "flat"}, rounds=1
     )
-    with bitset_timer:
-        greedy_maxr(pool, K, engine="bitset")
+    with flat_timer:
+        greedy_maxr(pool, K, engine="flat")
 
     emit(
         "Ablation: coverage engine (greedy on c_R, k=15, |R|=1200)",
-        f"seeds identical: {reference_seeds == bitset_seeds}\n"
+        f"seeds identical: {reference_seeds == flat_seeds}\n"
         f"runtime(s) reference={reference_timer.elapsed:.3f} "
-        f"bitset={bitset_timer.elapsed:.3f} "
-        f"speedup={reference_timer.elapsed / max(bitset_timer.elapsed, 1e-9):.1f}x",
+        f"flat={flat_timer.elapsed:.3f} "
+        f"speedup={reference_timer.elapsed / max(flat_timer.elapsed, 1e-9):.1f}x",
     )
     # Same algorithm, same tie-breaking: identical seed sequences.
-    assert reference_seeds == bitset_seeds
-    # Bitset should never be dramatically slower.
-    assert bitset_timer.elapsed <= reference_timer.elapsed * 3.0 + 0.1
+    assert reference_seeds == flat_seeds
+    # Flat should never be dramatically slower.
+    assert flat_timer.elapsed <= reference_timer.elapsed * 3.0 + 0.1

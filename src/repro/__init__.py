@@ -53,10 +53,8 @@ from repro.core import (
     MAF,
     MB,
     UBG,
-    BitsetCoverage,
     CoverageState,
     FlatCoverage,
-    evaluate_benefit,
     DkSReduction,
     GreedyC,
     IMCResult,
@@ -164,10 +162,8 @@ __all__ = [
     "RICSamplePool",
     "RRSampler",
     # core
-    "BitsetCoverage",
     "CoverageState",
     "FlatCoverage",
-    "evaluate_benefit",
     "SeedSelection",
     "greedy_maxr",
     "lazy_greedy_nu",

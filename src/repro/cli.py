@@ -103,15 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes for --engine parallel (default: all cores)",
     )
     solve.add_argument(
-        "--coverage-engine",
-        default=None,
-        choices=["reference", "bitset", "flat"],
-        help=(
-            "coverage/evaluation backend for the solver (identical "
-            "results, different speed; default: the solver's own)"
-        ),
-    )
-    solve.add_argument(
         "--freeze",
         action="store_true",
         help=(
@@ -595,7 +586,6 @@ def _cmd_solve(args, extras: Optional[dict] = None) -> int:
         model=args.model,
         engine=args.engine,
         workers=args.workers,
-        coverage_engine=args.coverage_engine,
         progress=_collect_profile,
         deadline=args.deadline,
         convergence=convergence,

@@ -29,9 +29,8 @@ from repro.core.budgeted import (
 from repro.core.framework import EstimateResult, IMCResult, estimate_benefit, solve_imc
 from repro.core.greedy import greedy_maxr, lazy_greedy_nu
 from repro.core.maf import MAF
-from repro.core.bitset_engine import BitsetCoverage
 from repro.core.flat_engine import FlatCoverage
-from repro.core.objective import CoverageState, evaluate_benefit
+from repro.core.objective import CoverageState
 from repro.core.ratios import (
     bt_ratio,
     inapproximability_bound,
@@ -52,9 +51,7 @@ from repro.core.ubg import UBG, GreedyC
 
 __all__ = [
     "CoverageState",
-    "BitsetCoverage",
     "FlatCoverage",
-    "evaluate_benefit",
     "SeedSelection",
     "greedy_maxr",
     "lazy_greedy_nu",

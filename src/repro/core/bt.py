@@ -32,7 +32,6 @@ from typing import (
 )
 
 from repro.core.maf import MAF
-from repro.core.objective import evaluate_benefit
 from repro.core.solution import SeedSelection
 from repro.errors import SolverError
 from repro.obs import trace
@@ -40,7 +39,7 @@ from repro.rng import SeedLike
 from repro.sampling.pool import RICSamplePool
 from repro.utils.heap import LazyMaxHeap
 from repro.utils.retry import Deadline, as_deadline
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_candidates, check_positive
 
 
 class _Collection:
@@ -250,7 +249,6 @@ class BT:
         threshold_bound: int = 2,
         candidate_limit: Optional[int] = None,
         candidates: Optional[Iterable[int]] = None,
-        engine: str = "reference",
         deadline: Optional[Deadline] = None,
     ) -> None:
         if threshold_bound < 1:
@@ -259,9 +257,6 @@ class BT:
             )
         self.threshold_bound = threshold_bound
         self.candidate_limit = candidate_limit
-        #: Arithmetic backend for the final seed-set evaluation
-        #: ("reference"/"bitset"/"flat"; identical floats either way).
-        self.engine = engine
         #: Restrict seeding to these nodes (None = all nodes).
         self.candidates: Optional[Set[int]] = (
             set(candidates) if candidates is not None else None
@@ -288,6 +283,9 @@ class BT:
     def solve(self, pool: RICSamplePool, k: int) -> SeedSelection:
         """Run BT^(d) on the pool."""
         check_positive(k, "k", SolverError)
+        check_candidates(
+            self.candidates, pool.sampler.graph.num_nodes, SolverError
+        )
         self._check_bound(pool)
         deadline = self.deadline
         with trace.span("bt/select", k=k, num_samples=len(pool)):
@@ -302,7 +300,7 @@ class BT:
             )
         return SeedSelection(
             seeds=tuple(seeds),
-            objective=evaluate_benefit(pool, seeds, self.engine),
+            objective=pool.estimate_benefit(seeds),
             solver=self.name,
             metadata={
                 "threshold_bound": self.threshold_bound,
@@ -332,26 +330,21 @@ class MB:
         candidate_limit: Optional[int] = None,
         seed: SeedLike = None,
         candidates: Optional[Iterable[int]] = None,
-        engine: str = "reference",
         deadline: Optional[Deadline] = None,
     ) -> None:
         #: Optional time bound shared by both arms. MAF (fast) runs
         #: first; if the deadline has expired by then the BT arm is
         #: skipped and the MAF result returned flagged ``truncated``.
         self.deadline: Optional[Deadline] = as_deadline(deadline)
-        #: Evaluation backend forwarded to both arms.
-        self.engine = engine
         self._maf = MAF(
             seed=seed,
             candidates=candidates,
-            engine=engine,
             deadline=self.deadline,
         )
         self._bt = BT(
             threshold_bound=threshold_bound,
             candidate_limit=candidate_limit,
             candidates=candidates,
-            engine=engine,
             deadline=self.deadline,
         )
 
@@ -378,11 +371,6 @@ class MB:
             self._maf.deadline = deadline
         if lend_bt:
             self._bt.deadline = deadline
-        # Same transient propagation for the engine: ``solve_imc`` may
-        # install a coverage engine on this MB after construction, and
-        # the arms must honour it for this call only.
-        prior_maf_engine, prior_bt_engine = self._maf.engine, self._bt.engine
-        self._maf.engine = self._bt.engine = self.engine
         try:
             with trace.span("mb/maf_arm", k=k, num_samples=len(pool)):
                 maf_result = self._maf.solve(pool, k)
@@ -406,8 +394,6 @@ class MB:
                 self._maf.deadline = None
             if lend_bt:
                 self._bt.deadline = None
-            self._maf.engine = prior_maf_engine
-            self._bt.engine = prior_bt_engine
         return SeedSelection(
             seeds=winner.seeds,
             objective=winner.objective,

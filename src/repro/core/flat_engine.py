@@ -1,61 +1,54 @@
-"""Flat-array coverage engine.
+"""The fast coverage engine.
 
-The third and fastest member of the coverage-engine family:
+Two engines implement the incremental ĉ/ν state of greedy selection:
 
 - ``CoverageState`` (reference) keeps per-sample member sets as Python
-  ``set`` objects;
-- ``BitsetCoverage`` packs each sample's covered members into an int
-  bitset but still walks ``node -> {sample_idx: mask}`` nested dicts;
-- ``FlatCoverage`` (this module) reads the pool's inverted index
-  compiled into parallel contiguous sequences
-  (:class:`~repro.sampling.pool.FlatIndex`), so a marginal evaluation
-  is a zip over flat storage with zero dict lookups in the loop.
+  ``set`` objects over its own ``(sample, member)`` pairs — the
+  readable oracle the tests check this engine against;
+- ``FlatCoverage`` (this module) reads the pool's mask index
+  (:attr:`RICSamplePool.mask_index`, node ->
+  ``{sample_idx: member_mask}``) in place, so a marginal evaluation is
+  a loop of integer ANDs and popcounts with one dict lookup per node.
 
-The compiled index is built at most once per pool size and shared
-read-only by every engine on the pool
-(:meth:`RICSamplePool.flat_index`). Each engine keeps only its own
-state: per sample, the member bits still uncovered and the members
-still needed to reach the threshold; per slot, the entries that can
-still contribute. A marginal call drops an entry for good once its
-sample has reached its threshold (the sample's uncovered bits are
-then cleared) or once all of the node's member bits in it are covered;
-either way ``mask & uncovered`` is zero. Both conditions are monotone
-while seeds are only added, a dropped entry adds nothing to either
-gain, and the surviving terms are summed in the original order, so the
-``(ĉ, ν)`` pairs are bit-identical to an unpruned scan.
+The index belongs to the pool and grows only in
+:meth:`RICSamplePool.add`; every engine on the pool shares it and
+keeps only its own state: per sample, the member bits still uncovered
+and the members still needed to reach the threshold; per node, the
+entries that can still contribute. A marginal call drops an entry for
+good once its sample has reached its threshold (the sample's
+uncovered bits are then cleared) or once all of the node's member bits
+in it are covered; either way ``mask & uncovered`` is zero. Both
+conditions are monotone while seeds are only added, a dropped entry
+adds nothing to either gain, and the surviving terms are summed in the
+original order, so the ``(ĉ, ν)`` pairs are bit-identical to an
+unpruned scan.
 
-Behaviour is identical to the other engines (the hypothesis suite
-cross-checks all three on random pools); selection is uniform via
-``engine="flat"`` on the solvers, :func:`repro.core.framework.solve_imc`,
-and the CLI.
+It is the default engine of :class:`~repro.core.ubg.UBG`,
+:class:`~repro.core.ubg.GreedyC`, :func:`~repro.core.greedy.greedy_maxr`
+and :func:`~repro.core.greedy.lazy_greedy_nu`; ``engine="reference"``
+selects the oracle instead (the hypothesis suite cross-checks both on
+random pools).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import SolverError
 from repro.obs import metrics
 from repro.sampling.pool import RICSamplePool
-
-# int.bit_count() exists from Python 3.10; fall back for 3.9.
-if hasattr(int, "bit_count"):
-    _popcount = int.bit_count
-else:  # pragma: no cover - exercised only on Python 3.9
-
-    def _popcount(x: int) -> int:
-        return bin(x).count("1")
+from repro.utils.math import popcount
 
 
 class FlatCoverage:
-    """Incremental ĉ/ν coverage over a pool's compiled flat index.
+    """Incremental ĉ/ν coverage over a pool's mask index.
 
-    The public surface mirrors :class:`~repro.core.objective.CoverageState`
-    and :class:`~repro.core.bitset_engine.BitsetCoverage`: ``add_seed``,
-    ``gain_influenced``, ``gain_fractional``, ``gain_pair``, ``resync``
-    and the two estimate accessors. Like its siblings, it snapshots the
-    pool's sample count at construction and fails fast (``SolverError``)
-    when the pool has grown, until :meth:`resync` reloads the index.
+    The public surface mirrors :class:`~repro.core.objective.CoverageState`:
+    ``add_seed``, ``gain_influenced``, ``gain_fractional``, ``gain_pair``,
+    ``resync`` and the two estimate accessors. Like the reference
+    engine, it snapshots the pool's sample count at construction and
+    fails fast (``SolverError``) when the pool has grown, until
+    :meth:`resync` reloads its state.
     """
 
     def __init__(self, pool: RICSamplePool) -> None:
@@ -63,31 +56,25 @@ class FlatCoverage:
         self.seeds: List[int] = []
         self._seed_set = set()
         self._resyncing = False
+        self._index = pool.mask_index
         self._load()
 
     def _load(self) -> None:
-        """Bind the pool's flat index and reset this engine's state.
+        """Reset this engine's state to the pool's current samples.
 
         Replays the current seed set, so it doubles as the
         :meth:`resync` body.
         """
-        index = self.pool.flat_index()
-        self._thresholds = index.thresholds
-        self._slot_of = index.slot_of
-        self._entry_off = index.entry_off
-        self._entry_sample = index.entry_sample
-        self._entry_mask = index.entry_mask
-        num_samples = len(index.thresholds)
-        # Per slot: the (sample, mask) entries that survived the last
-        # marginal call, or None until the slot is first evaluated.
-        self._live: List[Optional[List[Tuple[int, int]]]] = [None] * (
-            len(index.entry_off) - 1
-        )
+        self._thresholds = [s.threshold for s in self.pool.samples]
+        num_samples = len(self._thresholds)
+        # Per node: the (sample, mask) entries that survived its last
+        # marginal call; absent until the node is first evaluated.
+        self._live: Dict[int, List[Tuple[int, int]]] = {}
         # Per sample: member bits not yet covered (-1 sets every bit;
         # 0 once the sample reached its threshold, since no further
         # bit counts) and the members still needed to reach it.
         self._uncovered: List[int] = [-1] * num_samples
-        self._need: List[int] = list(index.thresholds)
+        self._need: List[int] = list(self._thresholds)
         self._influenced = 0
         self._fractional = 0.0
         self._synced_samples = num_samples
@@ -100,7 +87,7 @@ class FlatCoverage:
             raise SolverError(
                 "flat engine is mid-resync() (another thread is "
                 "reloading it); concurrent marginal/accessor calls "
-                "would read half-built arrays — serialize engine access "
+                "would read half-built state — serialize engine access "
                 "(see the locking contract in docs/serving.md)"
             )
         if len(self.pool.samples) != self._synced_samples:
@@ -113,17 +100,14 @@ class FlatCoverage:
     def resync(self) -> None:
         """Incorporate samples added to the pool since the last sync.
 
-        Loads the grown pool's flat index (compiling it if no engine
-        has yet), resets the pruned entry lists and replays the current
-        seed set. The compile is O(total coverage), the same order as
-        building the engine fresh — IMCAF doubles the pool per stage,
-        so the recompile cost is within a constant factor of the
-        incremental path and keeps the layout contiguous.
+        The pool's index already holds the new samples; this resets the
+        per-sample state and the pruned entry lists and replays the
+        current seed set, O(samples + the seeds' entries).
 
         Not thread-safe: a concurrent :meth:`resync` (or any marginal /
         accessor call while one is in progress) raises ``SolverError``
-        instead of returning answers from half-compiled arrays —
-        callers must serialize engine access (see docs/serving.md).
+        instead of returning answers from half-built state — callers
+        must serialize engine access (see docs/serving.md).
         """
         if self._resyncing:
             raise SolverError(
@@ -168,23 +152,33 @@ class FlatCoverage:
 
     # -- mutation -------------------------------------------------------
 
+    def _entries(self, node: int):
+        """``node``'s entries that may still contribute, or None.
+
+        The pruned list of its last marginal call when there is one,
+        else every ``(sample, mask)`` entry of the pool's index.
+        """
+        entries = self._live.get(node)
+        if entries is None:
+            masks = self._index.get(node)
+            if masks is None:
+                return None
+            entries = masks.items()
+        return entries
+
     def _apply_seed(self, node: int) -> None:
         """Merge ``node``'s member masks into the covered state."""
-        slot = self._slot_of.get(node)
-        if slot is None:
+        entries = self._entries(node)
+        if entries is None:
             return
-        lo = self._entry_off[slot]
-        hi = self._entry_off[slot + 1]
         uncovered = self._uncovered
         needs = self._need
         thresholds = self._thresholds
-        for sample_idx, mask in zip(
-            self._entry_sample[lo:hi], self._entry_mask[lo:hi]
-        ):
+        for sample_idx, mask in entries:
             new_bits = mask & uncovered[sample_idx]
             if not new_bits:
                 continue
-            added = _popcount(new_bits)
+            added = popcount(new_bits)
             need = needs[sample_idx]
             if added >= need:
                 self._fractional += need / thresholds[sample_idx]
@@ -194,6 +188,8 @@ class FlatCoverage:
                 self._fractional += added / thresholds[sample_idx]
                 uncovered[sample_idx] ^= new_bits
                 needs[sample_idx] = need - added
+        # A seed's marginal is 0 from now on; its list is never read.
+        self._live.pop(node, None)
 
     def add_seed(self, node: int) -> None:
         """Add ``node`` and update the flat covered state."""
@@ -216,14 +212,9 @@ class FlatCoverage:
         self._check_sync()
         if node in self._seed_set:
             return 0, 0.0
-        slot = self._slot_of.get(node)
-        if slot is None:
-            return 0, 0.0
-        entries = self._live[slot]
+        entries = self._entries(node)
         if entries is None:
-            lo = self._entry_off[slot]
-            hi = self._entry_off[slot + 1]
-            entries = zip(self._entry_sample[lo:hi], self._entry_mask[lo:hi])
+            return 0, 0.0
         kept: List[Tuple[int, int]] = []
         keep = kept.append
         gain_c = 0
@@ -237,14 +228,14 @@ class FlatCoverage:
             if not new_bits:
                 continue
             keep(entry)
-            added = _popcount(new_bits)
+            added = popcount(new_bits)
             need = needs[sample_idx]
             if added >= need:
                 gain_nu += need / thresholds[sample_idx]
                 gain_c += 1
             else:
                 gain_nu += added / thresholds[sample_idx]
-        self._live[slot] = kept
+        self._live[node] = kept
         return gain_c, gain_nu
 
     def gain_influenced(self, node: int) -> int:

@@ -232,7 +232,6 @@ def solve_imc(
     progress: Optional[Callable[[Dict[str, Any]], None]] = None,
     engine: str = "serial",
     workers: Optional[int] = None,
-    coverage_engine: Optional[str] = None,
     deadline: Union[None, float, Deadline] = None,
     convergence: Union[None, ConvergenceCriterion, ConvergenceMonitor] = None,
 ) -> IMCResult:
@@ -257,14 +256,6 @@ def solve_imc(
     processes, default ``os.cpu_count()``). Both engines produce the
     *identical* pool for a fixed ``seed``, so results are reproducible
     across engines and worker counts.
-
-    ``coverage_engine``, when given, selects the coverage/evaluation
-    backend (``"reference"``, ``"bitset"`` or ``"flat"``) and is
-    installed transiently on the solver for the duration of the call
-    (restored afterwards, mirroring the deadline hand-down). All three
-    backends produce identical seed sets and objectives; they differ
-    only in marginal-evaluation speed. ``None`` keeps whatever the
-    solver was constructed with.
 
     ``progress``, when given, is called once per stop stage with a dict
     ``{stage, num_samples, coverage, objective, lambda, psi,
@@ -315,22 +306,6 @@ def solve_imc(
     )
     if solver_owns_deadline:
         solver.deadline = deadline  # type: ignore[attr-defined]
-    # Install the requested coverage engine transiently (same pattern):
-    # the solver keeps its own setting once this call returns.
-    if coverage_engine is not None and coverage_engine not in (
-        "reference", "bitset", "flat"
-    ):
-        raise SolverError(
-            "coverage_engine must be 'reference', 'bitset' or 'flat', "
-            f"got {coverage_engine!r}"
-        )
-    solver_lends_engine = coverage_engine is not None and hasattr(
-        solver, "engine"
-    )
-    prior_engine: Optional[str] = None
-    if solver_lends_engine:
-        prior_engine = solver.engine  # type: ignore[attr-defined]
-        solver.engine = coverage_engine  # type: ignore[attr-defined]
     monitor: Optional[ConvergenceMonitor] = None
     if convergence is not None:
         monitor = (
@@ -409,7 +384,7 @@ def solve_imc(
             iterations += 1
             # Explicit coverage-engine rebuild point: after each pool
             # growth the solver MUST rebuild its engine on the grown
-            # pool — CoverageState / BitsetCoverage snapshot the sample
+            # pool — CoverageState / FlatCoverage snapshot the sample
             # count and fail fast if reused across a grow(). Calling
             # solver.solve afresh per stage is that rebuild.
             if iterations > 1:
@@ -494,8 +469,6 @@ def solve_imc(
             sampler.close()
         if solver_owns_deadline:
             solver.deadline = None  # type: ignore[attr-defined]
-        if solver_lends_engine:
-            solver.engine = prior_engine  # type: ignore[attr-defined]
 
     metadata: Dict[str, Any] = {"epsilon": epsilon, "delta": delta, "k": k}
     if monitor is not None:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
+from repro.core.flat_engine import FlatCoverage
 from repro.core.objective import CoverageState
 from repro.errors import SolverError
 from repro.sampling.pool import RICSamplePool
@@ -50,23 +51,14 @@ def _candidates(pool: RICSamplePool, restrict: Optional[Iterable[int]]) -> List[
 
 
 def _make_state(pool: RICSamplePool, engine: str):
-    """Instantiate the coverage engine: "reference" (sets), "bitset"
-    (packed integer masks) or "flat" (the index compiled into parallel
-    contiguous arrays — same results as the other two, fastest
-    marginals; compacts the pool as a side effect)."""
+    """Instantiate the coverage engine: "flat" (the pool's mask index,
+    fast) or "reference" (member sets, the test oracle) — same
+    results, different speed."""
+    if engine == "flat":
+        return FlatCoverage(pool)
     if engine == "reference":
         return CoverageState(pool)
-    if engine == "bitset":
-        from repro.core.bitset_engine import BitsetCoverage
-
-        return BitsetCoverage(pool)
-    if engine == "flat":
-        from repro.core.flat_engine import FlatCoverage
-
-        return FlatCoverage(pool)
-    raise SolverError(
-        f"engine must be 'reference', 'bitset' or 'flat', got {engine!r}"
-    )
+    raise SolverError(f"engine must be 'flat' or 'reference', got {engine!r}")
 
 
 def greedy_maxr(
@@ -74,7 +66,7 @@ def greedy_maxr(
     k: int,
     candidates: Optional[Iterable[int]] = None,
     tie_break_fractional: bool = True,
-    engine: str = "bitset",
+    engine: str = "flat",
     deadline: Optional[Deadline] = None,
 ) -> List[int]:
     """Greedy on ``ĉ_R`` — full marginal recomputation each round.
@@ -114,7 +106,7 @@ def lazy_greedy_nu(
     pool: RICSamplePool,
     k: int,
     candidates: Optional[Iterable[int]] = None,
-    engine: str = "bitset",
+    engine: str = "flat",
     deadline: Optional[Deadline] = None,
 ) -> List[int]:
     """CELF lazy greedy on the submodular ``ν_R``.

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Set
 
-from repro.core.objective import evaluate_benefit
 from repro.core.solution import SeedSelection
 from repro.errors import SolverError
 from repro.obs import trace
 from repro.rng import SeedLike, make_rng
 from repro.sampling.pool import RICSamplePool
 from repro.utils.retry import Deadline, as_deadline
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_candidates, check_positive
 
 
 class MAF:
@@ -34,15 +33,10 @@ class MAF:
         self,
         seed: SeedLike = None,
         candidates: Optional[Iterable[int]] = None,
-        engine: str = "reference",
         deadline: Optional[Deadline] = None,
     ) -> None:
         #: RNG for the "randomly picks h nodes in C" step of Alg. 3.
         self._rng = make_rng(seed)
-        #: Arithmetic backend for the final arm evaluation
-        #: ("reference"/"bitset"/"flat" — identical floats either way,
-        #: see :func:`repro.core.objective.evaluate_benefit`).
-        self.engine = engine
         #: Restrict seeding to these nodes (None = all nodes). S1 skips
         #: communities without enough eligible members; S2 ranks only
         #: eligible nodes.
@@ -95,6 +89,9 @@ class MAF:
     def solve(self, pool: RICSamplePool, k: int) -> SeedSelection:
         """Run Algorithm 3 on the pool."""
         check_positive(k, "k", SolverError)
+        check_candidates(
+            self.candidates, pool.sampler.graph.num_nodes, SolverError
+        )
         deadline = self.deadline
         with trace.span("maf/s1_communities", k=k, num_samples=len(pool)):
             s1 = self._build_s1(pool, k)
@@ -103,8 +100,8 @@ class MAF:
         else:
             with trace.span("maf/s2_nodes", k=k, num_samples=len(pool)):
                 s2 = self._build_s2(pool, k)
-        value_1 = evaluate_benefit(pool, s1, self.engine)
-        value_2 = evaluate_benefit(pool, s2, self.engine)
+        value_1 = pool.estimate_benefit(s1)
+        value_2 = pool.estimate_benefit(s2)
         if value_1 >= value_2:
             winner, value, arm = s1, value_1, "S1-communities"
         else:

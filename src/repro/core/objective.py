@@ -8,13 +8,16 @@ Both MAXR objectives are functions of, per sample ``g``, the set of
 
 :class:`CoverageState` maintains ``I_g(S)`` incrementally as seeds are
 added, and computes the marginal gain of a candidate node for either
-objective in time proportional to the candidate's coverage list — the
-workhorse of every greedy solver in this package.
+objective in time proportional to the candidate's coverage list. It is
+the readable reference engine: it builds its own ``(sample, member)``
+pairs from the pool's samples, independently of the pool's mask index,
+so the tests can check the fast engine
+(:class:`~repro.core.flat_engine.FlatCoverage`) against it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.errors import SolverError
 from repro.obs import metrics
@@ -36,12 +39,29 @@ class CoverageState:
         self.pool = pool
         self.seeds: List[int] = []
         self._seed_set: Set[int] = set()
+        # node -> (sample_idx, member_idx) pairs it covers, built here
+        # from the samples' reach sets.
+        self._pairs: Dict[int, List[Tuple[int, int]]] = {}
+        self._index_samples(0)
         # covered[g] = set of member indices of sample g hit by the seeds.
         self._covered: List[Set[int]] = [set() for _ in pool.samples]
         self._influenced = 0
         self._fractional = 0.0
         self._synced_samples = len(pool.samples)
         self._resyncing = False
+
+    def _index_samples(self, start: int) -> None:
+        """Append the pairs of the pool's samples from ``start`` on."""
+        pairs = self._pairs
+        for sample_idx in range(start, len(self.pool.samples)):
+            sample = self.pool.samples[sample_idx]
+            for member_idx, reach in enumerate(sample.reach_sets):
+                for node in reach:
+                    pairs.setdefault(node, []).append((sample_idx, member_idx))
+
+    def _coverage_of(self, node: int) -> Sequence[Tuple[int, int]]:
+        """``(sample_idx, member_idx)`` pairs covered by ``node``."""
+        return self._pairs.get(node, ())
 
     def _check_sync(self) -> None:
         """Fail fast when the pool grew since this state last synced."""
@@ -62,9 +82,10 @@ class CoverageState:
     def resync(self) -> None:
         """Incorporate samples added to the pool since the last sync.
 
-        Extends the per-sample bookkeeping for the new indices and
-        replays the current seed set's coverage of the *new* samples
-        only — O(total coverage of the seeds in the new suffix).
+        Indexes the new samples' pairs, extends the per-sample
+        bookkeeping for the new indices and replays the current seed
+        set's coverage of the *new* samples only — O(size of the new
+        suffix + the seeds' pairs).
 
         Not thread-safe: a concurrent :meth:`resync` (or any marginal /
         accessor call while one is in progress) raises ``SolverError``
@@ -84,9 +105,10 @@ class CoverageState:
         metrics.inc("coverage.resyncs")
         self._resyncing = True
         try:
+            self._index_samples(old)
             self._covered.extend(set() for _ in range(len(samples) - old))
             for node in self.seeds:
-                for sample_idx, member_idx in self.pool.coverage_of(node):
+                for sample_idx, member_idx in self._coverage_of(node):
                     if sample_idx < old:
                         continue
                     covered = self._covered[sample_idx]
@@ -147,7 +169,7 @@ class CoverageState:
         self.seeds.append(node)
         self._seed_set.add(node)
         samples = self.pool.samples
-        for sample_idx, member_idx in self.pool.coverage_of(node):
+        for sample_idx, member_idx in self._coverage_of(node):
             covered = self._covered[sample_idx]
             if member_idx in covered:
                 continue
@@ -166,7 +188,7 @@ class CoverageState:
     def _new_coverage(self, node: int) -> Dict[int, int]:
         """Per-sample count of members newly covered by ``node``."""
         fresh: Dict[int, Set[int]] = {}
-        for sample_idx, member_idx in self.pool.coverage_of(node):
+        for sample_idx, member_idx in self._coverage_of(node):
             if member_idx not in self._covered[sample_idx]:
                 fresh.setdefault(sample_idx, set()).add(member_idx)
         return {idx: len(members) for idx, members in fresh.items()}
@@ -216,38 +238,3 @@ class CoverageState:
                     gain_c += 1
         return gain_c, gain_nu
 
-
-def evaluate_benefit(
-    pool: RICSamplePool, seeds: Iterable[int], engine: str = "reference"
-) -> float:
-    """One-shot ``ĉ_R(S)`` routed through the selected engine's arithmetic.
-
-    ``"reference"`` delegates to :meth:`RICSamplePool.estimate_benefit`
-    (per-sample member *sets*); ``"bitset"`` and ``"flat"`` union
-    per-sample member *masks* and popcount them — the same integer
-    influenced-count either way, hence bit-identical floats. Frequency
-    solvers (MAF, BT/MB) use this to honour their ``engine`` setting
-    for final seed-set evaluation without building full incremental
-    engine state for a single evaluation.
-    """
-    if engine == "reference":
-        return pool.estimate_benefit(seeds)
-    if engine not in ("bitset", "flat"):
-        raise SolverError(
-            f"engine must be 'reference', 'bitset' or 'flat', got {engine!r}"
-        )
-    if not pool.samples:
-        return 0.0
-    from repro.core.flat_engine import _popcount
-
-    masks: Dict[int, int] = {}
-    for v in set(seeds):
-        for sample_idx, member_idx in pool.coverage_of(v):
-            masks[sample_idx] = masks.get(sample_idx, 0) | (1 << member_idx)
-    samples = pool.samples
-    influenced = sum(
-        1
-        for sample_idx, mask in masks.items()
-        if _popcount(mask) >= samples[sample_idx].threshold
-    )
-    return pool.total_benefit * influenced / len(samples)

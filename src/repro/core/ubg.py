@@ -19,7 +19,7 @@ from repro.errors import SolverError
 from repro.obs import trace
 from repro.sampling.pool import RICSamplePool
 from repro.utils.retry import Deadline, as_deadline
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_candidates, check_positive
 
 
 class UBG:
@@ -32,13 +32,13 @@ class UBG:
         lazy: bool = True,
         run_c_greedy: bool = True,
         candidates: Optional[Iterable[int]] = None,
-        engine: str = "bitset",
+        engine: str = "flat",
         deadline: Optional[Deadline] = None,
     ) -> None:
         #: Use CELF for the ν arm (sound because ν is submodular).
         self.lazy = lazy
-        #: Coverage engine for both greedy arms: "reference", "bitset"
-        #: (default) or "flat" — identical seed sets, different speed.
+        #: Coverage engine for both greedy arms: "flat" (default) or
+        #: "reference" — identical seed sets, different speed.
         self.engine = engine
         #: Also run greedy on ĉ_R (Alg. 2 line 2). Disabling keeps only
         #: the ν arm — the variant IMCAF integrates (Section V-B), whose
@@ -70,6 +70,9 @@ class UBG:
         selection is flagged ``truncated``.
         """
         check_positive(k, "k", SolverError)
+        check_candidates(
+            self.candidates, pool.sampler.graph.num_nodes, SolverError
+        )
         from repro.core.greedy import greedy_eager_nu
 
         deadline = self.deadline
@@ -136,14 +139,14 @@ class GreedyC:
     def __init__(
         self,
         candidates: Optional[Iterable[int]] = None,
-        engine: str = "bitset",
+        engine: str = "flat",
         deadline: Optional[Deadline] = None,
     ) -> None:
         #: Optional seeding-candidate restriction (None = all nodes).
         self.candidates: Optional[Set[int]] = (
             set(candidates) if candidates is not None else None
         )
-        #: Coverage engine for the greedy ("reference"/"bitset"/"flat").
+        #: Coverage engine for the greedy ("flat" or "reference").
         self.engine = engine
         #: Optional time bound; best-so-far + ``truncated`` on expiry.
         self.deadline: Optional[Deadline] = as_deadline(deadline)
@@ -155,6 +158,9 @@ class GreedyC:
     def solve(self, pool: RICSamplePool, k: int) -> SeedSelection:
         """Greedy selection on ``ĉ_R`` (Alg. 2 line 2, standalone)."""
         check_positive(k, "k", SolverError)
+        check_candidates(
+            self.candidates, pool.sampler.graph.num_nodes, SolverError
+        )
         with trace.span("greedyc/select", k=k, num_samples=len(pool)):
             seeds = greedy_maxr(
                 pool,

@@ -13,12 +13,15 @@ Measured quantities per run:
 - sampling wall time and samples/sec for the mutable (dict/set) and
   frozen (CSR) RIC kernels on the same seed — identical sample streams,
   different machinery;
+- wall time of ``pool.add_many`` over the drawn samples, which builds
+  the pool's mask index (timed apart from selection, which only reads
+  it);
 - marginal-evaluation throughput (``gain_pair`` calls/sec) for the
-  reference, bitset and flat coverage engines over the same pool;
+  reference and flat coverage engines over the same pool;
 - end-to-end seed selection (UBG) wall time per engine;
-- the combined speedup of the flat path (frozen sampling + flat
-  selection) over the dict/set reference path and over the bitset
-  default path;
+- the combined speedup of the flat path (frozen sampling + indexing +
+  flat selection) over the dict/set reference path (mutable sampling +
+  indexing + reference selection);
 - peak RSS of the process (``resource.getrusage``).
 
 The workload is deterministic (fixed graph/community/sampling seeds);
@@ -154,24 +157,21 @@ def run_kernel_bench(samples: int = 10_000, k: int = 10) -> Dict[str, Any]:
         )
 
     pool = RICSamplePool(RICSampler(frozen, communities, seed=1))
+    start = time.perf_counter()
     pool.add_many(out_frozen)
+    t_index = time.perf_counter() - start
     del out_mut, out_frozen
     compact_stats = pool.compact()
     nodes = sorted(pool.touching_nodes())
 
-    from repro.core.bitset_engine import BitsetCoverage
     from repro.core.objective import CoverageState
 
-    engines = {
-        "reference": CoverageState,
-        "bitset": BitsetCoverage,
-        "flat": FlatCoverage,
-    }
+    engines = {"reference": CoverageState, "flat": FlatCoverage}
     marginals: Dict[str, float] = {}
     select_time: Dict[str, float] = {}
     for name, factory in engines.items():
         with trace.span("bench/engine", engine=name):
-            # Selection first: it pays for any index the engine builds
+            # Selection first: it pays for any state the engine builds
             # on the pool, which the throughput pass would otherwise
             # build untimed.
             start = time.perf_counter()
@@ -179,9 +179,8 @@ def run_kernel_bench(samples: int = 10_000, k: int = 10) -> Dict[str, Any]:
             select_time[name] = time.perf_counter() - start
             marginals[name] = _marginal_throughput(factory(pool), nodes)
 
-    combined_flat = t_frozen + select_time["flat"]
-    combined_reference = t_mut + select_time["reference"]
-    combined_bitset = t_mut + select_time["bitset"]
+    combined_flat = t_frozen + t_index + select_time["flat"]
+    combined_reference = t_mut + t_index + select_time["reference"]
     peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
         "samples": samples,
@@ -193,14 +192,13 @@ def run_kernel_bench(samples: int = 10_000, k: int = 10) -> Dict[str, Any]:
             "frozen_samples_per_sec": samples / t_frozen,
             "speedup": t_mut / t_frozen,
         },
+        "index_seconds": t_index,
         "marginals_per_sec": marginals,
         "selection_seconds": select_time,
         "combined": {
             "flat_path_seconds": combined_flat,
             "reference_path_seconds": combined_reference,
-            "bitset_path_seconds": combined_bitset,
             "speedup_vs_reference": combined_reference / combined_flat,
-            "speedup_vs_bitset": combined_bitset / combined_flat,
         },
         "pool_compaction": compact_stats,
         "peak_rss_kb": peak_rss_kb,
@@ -277,6 +275,7 @@ def format_entry(entry: Dict[str, Any]) -> str:
             f"{name} {rate:.0f}/s"
             for name, rate in entry["marginals_per_sec"].items()
         ),
+        f"indexing:  {entry['index_seconds']:.2f}s (pool.add_many)",
         "selection: "
         + ", ".join(
             f"{name} {secs:.2f}s"
@@ -285,8 +284,7 @@ def format_entry(entry: Dict[str, Any]) -> str:
         (
             "combined:  flat path "
             f"{combined['flat_path_seconds']:.2f}s — "
-            f"{combined['speedup_vs_reference']:.2f}x vs reference, "
-            f"{combined['speedup_vs_bitset']:.2f}x vs bitset"
+            f"{combined['speedup_vs_reference']:.2f}x vs reference"
         ),
         f"peak RSS:  {entry['peak_rss_kb'] / 1024:.0f} MiB",
     ]

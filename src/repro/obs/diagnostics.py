@@ -318,12 +318,11 @@ def pool_memory_bytes(pool) -> int:
 
     Sums ``sys.getsizeof`` over the sample list, each sample's tuples,
     the reach-set frozensets (each *distinct object* counted once, so
-    interning via ``RICSamplePool.compact()`` is reflected), the
-    inverted coverage index with its pair tuples, and the containers of
-    the compiled flat index while one is resident
-    (``RICSamplePool.flat_index()``). Element integers are not charged
-    (they are shared across the process); treat the number as a
-    comparable footprint gauge, not an exact RSS prediction.
+    interning via ``RICSamplePool.compact()`` is reflected), and the
+    mask index: its node table and each node's ``{sample: mask}``
+    dict. Element integers (sample indices, masks) are not charged;
+    treat the number as a comparable footprint gauge, not an exact RSS
+    prediction.
     """
     total = sys.getsizeof(pool.samples)
     seen_ids = set()
@@ -335,16 +334,9 @@ def pool_memory_bytes(pool) -> int:
             if id(reach) not in seen_ids:
                 seen_ids.add(id(reach))
                 total += sys.getsizeof(reach)
-    coverage = pool._coverage
-    total += sys.getsizeof(coverage)
-    for entry in coverage.values():
-        total += sys.getsizeof(entry)
-        for pair in entry:
-            total += sys.getsizeof(pair)
-    index = pool._flat_index
-    if index is not None:
-        total += sys.getsizeof(index)
-        total += sum(map(sys.getsizeof, index))
+    index = pool._masks
+    total += sys.getsizeof(index)
+    total += sum(map(sys.getsizeof, index.values()))
     return total
 
 

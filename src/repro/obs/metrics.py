@@ -40,7 +40,7 @@ CATALOG: Dict[str, str] = {
     "ric.samples.generated": "RIC samples generated (both engines)",
     "coverage.resyncs": "coverage-engine rebuilds after pool growth",
     "heap.compactions": "lazy-heap compaction passes",
-    "pool.compactions": "pool compact()/interning passes",
+    "pool.compactions": "pool compact() reach-set interning passes",
     "parallel.batches.redispatched": "parallel batches retried after worker loss",
     "parallel.worker.restarts": "parallel worker processes restarted",
     "deadline.truncated": "runs truncated by an expired deadline",
@@ -72,7 +72,7 @@ CATALOG: Dict[str, str] = {
     "serving.trace.adopted": "inbound trace contexts adopted by a replica",
     "cluster.events.recorded": "lifecycle events appended to an event journal",
     # gauges
-    "pool.coverage_entries": "inverted-index (sample, member) pairs at last compact()",
+    "pool.coverage_entries": "mask-index (node, sample) entries at last compact()",
     "pool.bytes": "approximate pool memory footprint in bytes",
     "pool.reach.unique_ratio": "distinct reach sets / total reach sets",
     "estimator.mean": "latest stop-stage benefit estimate ĉ(S)",

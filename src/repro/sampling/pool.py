@@ -1,21 +1,21 @@
 """Sample pools with inverted indexes.
 
-MAXR solvers repeatedly ask "which (sample, member) pairs does node v
-cover?". The pools answer that in O(#pairs) via inverted indexes that
-are maintained incrementally, so IMCAF's exponential doubling reuses all
-previously generated samples.
+MAXR solvers repeatedly ask "which members of which samples does node
+v cover?". :class:`RICSamplePool` answers from one inverted index,
+``node -> {sample_idx: member_mask}``, grown incrementally by every
+:meth:`RICSamplePool.add`, so IMCAF's exponential doubling reuses all
+previously generated samples and no consumer rebuilds the index.
 """
 
 from __future__ import annotations
 
-from array import array
+from types import MappingProxyType
 from typing import (
     Dict,
     FrozenSet,
     Iterable,
     List,
-    NamedTuple,
-    Optional,
+    Mapping,
     Sequence,
     Set,
     Tuple,
@@ -25,29 +25,14 @@ from repro.errors import SamplingError
 from repro.obs import metrics
 from repro.sampling.ric import RICSample, RICSampler
 from repro.sampling.rr import RRSampler
+from repro.utils.math import popcount
 
+_NO_MASKS: Mapping[int, int] = MappingProxyType({})
 
-class FlatIndex(NamedTuple):
-    """A pool's inverted index compiled into flat parallel sequences.
-
-    Each touching node owns one *slot*; slot ``s`` covers the half-open
-    range ``entry_off[s]:entry_off[s+1]`` of ``entry_sample`` (sample
-    index) and ``entry_mask`` (that node's member bitset within the
-    sample), one entry per distinct sample the node touches.
-    ``thresholds`` is indexed by sample. Offsets live in an
-    ``array('q')``; samples and masks live in plain lists because member
-    masks are arbitrary-precision ints and list slicing iterates at C
-    speed without re-boxing.
-
-    Read-only: every coverage engine on the pool shares one instance
-    and keeps its own covered state beside it.
-    """
-
-    thresholds: List[int]
-    slot_of: Dict[int, int]
-    entry_off: array
-    entry_sample: List[int]
-    entry_mask: List[int]
+# One shared int per single-bit mask. Most index entries hold one
+# member bit; pointing them at these few objects instead of a fresh int
+# each keeps the index smaller and its masks hot in cache.
+_BITS = tuple(1 << i for i in range(64))
 
 
 class RICSamplePool:
@@ -55,16 +40,14 @@ class RICSamplePool:
 
     Indexes maintained per added sample:
 
-    - ``coverage_of(v)`` — list of ``(sample_idx, member_idx)`` pairs
-      with ``v ∈ R_g(u)`` (drives marginal-gain computation),
-    - ``touch_counts`` — per-node number of *distinct* samples touched
-      (MAF's node-appearance frequency),
+    - :attr:`mask_index` — per node ``v``, ``{sample_idx: member_mask}``
+      with bit ``i`` of the mask set when ``v ∈ R_g(u_i)``. Each
+      node's dict is ordered by sample index and its length is the
+      number of distinct samples ``v`` touches (MAF's node-appearance
+      frequency); every marginal, evaluation and frequency query reads
+      it;
     - ``community_counts`` — per-community source frequency in ``R``
       (MAF's community frequency).
-
-    :meth:`flat_index` compiles ``coverage_of`` into the flat layout the
-    flat coverage engine reads; it is built on demand and dropped by
-    every :meth:`add`.
     """
 
     def __init__(self, sampler: RICSampler) -> None:
@@ -72,8 +55,7 @@ class RICSamplePool:
         # repro.sampling.parallel.ParallelRICSampler.
         self.sampler = sampler
         self.samples: List[RICSample] = []
-        self._coverage: Dict[int, List[Tuple[int, int]]] = {}
-        self._touch_counts: Dict[int, int] = {}
+        self._masks: Dict[int, Dict[int, int]] = {}
         self._community_counts: Dict[int, int] = {}
         # Persistent intern table (reach-set value -> canonical object)
         # plus a watermark of how many samples compact() has already
@@ -86,9 +68,6 @@ class RICSamplePool:
         self._interned_through = 0
         self._reach_sets_total = 0
         self._pending_rewrites = 0
-        # Compiled form of the index for the current sample count;
-        # add() drops it, flat_index() rebuilds it on demand.
-        self._flat_index: Optional[FlatIndex] = None
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -101,37 +80,28 @@ class RICSamplePool:
     def add(self, sample: RICSample) -> None:
         """Append one sample and update all indexes.
 
-        A pool sealed by :meth:`compact` may keep growing: appending to
-        a node whose coverage entry was frozen into a tuple thaws that
-        entry back into a list (re-run :meth:`compact` to re-seal).
-        Appending also drops the compiled :meth:`flat_index`.
+        ORs each member's bit into the mask of every node in its reach
+        set; the only place the mask index grows.
         """
-        self._flat_index = None
         index = len(self.samples)
         if self._interned_through:
             # The pool has been compacted at least once: intern the new
             # sample's reach sets eagerly against the persistent table,
             # so a server's compact -> add -> compact top-up loop never
-            # accumulates duplicate frozensets between seals.
+            # accumulates duplicate frozensets between passes.
             sample = self._intern_sample(sample)
         self.samples.append(sample)
-        coverage = self._coverage
-        touched: Set[int] = set()
+        masks = self._masks
         for member_idx, reach in enumerate(sample.reach_sets):
+            bit = _BITS[member_idx] if member_idx < 64 else 1 << member_idx
             for node in reach:
-                entry = coverage.get(node)
+                entry = masks.get(node)
                 if entry is None:
-                    coverage[node] = [(index, member_idx)]
-                elif type(entry) is tuple:
-                    thawed = list(entry)
-                    thawed.append((index, member_idx))
-                    coverage[node] = thawed
+                    masks[node] = {index: bit}
                 else:
-                    entry.append((index, member_idx))
-                touched.add(node)
+                    prev = entry.get(index)
+                    entry[index] = bit if prev is None else prev | bit
         self._reach_sets_total += len(sample.reach_sets)
-        for node in touched:
-            self._touch_counts[node] = self._touch_counts.get(node, 0) + 1
         self._community_counts[sample.community_index] = (
             self._community_counts.get(sample.community_index, 0) + 1
         )
@@ -157,17 +127,15 @@ class RICSamplePool:
         """Grow the pool until it holds at least ``target`` samples."""
         self.grow(max(0, target - len(self.samples)))
 
-    def coverage_of(self, node: int) -> Sequence[Tuple[int, int]]:
-        """``(sample_idx, member_idx)`` pairs covered by ``node``.
+    @property
+    def mask_index(self) -> Mapping[int, Mapping[int, int]]:
+        """Read-only view of the index: node -> ``{sample_idx: member_mask}``.
 
-        .. warning:: **Aliasing.** On a pool that has not been sealed
-           by :meth:`compact`, this returns the *internal* index list,
-           not a copy — mutating it corrupts the inverted index
-           silently. After :meth:`compact` the entry is an immutable
-           tuple (read-only by construction), which is what the
-           coverage engines consume.
+        The per-node dicts are the pool's own, read in place by the
+        coverage engines; callers must not mutate them. They grow only
+        in :meth:`add`.
         """
-        return self._coverage.get(node, ())
+        return MappingProxyType(self._masks)
 
     def _intern_sample(self, sample: RICSample) -> RICSample:
         """Rewrite ``sample``'s reach sets through the intern table.
@@ -193,45 +161,35 @@ class RICSamplePool:
         return sample
 
     def compact(self) -> Dict[str, int]:
-        """Intern duplicate reach sets and seal the inverted index.
+        """Intern duplicate reach sets.
 
-        Two effects, both idempotent:
-
-        - **Reach-set interning** — RIC samples over a common graph
-          repeat reach sets constantly (a node with one realised
-          in-path yields the same frozenset in many samples). Keeping
-          one canonical frozenset per distinct value (frozenset → id
-          mapping) drops the duplicates' memory and makes later
-          equality checks pointer comparisons. Samples are rewritten
-          in place to reference the canonical objects; values are
-          unchanged, so estimators and golden results are unaffected.
-        - **Index sealing** — every coverage entry is converted from a
-          list to an immutable tuple, so engine compile passes cannot
-          accidentally mutate the index they iterate
-          (:meth:`coverage_of` documents the aliasing hazard on the
-          unsealed path).
+        RIC samples over a common graph repeat reach sets constantly (a
+        node with one realised in-path yields the same frozenset in
+        many samples). Keeping one canonical frozenset per distinct
+        value drops the duplicates' memory and makes later equality
+        checks pointer comparisons. Samples are rewritten in place to
+        reference the canonical objects; values are unchanged, so the
+        mask index, estimators and golden results are unaffected.
+        Idempotent.
 
         The intern table persists across calls and samples already
         processed are watermarked, so the serving top-up cycle
-        ``compact() -> add() -> compact()`` costs O(new samples + nodes)
-        per pass, not O(pool): canonical representatives never change
-        between passes, samples appended after the first seal are
+        ``compact() -> add() -> compact()`` costs O(new samples) per
+        pass, not O(pool): canonical representatives never change
+        between passes, samples appended after the first pass are
         interned eagerly by :meth:`add`, and a no-op re-compact reports
         ``interned_duplicates == 0``.
 
         Returns a stats dict: ``reach_sets`` (total), ``unique_reach_sets``,
         ``interned_duplicates`` (references rewritten to a canonical
-        object since the previous seal), and ``coverage_entries``.
+        object since the previous pass), and ``coverage_entries``
+        (``(node, sample)`` entries of the mask index).
         """
         for sample in self.samples[self._interned_through:]:
             self._intern_sample(sample)
         self._interned_through = len(self.samples)
         rewritten, self._pending_rewrites = self._pending_rewrites, 0
-        entries = 0
-        for node, pairs in self._coverage.items():
-            entries += len(pairs)
-            if type(pairs) is list:
-                self._coverage[node] = tuple(pairs)
+        entries = sum(map(len, self._masks.values()))
         metrics.inc("pool.compactions")
         metrics.set_gauge("pool.coverage_entries", entries)
         return {
@@ -241,46 +199,13 @@ class RICSamplePool:
             "coverage_entries": entries,
         }
 
-    def flat_index(self) -> FlatIndex:
-        """The inverted index compiled to a :class:`FlatIndex`.
-
-        Compacts the pool and compiles on first use, then returns the
-        same instance until :meth:`add` drops it, so the index is built
-        at most once per pool size however many engines read it.
-        Callers must not mutate it.
-        """
-        index = self._flat_index
-        if index is not None:
-            return index
-        self.compact()
-        slot_of: Dict[int, int] = {}
-        entry_off = array("q", [0])
-        entry_sample: List[int] = []
-        entry_mask: List[int] = []
-        for node in self._touch_counts:
-            masks: Dict[int, int] = {}
-            for sample_idx, member_idx in self._coverage[node]:
-                masks[sample_idx] = masks.get(sample_idx, 0) | (1 << member_idx)
-            slot_of[node] = len(entry_off) - 1
-            entry_sample.extend(masks)
-            entry_mask.extend(masks.values())
-            entry_off.append(len(entry_sample))
-        index = self._flat_index = FlatIndex(
-            [s.threshold for s in self.samples],
-            slot_of,
-            entry_off,
-            entry_sample,
-            entry_mask,
-        )
-        return index
-
     def touch_count(self, node: int) -> int:
         """Number of distinct samples ``node`` touches (MAF frequency)."""
-        return self._touch_counts.get(node, 0)
+        return len(self._masks.get(node, _NO_MASKS))
 
     def touching_nodes(self) -> List[int]:
         """All nodes that touch at least one sample."""
-        return list(self._touch_counts)
+        return list(self._masks)
 
     def community_count(self, community_index: int) -> int:
         """How many samples have ``community_index`` as their source."""
@@ -291,8 +216,8 @@ class RICSamplePool:
         return dict(self._community_counts)
 
     def samples_touched_by(self, node: int) -> List[int]:
-        """Sorted distinct sample indices touched by ``node`` (``G_R(u)``)."""
-        return sorted({sample_idx for sample_idx, _ in self.coverage_of(node)})
+        """Ascending distinct sample indices touched by ``node`` (``G_R(u)``)."""
+        return list(self._masks.get(node, _NO_MASKS))
 
     def stats(self) -> Dict[str, float]:
         """Diagnostic summary of the pool.
@@ -322,7 +247,7 @@ class RICSamplePool:
             "max_reach_size": float(max(reach_sizes)),
             "mean_members": sum(len(s.members) for s in self.samples)
             / len(self.samples),
-            "touching_nodes": float(len(self._touch_counts)),
+            "touching_nodes": float(len(self._masks)),
             "top_source_share": max(self._community_counts.values())
             / len(self.samples),
         }
@@ -331,17 +256,28 @@ class RICSamplePool:
     # Objective evaluation on the pool
     # ------------------------------------------------------------------
 
+    def _covered_masks(self, seeds: Iterable[int]) -> Dict[int, int]:
+        """Per touched sample, the members ``seeds`` cover, as a mask.
+
+        ORs each distinct seed's masks in seed-set order, samples in
+        ascending order within a seed, so the dict's order (which fixes
+        the summation order of :meth:`fractional_count`) is the order a
+        per-``(sample, member)`` scan of the same seeds would produce.
+        """
+        index = self._masks
+        covered: Dict[int, int] = {}
+        for v in set(seeds):
+            for sample_idx, mask in index.get(v, _NO_MASKS).items():
+                covered[sample_idx] = covered.get(sample_idx, 0) | mask
+        return covered
+
     def influenced_count(self, seeds: Iterable[int]) -> int:
         """``Σ_g X_g(S)`` — samples influenced by ``seeds``."""
-        seed_set = set(seeds)
-        covered: Dict[int, Set[int]] = {}
-        for v in seed_set:
-            for sample_idx, member_idx in self.coverage_of(v):
-                covered.setdefault(sample_idx, set()).add(member_idx)
+        samples = self.samples
         return sum(
             1
-            for sample_idx, members in covered.items()
-            if len(members) >= self.samples[sample_idx].threshold
+            for sample_idx, mask in self._covered_masks(seeds).items()
+            if popcount(mask) >= samples[sample_idx].threshold
         )
 
     def influenced_count_by_community(
@@ -351,20 +287,15 @@ class RICSamplePool:
 
         Returns ``(seen, influenced)``: how many pool samples each
         community sourced, and how many of those ``seeds`` influence.
-        Same single pass over the coverage index as
+        Same single pass over the mask index as
         :meth:`influenced_count`; backs the per-community
         activation-probability diagnostics in
         :mod:`repro.obs.diagnostics`.
         """
-        seed_set = set(seeds)
-        covered: Dict[int, Set[int]] = {}
-        for v in seed_set:
-            for sample_idx, member_idx in self.coverage_of(v):
-                covered.setdefault(sample_idx, set()).add(member_idx)
         influenced: Dict[int, int] = {}
-        for sample_idx, members in covered.items():
+        for sample_idx, mask in self._covered_masks(seeds).items():
             sample = self.samples[sample_idx]
-            if len(members) >= sample.threshold:
+            if popcount(mask) >= sample.threshold:
                 influenced[sample.community_index] = (
                     influenced.get(sample.community_index, 0) + 1
                 )
@@ -378,14 +309,10 @@ class RICSamplePool:
 
     def fractional_count(self, seeds: Iterable[int]) -> float:
         """``Σ_g min(|I_g(S)|/h_g, 1)`` — the ν numerator (eq. 7)."""
-        seed_set = set(seeds)
-        covered: Dict[int, Set[int]] = {}
-        for v in seed_set:
-            for sample_idx, member_idx in self.coverage_of(v):
-                covered.setdefault(sample_idx, set()).add(member_idx)
+        samples = self.samples
         return sum(
-            min(len(members) / self.samples[sample_idx].threshold, 1.0)
-            for sample_idx, members in covered.items()
+            min(popcount(mask) / samples[sample_idx].threshold, 1.0)
+            for sample_idx, mask in self._covered_masks(seeds).items()
         )
 
     def estimate_upper_bound(self, seeds: Iterable[int]) -> float:

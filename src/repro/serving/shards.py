@@ -62,22 +62,22 @@ MAX_POOL_FACTOR = 4
 
 
 def make_solver(name: str, seed: Optional[int]):
-    """Build a fresh solver routed through the flat coverage engine.
+    """Build a fresh solver (UBG and GreedyC select on the flat engine).
 
     Solvers carry per-run state (deadlines, RNG streams), so each solve
     gets a new instance; MAF/MB randomness is derived from ``seed`` so
     repeated solves of the same request are deterministic.
     """
     if name == "UBG":
-        return UBG(engine="flat")
+        return UBG()
     if name == "MAF":
-        return MAF(seed=seed, engine="flat")
+        return MAF(seed=seed)
     if name == "BT":
-        return BT(engine="flat")
+        return BT()
     if name == "MB":
-        return MB(seed=seed, engine="flat")
+        return MB(seed=seed)
     if name == "GreedyC":
-        return GreedyC(engine="flat")
+        return GreedyC()
     raise ServingError(
         f"unknown solver {name!r} (known: {', '.join(SOLVERS)})"
     )
@@ -142,10 +142,10 @@ class WarmShard:
 
         Requires :attr:`lock`. Each round generates at most
         ``round_size`` samples (fanned across the shard's workers),
-        merges them synchronously, re-seals the pool and bumps
-        :attr:`version`. After the last round it compiles the pool's
-        flat coverage index, so :attr:`bytes` counts it and timed
-        solves only read it. Returns whether any growth happened.
+        merges them synchronously (``add()`` grows the pool's mask
+        index), interns their reach sets and bumps :attr:`version`.
+        :attr:`bytes` is measured after the last round. Returns whether
+        any growth happened.
         """
         if len(self.pool) >= target:
             return False
@@ -159,7 +159,6 @@ class WarmShard:
                 self.pool.compact()
                 self.version += 1
                 rounds += 1
-            self.pool.flat_index()
             self.bytes = pool_memory_bytes(self.pool)
             span.set(rounds=rounds, num_samples=len(self.pool))
         return True

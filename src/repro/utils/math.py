@@ -4,6 +4,15 @@ from __future__ import annotations
 
 import math
 
+# int.bit_count() exists from Python 3.10; fall back for 3.9.
+if hasattr(int, "bit_count"):
+    popcount = int.bit_count
+else:  # pragma: no cover - exercised only on Python 3.9
+
+    def popcount(x: int) -> int:
+        """Number of set bits in the non-negative int ``x``."""
+        return bin(x).count("1")
+
 
 def log_binomial(n: int, k: int) -> float:
     """Natural log of the binomial coefficient ``C(n, k)``.

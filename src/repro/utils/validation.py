@@ -6,7 +6,7 @@ via ``exc``) with actionable messages that name the offending argument.
 
 from __future__ import annotations
 
-from typing import Type
+from typing import Iterable, Optional, Type
 
 
 def check_probability(value: float, name: str, exc: Type[Exception] = ValueError) -> float:
@@ -37,6 +37,25 @@ def check_node(node: int, n: int, exc: Type[Exception] = ValueError) -> int:
     if not (0 <= node < n):
         raise exc(f"node id {node} out of range for graph with {n} nodes")
     return node
+
+
+def check_candidates(
+    candidates: Optional[Iterable[int]],
+    n: int,
+    exc: Type[Exception] = ValueError,
+) -> None:
+    """Require every seeding candidate to be a node id in ``[0, n)``.
+
+    ``None`` (no restriction) passes. The error names every offending
+    id, so a typo in a candidate list is found in one round trip.
+    """
+    if candidates is None:
+        return
+    outside = sorted(v for v in candidates if not 0 <= v < n)
+    if outside:
+        raise exc(
+            f"candidates {outside} are not node ids of the {n}-node graph"
+        )
 
 
 def check_seed_budget(k: int, n: int, exc: Type[Exception] = ValueError) -> int:

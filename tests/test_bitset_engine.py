@@ -1,11 +1,17 @@
-"""Bitset engine tests: exact equivalence with the reference engine."""
+"""Member-mask (bitset) coverage tests: exact equivalence with the
+reference engine.
+
+The pool indexes each node's coverage as per-sample member bitmasks and
+the flat engine works on them with ANDs and popcounts; these tests pin
+that arithmetic on a hand-built pool and on random ones.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.communities.structure import Community, CommunityStructure
-from repro.core.bitset_engine import BitsetCoverage
+from repro.core.flat_engine import FlatCoverage
 from repro.core.objective import CoverageState
 from repro.errors import SolverError
 from repro.graph.digraph import DiGraph
@@ -30,8 +36,13 @@ def _manual_pool():
 
 def test_matches_reference_step_by_step():
     pool = _manual_pool()
+    # Node 4 reaches member 0 of both samples; 0/1 and 5 one member
+    # each of sample 0.
+    assert dict(pool.mask_index[4]) == {0: 0b01, 1: 0b1}
+    assert dict(pool.mask_index[0]) == {0: 0b01}
+    assert dict(pool.mask_index[5]) == {0: 0b10}
     ref = CoverageState(pool)
-    fast = BitsetCoverage(pool)
+    fast = FlatCoverage(pool)
     for node in (4, 5, 0, 2, 1):
         assert fast.gain_pair(node) == (
             ref.gain_influenced(node),
@@ -48,20 +59,20 @@ def test_matches_reference_step_by_step():
 
 
 def test_duplicate_seed_rejected():
-    fast = BitsetCoverage(_manual_pool())
+    fast = FlatCoverage(_manual_pool())
     fast.add_seed(4)
     with pytest.raises(SolverError):
         fast.add_seed(4)
 
 
 def test_gain_of_seed_is_zero():
-    fast = BitsetCoverage(_manual_pool())
+    fast = FlatCoverage(_manual_pool())
     fast.add_seed(4)
     assert fast.gain_pair(4) == (0, 0.0)
 
 
 def test_unknown_node_gains_nothing():
-    fast = BitsetCoverage(_manual_pool())
+    fast = FlatCoverage(_manual_pool())
     assert fast.gain_pair(99) == (0, 0.0)
     fast.add_seed(99)  # harmless: touches nothing
     assert fast.influenced_count == 0
@@ -111,7 +122,7 @@ def random_pool_and_seed_order(draw):
 def test_property_equivalence_with_reference(args):
     pool, order = args
     ref = CoverageState(pool)
-    fast = BitsetCoverage(pool)
+    fast = FlatCoverage(pool)
     for node in order:
         assert fast.gain_pair(node)[0] == ref.gain_pair(node)[0]
         assert fast.gain_pair(node)[1] == pytest.approx(ref.gain_pair(node)[1])

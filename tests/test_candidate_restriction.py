@@ -9,8 +9,10 @@ import pytest
 
 from repro.communities.structure import Community, CommunityStructure
 from repro.core.bt import BT, MB
+from repro.core.framework import solve_imc
 from repro.core.maf import MAF
 from repro.core.ubg import UBG, GreedyC
+from repro.errors import SolverError
 from repro.graph.generators import planted_partition_graph
 from repro.graph.weights import assign_weighted_cascade
 from repro.sampling.pool import RICSamplePool
@@ -37,7 +39,7 @@ def pool():
 EVEN_NODES = frozenset(range(0, 25, 2))
 
 
-@pytest.mark.parametrize(
+EVERY_SOLVER = pytest.mark.parametrize(
     "solver_factory",
     [
         lambda c: UBG(candidates=c),
@@ -48,11 +50,38 @@ EVEN_NODES = frozenset(range(0, 25, 2))
     ],
     ids=["UBG", "GreedyC", "MAF", "BT", "MB"],
 )
+
+
+@EVERY_SOLVER
 def test_solvers_respect_candidate_set(pool, solver_factory):
     solver = solver_factory(EVEN_NODES)
     result = solver.solve(pool, 5)
     assert set(result.seeds) <= EVEN_NODES
     assert result.seeds  # something was still selectable
+
+
+@EVERY_SOLVER
+def test_solvers_reject_candidates_outside_the_graph(pool, solver_factory):
+    """Ids outside ``[0, n)`` are an error naming them, never seeds."""
+    n = pool.sampler.graph.num_nodes
+    for outside in ({10**6}, {-5, 3}, {n, 0}):
+        with pytest.raises(SolverError) as caught:
+            solver_factory(outside).solve(pool, 3)
+        named = sorted(v for v in outside if not 0 <= v < n)
+        assert str(named) in str(caught.value)
+
+
+def test_imcaf_rejects_candidates_outside_the_graph(pool):
+    sampler = pool.sampler
+    with pytest.raises(SolverError, match="1000000"):
+        solve_imc(
+            sampler.graph,
+            sampler.communities,
+            2,
+            GreedyC(candidates=[10**6, -1]),
+            seed=1,
+            max_samples=500,
+        )
 
 
 def test_restriction_costs_quality(pool):

@@ -1,18 +1,17 @@
 """FlatCoverage engine and pool compaction unit tests.
 
-The flat engine must be behaviourally indistinguishable from
-``CoverageState``/``BitsetCoverage`` (the hypothesis suite cross-checks
-random pools; here we pin the engine-specific mechanics: the shared
-compiled index, sync guards, resync after growth, the compaction
-contract, and agreement on a serving-sized pool deep into saturation).
+The flat engine must be behaviourally indistinguishable from the
+reference ``CoverageState`` (the hypothesis suite cross-checks random
+pools; here we pin the engine-specific mechanics: the shared mask
+index, sync guards, resync after growth, the compaction contract, and
+agreement on a serving-sized pool deep into saturation).
 """
 
 import pytest
 
 from repro.communities.structure import Community, CommunityStructure
-from repro.core.bitset_engine import BitsetCoverage
 from repro.core.flat_engine import FlatCoverage
-from repro.core.objective import CoverageState, evaluate_benefit
+from repro.core.objective import CoverageState
 from repro.core.ubg import UBG, GreedyC
 from repro.errors import SolverError
 from repro.graph.digraph import DiGraph
@@ -141,17 +140,18 @@ def test_compact_interns_duplicate_reach_sets():
     assert again["interned_duplicates"] == 0
 
 
-def test_compact_seals_coverage_then_add_thaws():
+def test_add_after_compact_extends_the_mask_index():
     pool = tiny_pool()
     pool.compact()
-    assert isinstance(pool.coverage_of(0), tuple)
     snapshot = pool.influenced_count([0, 1])
     pool.add(
         RICSample(0, 2, (0, 1), (frozenset({0}), frozenset({1})))
     )
     assert pool.influenced_count([0, 1]) == snapshot + 1
-    # The thawed entry is a list again and indexes the new sample.
-    assert pool.coverage_of(0)[-1] == (2, 0)
+    # The new sample is the last entry of each member's node.
+    assert list(pool.mask_index[0].items())[-1] == (2, 0b01)
+    assert list(pool.mask_index[1].items())[-1] == (2, 0b10)
+    assert pool.touch_count(4) == 2
 
 
 def test_compact_preserves_objectives_and_selection():
@@ -164,62 +164,72 @@ def test_compact_preserves_objectives_and_selection():
 
 
 def test_evaluate_benefit_identical_across_engines():
+    # MAF, BT and MB evaluate with pool.estimate_benefit; it reads the
+    # same masks as the flat engine and must match both engines.
     pool = build_pool(samples=100)
-    seeds = pool.touching_nodes()[:5]
-    reference = evaluate_benefit(pool, seeds, "reference")
-    assert evaluate_benefit(pool, seeds, "bitset") == reference
-    assert evaluate_benefit(pool, seeds, "flat") == reference
-    assert evaluate_benefit(pool, [], "flat") == 0.0
-    with pytest.raises(SolverError):
-        evaluate_benefit(pool, seeds, "warp-drive")
+    seeds = sorted(pool.touching_nodes())[:5]
+    reference, flat = CoverageState(pool), FlatCoverage(pool)
+    for v in seeds:
+        reference.add_seed(v)
+        flat.add_seed(v)
+    assert pool.estimate_benefit(seeds) == reference.estimate_benefit()
+    assert pool.estimate_benefit(seeds) == flat.estimate_benefit()
+    assert pool.estimate_benefit([]) == 0.0
 
 
 def test_solvers_accept_flat_engine():
     pool = build_pool(samples=120)
     default = UBG().solve(pool, 5)
-    flat = UBG(engine="flat").solve(pool, 5)
-    assert flat.seeds == default.seeds
-    assert flat.objective == pytest.approx(default.objective)
+    for engine in ("flat", "reference"):
+        chosen = UBG(engine=engine).solve(pool, 5)
+        assert chosen.seeds == default.seeds
+        assert chosen.objective == default.objective
     with pytest.raises(SolverError):
-        UBG(engine="nope").solve(pool, 5)
+        UBG(engine="bitset").solve(pool, 5)
 
 
-def test_bitset_and_flat_agree_after_interleaved_growth():
+def test_reference_and_flat_agree_after_interleaved_growth():
     pool = build_pool(samples=80)
-    bitset = BitsetCoverage(pool)
+    reference = CoverageState(pool)
     flat = FlatCoverage(pool)
     for round_idx in range(3):
         pool.grow(30)
-        bitset.resync()
+        reference.resync()
         flat.resync()
-        for v in pool.touching_nodes():
-            assert flat.gain_pair(v) == bitset.gain_pair(v)
-        seed = pool.touching_nodes()[round_idx * 3]
+        nodes = sorted(pool.touching_nodes())
+        for v in nodes:
+            assert flat.gain_pair(v) == reference.gain_pair(v)
+        seed = nodes[round_idx * 3]
         if seed not in flat.seeds:
-            bitset.add_seed(seed)
+            reference.add_seed(seed)
             flat.add_seed(seed)
-    assert flat.influenced_count == bitset.influenced_count
+    assert flat.influenced_count == reference.influenced_count
 
 
-def test_flat_index_is_built_once_per_pool_size_and_shared():
+def test_flat_engines_share_the_pool_mask_index():
     pool = build_pool(samples=60)
-    index = pool.flat_index()
-    assert pool.flat_index() is index
+    index = pool.mask_index
+    snapshot = {v: dict(masks) for v, masks in index.items()}
     first, second = FlatCoverage(pool), FlatCoverage(pool)
-    assert pool.flat_index() is index  # engines reuse, never rebuild
-    node = pool.touching_nodes()[0]
+    node = sorted(pool.touching_nodes())[0]
     first.add_seed(node)
+    for v in pool.touching_nodes():
+        first.gain_pair(v)  # prunes first's own entry lists
+    # Engines read the index in place and never write it.
+    assert {v: dict(masks) for v, masks in index.items()} == snapshot
     assert second.gain_pair(node) == CoverageState(pool).gain_pair(node)
-    pool.grow(10)  # add() drops the index; the next reader rebuilds
-    grown = pool.flat_index()
-    assert grown is not index
-    assert len(grown.thresholds) == len(pool)
+    node_masks = index[node]
+    pool.grow(10)  # add() extends the same per-node dicts in place
+    assert pool.mask_index[node] is node_masks
     first.resync()
     second.resync()
-    assert pool.flat_index() is grown
+    reference = CoverageState(pool)
+    reference.add_seed(node)
+    for v in pool.touching_nodes():
+        assert first.gain_pair(v) == reference.gain_pair(v)
 
 
-def test_flat_matches_bitset_on_a_saturated_serving_pool():
+def test_flat_matches_reference_on_a_saturated_serving_pool():
     # A 600-sample facebook pool as a serving shard warms it: budgets up
     # to 40 drive most samples past their thresholds, which the small
     # hypothesis pools never reach.
@@ -236,9 +246,9 @@ def test_flat_matches_bitset_on_a_saturated_serving_pool():
         for k in (2, 8, 20, 40):
             for solver in (UBG, GreedyC):
                 flat = solver(engine="flat").solve(pool, k)
-                bitset = solver(engine="bitset").solve(pool, k)
-                assert flat.seeds == bitset.seeds
-                assert flat.objective == bitset.objective
+                reference = solver(engine="reference").solve(pool, k)
+                assert flat.seeds == reference.seeds
+                assert flat.objective == reference.objective
         # The last budget really saturates the pool.
         assert pool.influenced_count(flat.seeds) >= 0.9 * len(pool)
     finally:

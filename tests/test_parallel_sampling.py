@@ -92,8 +92,12 @@ def test_parallel_pools_byte_identical(instance):
         parallel_pool = RICSamplePool(sampler)
         parallel_pool.grow(40)
     assert parallel_pool.samples == serial_pool.samples
-    assert parallel_pool._coverage == serial_pool._coverage
-    assert parallel_pool._touch_counts == serial_pool._touch_counts
+    assert parallel_pool.mask_index == serial_pool.mask_index
+    for node, masks in serial_pool.mask_index.items():
+        # Same entries in the same (ascending sample) order per node.
+        assert list(parallel_pool.mask_index[node].items()) == list(
+            masks.items()
+        )
     assert parallel_pool.community_counts() == serial_pool.community_counts()
 
 

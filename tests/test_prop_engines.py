@@ -1,13 +1,15 @@
-"""Property-based three-way coverage-engine equivalence.
+"""Property-based coverage-engine equivalence.
 
-``CoverageState`` (sets), ``BitsetCoverage`` (mask dicts) and
-``FlatCoverage`` (compiled flat arrays) implement the same incremental
-ĉ/ν state with completely different storage. On any random pool and
-seed sequence all three must agree — on every marginal, every running
-count, and after resyncing past pool growth. The strategies here
-deliberately generate degenerate shapes (empty reaches, duplicate reach
-sets, saturated samples) because the flat engine's compile step is the
-kind of code where off-by-one slot boundaries hide.
+``CoverageState`` (member sets over its own ``(sample, member)`` pairs,
+built from the samples' reach sets) and ``FlatCoverage`` (the pool's
+mask index, read in place with pruned entry lists) implement the same
+incremental ĉ/ν state with completely different storage. Because the
+reference never reads the mask index, agreeing with it checks the
+index too. On any random pool and seed sequence both must agree — on
+every marginal, every running count, and after resyncing past pool
+growth. The strategies here deliberately generate degenerate shapes
+(empty reaches, duplicate reach sets, saturated samples) because
+pruning is the kind of code where stale state hides.
 """
 
 import pytest
@@ -15,9 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.communities.structure import Community, CommunityStructure
-from repro.core.bitset_engine import BitsetCoverage
 from repro.core.flat_engine import FlatCoverage
-from repro.core.objective import CoverageState, evaluate_benefit
+from repro.core.objective import CoverageState
 from repro.graph.digraph import DiGraph
 from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSample, RICSampler
@@ -90,21 +91,18 @@ def _assert_marginals_agree(reference, *engines):
 
 @given(pool_seeds_growth())
 @settings(max_examples=150, deadline=None)
-def test_three_engines_agree_on_state_and_marginals(args):
+def test_engines_agree_on_state_and_marginals(args):
     pool, seeds, _, _ = args
     reference = CoverageState(pool)
-    bitset = BitsetCoverage(pool)
     flat = FlatCoverage(pool)
-    _assert_marginals_agree(reference, bitset, flat)
+    _assert_marginals_agree(reference, flat)
     for v in seeds:
         reference.add_seed(v)
-        bitset.add_seed(v)
         flat.add_seed(v)
         # Every node's marginal after every seed: the flat engine's
         # pruned entry lists carry over from one round to the next.
-        _assert_marginals_agree(reference, bitset, flat)
+        _assert_marginals_agree(reference, flat)
         assert flat.influenced_count == reference.influenced_count
-        assert bitset.influenced_count == reference.influenced_count
         assert flat.fractional_count == pytest.approx(
             reference.fractional_count
         )
@@ -114,9 +112,8 @@ def test_three_engines_agree_on_state_and_marginals(args):
     assert flat.estimate_upper_bound() == pytest.approx(
         reference.estimate_upper_bound()
     )
-    assert evaluate_benefit(pool, seeds, "flat") == pytest.approx(
-        evaluate_benefit(pool, seeds, "reference")
-    )
+    # The pool's one-shot evaluation reads the same masks.
+    assert pool.estimate_benefit(seeds) == reference.estimate_benefit()
 
 
 @given(pool_seeds_growth())
@@ -124,37 +121,30 @@ def test_three_engines_agree_on_state_and_marginals(args):
 def test_engines_agree_after_resync_growth(args):
     pool, seeds, growth, late_seeds = args
     reference = CoverageState(pool)
-    bitset = BitsetCoverage(pool)
     flat = FlatCoverage(pool)
     for v in seeds:
         reference.add_seed(v)
-        bitset.add_seed(v)
         flat.add_seed(v)
     # Evaluate every node before the pool grows, so pruned entry lists
-    # and the compiled index exist that resync() must not carry over.
-    _assert_marginals_agree(reference, bitset, flat)
+    # exist that resync() must not carry over.
+    _assert_marginals_agree(reference, flat)
     pool.add_many(growth)
     reference.resync()
-    bitset.resync()
     flat.resync()
-    _assert_marginals_agree(reference, bitset, flat)
+    _assert_marginals_agree(reference, flat)
     for v in late_seeds:
         if v in flat.seeds:
             continue
-        expected = reference.gain_pair(v)
-        assert bitset.gain_pair(v) == expected
-        assert flat.gain_pair(v) == expected
+        assert flat.gain_pair(v) == reference.gain_pair(v)
         reference.add_seed(v)
-        bitset.add_seed(v)
         flat.add_seed(v)
-    _assert_marginals_agree(reference, bitset, flat)
+    _assert_marginals_agree(reference, flat)
     assert flat.influenced_count == reference.influenced_count
-    assert bitset.influenced_count == reference.influenced_count
     assert flat.estimate_benefit() == pytest.approx(
         reference.estimate_benefit()
     )
-    # A fresh compile of the final pool+seeds agrees with the resynced
-    # engine — resync is not a distinct state machine.
+    # A fresh engine on the final pool+seeds agrees with the resynced
+    # one — resync is not a distinct state machine.
     fresh = FlatCoverage(pool)
     for v in flat.seeds:
         fresh.add_seed(v)
@@ -166,8 +156,8 @@ def test_engines_agree_after_resync_growth(args):
 @settings(max_examples=100, deadline=None)
 def test_flat_engines_sharing_a_pool_keep_their_own_state(args):
     pool, seeds, _, late_seeds = args
-    # Both flat engines read the pool's one compiled index; each must
-    # see only its own seeds and pruned entries.
+    # Both flat engines read the pool's one mask index; each must see
+    # only its own seeds and pruned entries.
     first, second = FlatCoverage(pool), FlatCoverage(pool)
     first_reference, second_reference = CoverageState(pool), CoverageState(pool)
     _assert_marginals_agree(first_reference, first, second)

@@ -32,9 +32,15 @@ def _manual_pool():
 
 def test_coverage_index():
     pool = _manual_pool()
-    assert list(pool.coverage_of(4)) == [(0, 0), (1, 0)]
-    assert list(pool.coverage_of(0)) == [(0, 0), (2, 0)]
-    assert list(pool.coverage_of(99)) == []
+    index = pool.mask_index
+    # node -> {sample: member mask}, samples in ascending order; bit i
+    # is member i of the sample.
+    assert list(index[4].items()) == [(0, 0b01), (1, 0b1)]
+    assert list(index[0].items()) == [(0, 0b01), (2, 0b01)]
+    assert list(index[1].items()) == [(0, 0b10), (2, 0b10)]
+    assert 99 not in index
+    with pytest.raises(TypeError):
+        index[99] = {}  # the view is read-only
 
 
 def test_touch_counts_distinct_samples():

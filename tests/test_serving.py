@@ -186,10 +186,10 @@ class TestWarmShard:
         assert len(shard.pool) == 120
         assert shard.version == 3  # ceil(120 / 50) synchronous rounds
         assert shard.bytes > 0
-        # The flat index was built before the footprint was measured,
-        # so the byte budget sees it and solves only read it.
+        # The footprint was measured after the last round, mask index
+        # included, and solving adds nothing the budget misses.
         with shard.lock:
-            shard.pool.flat_index()
+            shard.solve(3)
             assert pool_memory_bytes(shard.pool) == shard.bytes
         shard.close()
 
@@ -212,7 +212,6 @@ class TestWarmShard:
         shard.close()
 
     def test_solve_matches_offline_pipeline(self):
-        from repro.core.objective import evaluate_benefit
         from repro.core.ubg import UBG
         from repro.sampling.parallel import ParallelRICSampler
         from repro.sampling.pool import RICSamplePool
@@ -230,11 +229,9 @@ class TestWarmShard:
             )
         )
         pool.grow(spec.pool_size)
-        selection = UBG(engine="flat").solve(pool, 5)
+        selection = UBG().solve(pool, 5)
         assert served["seeds"] == sorted(selection.seeds)
-        assert served["objective"] == evaluate_benefit(
-            pool, selection.seeds, engine="flat"
-        )
+        assert served["objective"] == pool.estimate_benefit(selection.seeds)
         assert served["num_samples"] == spec.pool_size
 
     def test_bad_requests_rejected(self):
