@@ -4,7 +4,7 @@ Each test pins one of the bugs found while putting a long-lived server
 on top of the sampling/coverage/persistence layers:
 
 - ``RICSamplePool.compact()`` under the repeated compact -> add ->
-  compact top-up cycle (interning stays canonical, re-seals are
+  compact top-up cycle (interning stays canonical, re-compacts are
   idempotent, estimates are unaffected);
 - coverage engines failing *loudly* when ``resync()`` races a marginal
   evaluation instead of answering from half-built state;
