@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-from repro.core.objective import CoverageState
+from repro.core.flat_engine import FlatCoverage
 from repro.core.solution import SeedSelection
 from repro.errors import SolverError
 from repro.sampling.pool import RICSamplePool
@@ -47,7 +47,7 @@ def budgeted_lazy_greedy_nu(
         raise SolverError(f"budget must be positive, got {budget}")
     candidates = sorted(pool.touching_nodes())
     _check_costs(costs, candidates)
-    state = CoverageState(pool)
+    state = FlatCoverage(pool)
     heap: LazyMaxHeap[int] = LazyMaxHeap()
     for node in candidates:
         gain = state.gain_fractional(node)
@@ -88,7 +88,7 @@ def best_single_affordable(
     dominates; taking the max against the best singleton restores the
     constant factor.
     """
-    state = CoverageState(pool)
+    state = FlatCoverage(pool)
     best_node: Optional[int] = None
     best_gain = 0.0
     for node in sorted(pool.touching_nodes()):

@@ -1,9 +1,9 @@
 """Regression tests: coverage engines vs. a pool that grows under them.
 
-Both engines (reference and flat) snapshot the pool at construction. Before the fix, growing
-the pool afterwards made a reused engine either IndexError on new sample
-indices or silently ignore the new samples in gains — corrupting the
-very doubling loop IMCAF relies on. Now every accessor fails fast with
+Both engines (reference and flat) snapshot the pool at construction.
+Before the fix, growing the pool afterwards made a reused engine either
+IndexError on new sample indices or silently ignore the new samples in
+gains — corrupting the very doubling loop IMCAF relies on. Now every accessor fails fast with
 SolverError and ``resync()`` reconciles the engine with the grown pool.
 """
 
