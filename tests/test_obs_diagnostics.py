@@ -9,6 +9,7 @@ that stops early and records how many samples it actually used.
 
 import math
 import statistics
+import sys
 
 import pytest
 
@@ -459,8 +460,6 @@ def test_compact_shrinks_footprint_but_not_composition(small_pool):
 
 
 def test_footprint_counts_the_mask_index(small_pool):
-    import sys
-
     index = small_pool.mask_index
     index_bytes = sum(map(sys.getsizeof, index.values()))
     before = pool_memory_bytes(small_pool)
