@@ -103,14 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes for --engine parallel (default: all cores)",
     )
     solve.add_argument(
-        "--freeze",
-        action="store_true",
-        help=(
-            "freeze the graph into its CSR snapshot before solving — "
-            "array-native sampling kernels, byte-identical results"
-        ),
-    )
-    solve.add_argument(
         "--eval-trials",
         type=int,
         default=500,
@@ -548,8 +540,6 @@ def _cmd_solve(args, extras: Optional[dict] = None) -> int:
     communities = build_structure(
         blocks, size_cap=args.size_cap, threshold_policy=policy
     )
-    if args.freeze:
-        graph = graph.freeze()
     print(
         f"instance: {args.dataset} n={graph.num_nodes} m={graph.num_edges} "
         f"r={communities.r} b={communities.total_benefit:g} "

@@ -39,7 +39,11 @@ from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSampler
 from repro.utils.math import log_binomial
 from repro.utils.retry import Deadline, as_deadline
-from repro.utils.validation import check_fraction, check_seed_budget
+from repro.utils.validation import (
+    check_candidates,
+    check_fraction,
+    check_seed_budget,
+)
 
 
 class MAXRSolver(Protocol):
@@ -150,8 +154,10 @@ def estimate_benefit(
 ) -> EstimateResult:
     """Dagum stopping-rule estimate of ``c(S)`` via fresh RIC samples.
 
-    Draws independent RIC samples and feeds the influence indicator
-    ``X_g(S)`` to the stopping rule; on convergence returns
+    Draws the influence indicator ``X_g(S)`` of independent RIC samples
+    (:meth:`~repro.sampling.ric.RICSampler.sample_indicator`, which
+    decides it without building reach sets) and feeds it to the
+    stopping rule; on convergence returns
     ``b · Λ'/T``, an ``(ε, δ)`` multiplicative approximation of
     ``c(S) = b·E[X_g(S)]`` (Lemma 1). ``value`` is ``None`` when
     ``max_trials`` ran out first (Alg. 6 returns -1) — IMCAF responds by
@@ -160,19 +166,20 @@ def estimate_benefit(
     ``monitor``, when given, observes every drawn indicator
     (:meth:`~repro.obs.diagnostics.ConvergenceMonitor.observe_trial`)
     — a pure tap on the trial stream that changes neither the draws nor
-    the stopping decision.
+    the stopping decision. Seed ids outside the graph raise
+    :class:`~repro.errors.SolverError`.
     """
-    seed_set = set(seeds)
+    seed_set = frozenset(seeds)
     if not seed_set:
         raise SolverError("cannot estimate the benefit of an empty seed set")
+    check_candidates(seed_set, sampler.graph.num_nodes, SolverError)
+    indicator = sampler.sample_indicator
 
     def draw() -> float:
-        sample = sampler.sample()
-        outcome = 1.0 if sample.is_influenced_by(seed_set) else 0.0
+        community_index, influenced = indicator(seed_set)
+        outcome = 1.0 if influenced else 0.0
         if monitor is not None:
-            monitor.observe_trial(
-                outcome, community_index=sample.community_index
-            )
+            monitor.observe_trial(outcome, community_index=community_index)
         return outcome
 
     outcome = dagum_stopping_rule(draw, epsilon, delta, max_trials=max_trials)

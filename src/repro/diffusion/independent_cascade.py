@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, List, Set
 
-from repro.graph.csr import FrozenDiGraph
 from repro.graph.digraph import DiGraph
 from repro.rng import SeedLike, make_rng
 
@@ -28,10 +27,9 @@ def simulate_ic(
 
     The simulation is round-free (BFS order): each newly activated node
     flips a coin per out-edge exactly once, which is distribution-
-    equivalent to the round-based formulation. On a frozen CSR snapshot
-    the cascade walks the shared
-    :meth:`~repro.graph.csr.FrozenDiGraph.out_pairs` traversal cache —
-    same coin order, identical activations per seed.
+    equivalent to the round-based formulation. The cascade walks the
+    graph's ``out_pairs()`` table, which a mutable graph and its CSR
+    snapshot provide in the same order: identical activations per seed.
     """
     rng = make_rng(seed)
     active: Set[int] = set()
@@ -40,21 +38,11 @@ def simulate_ic(
         if s not in active:
             active.add(s)
             frontier.append(s)
-    if isinstance(graph, FrozenDiGraph):
-        pairs = graph.out_pairs()
-        random = rng.random
-        while frontier:
-            u = frontier.popleft()
-            for v, w in pairs[u]:
-                if v not in active and random() < w:
-                    active.add(v)
-                    frontier.append(v)
-        return active
+    pairs = graph.out_pairs()
+    random = rng.random
     while frontier:
-        u = frontier.popleft()
-        targets, weights = graph.out_adjacency(u)
-        for v, w in zip(targets, weights):
-            if v not in active and rng.random() < w:
+        for v, w in pairs[frontier.popleft()]:
+            if v not in active and random() < w:
                 active.add(v)
                 frontier.append(v)
     return active

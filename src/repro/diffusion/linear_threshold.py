@@ -15,7 +15,6 @@ from collections import deque
 from typing import Dict, Iterable, Set
 
 from repro.errors import GraphError
-from repro.graph.csr import FrozenDiGraph
 from repro.graph.digraph import DiGraph
 from repro.rng import SeedLike, make_rng
 
@@ -84,33 +83,15 @@ def simulate_lt(
         if s not in active:
             active.add(s)
             frontier.append(s)
-    if isinstance(graph, FrozenDiGraph):
-        # Frozen fast path: iterate the shared out_pairs traversal
-        # cache; threshold draws happen in the same lazy order, so the
-        # activation set matches the list-based walk exactly.
-        pairs = graph.out_pairs()
-        random = rng.random
-        while frontier:
-            u = frontier.popleft()
-            for v, w in pairs[u]:
-                if v in active:
-                    continue
-                if v not in thresholds:
-                    thresholds[v] = random()
-                incoming_active[v] = incoming_active.get(v, 0.0) + w
-                if incoming_active[v] >= thresholds[v]:
-                    active.add(v)
-                    frontier.append(v)
-        return active
+    # Thresholds are drawn lazily, in out_pairs() order on either graph.
+    pairs = graph.out_pairs()
+    random = rng.random
     while frontier:
-        u = frontier.popleft()
-        targets, weights = graph.out_adjacency(u)
-        for v, w in zip(targets, weights):
+        for v, w in pairs[frontier.popleft()]:
             if v in active:
                 continue
             if v not in thresholds:
-                # Lazily drawn threshold; rng.random() is U[0,1).
-                thresholds[v] = rng.random()
+                thresholds[v] = random()
             incoming_active[v] = incoming_active.get(v, 0.0) + w
             if incoming_active[v] >= thresholds[v]:
                 active.add(v)

@@ -1,8 +1,8 @@
 """Kernel microbenchmarks and the perf-regression trajectory artifact.
 
-The array-native kernel layer (frozen CSR sampling, flat coverage)
-exists purely for speed — results are byte-identical to the reference
-paths by construction. Speed claims rot silently, so this module
+The flat coverage engine and the array-backed graph snapshot exist
+purely for speed — results are byte-identical to the reference paths by
+construction. Speed claims rot silently, so this module
 measures them on a fixed synthetic workload and records the numbers in
 ``benchmarks/BENCH_kernels.json``: a *trajectory* file that each
 ``python -m repro bench --record`` run appends one entry to, giving
@@ -10,18 +10,20 @@ future changes a perf baseline to diff against.
 
 Measured quantities per run:
 
-- sampling wall time and samples/sec for the mutable (dict/set) and
-  frozen (CSR) RIC kernels on the same seed — identical sample streams,
-  different machinery;
+- sampling wall time and samples/sec of the one RIC kernel fed by a
+  mutable ``DiGraph`` and by its frozen CSR snapshot, on the same seed
+  — identical sample streams, two sources of the same ``in_pairs()``
+  traversal table;
 - wall time of ``pool.add_many`` over the drawn samples, which builds
   the pool's mask index (timed apart from selection, which only reads
   it);
 - marginal-evaluation throughput (``gain_pair`` calls/sec) for the
   reference and flat coverage engines over the same pool;
 - end-to-end seed selection (UBG) wall time per engine;
-- the combined speedup of the flat path (frozen sampling + indexing +
-  flat selection) over the dict/set reference path (mutable sampling +
-  indexing + reference selection);
+- the combined speedup of the flat path (sampling the snapshot +
+  indexing + flat selection) over the reference path (sampling the
+  mutable graph + indexing + reference selection); with one sampling
+  kernel, the margin comes from selection;
 - peak RSS of the process (``resource.getrusage``).
 
 The workload is deterministic (fixed graph/community/sampling seeds);
@@ -100,7 +102,7 @@ def _time_sampling_interleaved(
     """Best-of-``repeats`` sampling wall time per graph variant.
 
     The passes are interleaved (mutable, frozen, mutable, frozen, ...)
-    so background load on a shared machine hits both kernels alike
+    so background load on a shared machine hits both graph variants alike
     instead of biasing whichever happened to run second; taking the
     minimum then discards the noisy passes.
     """
@@ -152,8 +154,8 @@ def run_kernel_bench(samples: int = 10_000, k: int = 10) -> Dict[str, Any]:
     out_mut, out_frozen = outputs["mutable"], outputs["frozen"]
     if out_mut[: min(50, samples)] != out_frozen[: min(50, samples)]:
         raise ReproError(
-            "frozen and mutable samplers disagree — kernel equivalence "
-            "is broken; fix that before trusting any timing"
+            "sampling a graph and its snapshot disagrees — the pair "
+            "tables differ; fix that before trusting any timing"
         )
 
     pool = RICSamplePool(RICSampler(frozen, communities, seed=1))

@@ -7,8 +7,9 @@ This package provides:
 - :class:`~repro.graph.digraph.DiGraph` — the core adjacency structure
   with both forward and reverse adjacency (RIC sampling walks in-edges).
 - :class:`~repro.graph.csr.FrozenDiGraph` — the immutable CSR snapshot
-  (``DiGraph.freeze()``) the array-native sampling/simulation kernels
-  traverse; byte-identical results, contiguous storage.
+  (``DiGraph.freeze()``); contiguous storage, byte-identical sampling
+  and simulation, since both representations feed the kernels the same
+  ``in_pairs()``/``out_pairs()`` tables.
 - :mod:`~repro.graph.builders` — construction from edge lists / files,
   undirected-to-directed conversion.
 - :mod:`~repro.graph.weights` — edge-weight schemes (weighted-cascade,

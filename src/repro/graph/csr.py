@@ -1,38 +1,33 @@
 """Frozen CSR (compressed sparse row) graph snapshot.
 
 :class:`DiGraph` stores adjacency as per-node Python lists — convenient
-while a graph is being built, but every traversal pays for list-object
-indirection and the per-edge bookkeeping dicts. Once construction is
-done, the hot paths (RIC sampling, RR sampling, IC/LT simulation) only
-*read* the structure, so :meth:`DiGraph.freeze` snapshots it into a
+while a graph is being built. Once construction is done the graph is
+only *read*, so :meth:`DiGraph.freeze` snapshots it into a
 :class:`FrozenDiGraph`: in- and out-adjacency packed into contiguous
 stdlib ``array('q')`` (offsets, neighbour ids, edge ranks) and
-``array('d')`` (weights) buffers.
-
-Two properties make the snapshot kernel-friendly:
+``array('d')`` (weights) buffers. The snapshot is immutable, compact,
+and pickles as raw arrays, which is how the parallel sampling engine
+and the serving shards ship a graph to worker processes.
 
 - **CSR layout** — the in-edges of node ``u`` live in the half-open
   slice ``in_neighbor_ids[in_offsets[u]:in_offsets[u+1]]`` with weights
-  in the parallel ``in_weights`` slice, so a reverse BFS streams through
-  one flat buffer instead of chasing per-node list objects.
+  in the parallel ``in_weights`` slice.
 - **Global edge ranks** — every in-edge (and out-edge) entry carries the
   edge's dense insertion-order id (:meth:`DiGraph.edge_id`), so any
   per-edge state can be a flat ``m``-sized buffer indexed by rank
-  instead of a ``(u, v)``-keyed dict. (The RIC sampler's coin memo
-  ``st[·]`` turned out to be provably dead — distinct community members
-  mean each in-edge is examined at most once per sample — so the kernel
-  elides it; the ranks remain for live-edge masks and instrumentation.)
+  instead of a ``(u, v)``-keyed dict.
 
-Per-node slice *order* equals the mutable graph's adjacency-list order,
-which is what guarantees that samplers and simulators consume their RNG
-streams in exactly the same sequence on either representation — frozen
-and mutable runs are byte-identical, not merely equal in distribution.
+The sampling and simulation kernels do not index the buffers: each has
+one loop over the per-node ``(neighbour, weight)`` tables of
+:meth:`FrozenDiGraph.in_pairs` / :meth:`FrozenDiGraph.out_pairs`, which
+:class:`DiGraph` provides too. Per-node slice *order* equals the mutable
+graph's adjacency-list order, so both representations feed the kernels
+the same tables, and frozen and mutable runs are byte-identical, not
+merely equal in distribution.
 
-The snapshot is immutable and picklable (worker processes of the
-parallel sampling engine receive it as-is). Accessors that exist for
-API compatibility (:meth:`FrozenDiGraph.in_adjacency`, ...) return
-tuples — genuinely read-only, unlike the aliased lists the mutable
-graph hands out — while kernels bypass them and index the raw arrays.
+Accessors that exist for API compatibility
+(:meth:`FrozenDiGraph.in_adjacency`, ...) return tuples — genuinely
+read-only, unlike the aliased lists the mutable graph hands out.
 """
 
 from __future__ import annotations
@@ -66,14 +61,24 @@ def _csr_from_lists(
     return offsets, neighbors_flat, weights_flat
 
 
+def _pair_table(
+    offsets: array, ids: array, weights: array
+) -> List[Tuple[Tuple[int, float], ...]]:
+    """Per-node ``(neighbour, weight)`` tuples of one CSR direction."""
+    return [
+        tuple(zip(ids[lo:hi], weights[lo:hi]))
+        for lo, hi in zip(offsets, offsets[1:])
+    ]
+
+
 class FrozenDiGraph:
     """Immutable CSR snapshot of a :class:`DiGraph`.
 
     Exposes the read surface of :class:`DiGraph` (``num_nodes``,
-    ``in_adjacency``, ``out_degree``, ``edges``, ...) so samplers,
-    simulators and analysis code accept either representation; the
-    compatibility accessors return immutable tuples. Hot kernels use
-    the raw CSR buffers instead:
+    ``in_adjacency``, ``in_pairs``, ``out_degree``, ``edges``, ...) so
+    samplers, simulators and analysis code accept either
+    representation; the compatibility accessors return immutable
+    tuples. The raw CSR buffers are:
 
     - ``in_offsets`` / ``in_neighbor_ids`` / ``in_weights`` /
       ``in_edge_ranks`` — reverse adjacency, the RIC/RR sampling layout;
@@ -115,8 +120,8 @@ class FrozenDiGraph:
         self = object.__new__(cls)
         self._n = graph.num_nodes
         self._m = graph.num_edges
-        # Adjacency-list order is preserved verbatim so RNG consumption
-        # order is identical on the frozen and mutable representations.
+        # Adjacency-list order is preserved verbatim so the pair tables,
+        # and with them every RNG draw, match the mutable graph's.
         out_lists = [graph.out_adjacency(u)[0] for u in graph.nodes()]
         out_weight_lists = [graph.out_adjacency(u)[1] for u in graph.nodes()]
         in_lists = [graph.in_adjacency(u)[0] for u in graph.nodes()]
@@ -252,35 +257,24 @@ class FrozenDiGraph:
         RIC and RR sampling kernels iterate these tuples at C speed
         (``for u, w in pairs[v]``) instead of re-slicing the CSR
         buffers per visit, which would box every int. One cache is
-        shared by every sampler over the same snapshot. The cache is
+        shared by every sampler over the same snapshot, and
+        :meth:`DiGraph.in_pairs` builds the same table. The cache is
         not pickled (workers rebuild it lazily on first use).
         """
-        cache = self._in_pairs
-        if cache is None:
-            offsets, ids, weights = (
+        if self._in_pairs is None:
+            self._in_pairs = _pair_table(
                 self.in_offsets, self.in_neighbor_ids, self.in_weights
             )
-            cache = self._in_pairs = [
-                tuple(zip(ids[offsets[v] : offsets[v + 1]],
-                          weights[offsets[v] : offsets[v + 1]]))
-                for v in range(self._n)
-            ]
-        return cache
+        return self._in_pairs
 
     def out_pairs(self) -> List[Tuple[Tuple[int, float], ...]]:
         """Forward mirror of :meth:`in_pairs`: ``pairs[u]`` holds
         ``(target, weight)`` pairs — the IC/LT cascade traversal cache."""
-        cache = self._out_pairs
-        if cache is None:
-            offsets, ids, weights = (
+        if self._out_pairs is None:
+            self._out_pairs = _pair_table(
                 self.out_offsets, self.out_neighbor_ids, self.out_weights
             )
-            cache = self._out_pairs = [
-                tuple(zip(ids[offsets[u] : offsets[u + 1]],
-                          weights[offsets[u] : offsets[u + 1]]))
-                for u in range(self._n)
-            ]
-        return cache
+        return self._out_pairs
 
     def out_edges(self, node: int) -> Iterator[Edge]:
         """Iterate out-edges of ``node`` as :class:`Edge` tuples."""

@@ -24,6 +24,10 @@ class Edge(NamedTuple):
     weight: float
 
 
+def _pairs(neighbors: List[int], weights: List[float]):
+    return tuple(zip(neighbors, weights))
+
+
 class DiGraph:
     """A directed graph with per-edge influence probabilities.
 
@@ -43,6 +47,8 @@ class DiGraph:
         "_edge_index",
         "_m",
         "_edge_rank_cache",
+        "_in_pairs",
+        "_out_pairs",
     )
 
     def __init__(self, num_nodes: int = 0) -> None:
@@ -57,13 +63,16 @@ class DiGraph:
         self._edge_index: Dict[Tuple[int, int], int] = {}
         self._m = 0
         self._edge_rank_cache: Optional[Dict[Tuple[int, int], int]] = None
+        self._in_pairs: Optional[List[Tuple[Tuple[int, float], ...]]] = None
+        self._out_pairs: Optional[List[Tuple[Tuple[int, float], ...]]] = None
 
     # ------------------------------------------------------------------
-    # Construction
+    # Construction (every mutation drops the pair tables)
     # ------------------------------------------------------------------
 
     def add_node(self) -> int:
         """Append a fresh node and return its id."""
+        self._in_pairs = self._out_pairs = None
         self._out.append([])
         self._out_w.append([])
         self._in.append([])
@@ -81,6 +90,7 @@ class DiGraph:
         """
         if count < 0:
             raise GraphError(f"cannot add a negative number of nodes: {count}")
+        self._in_pairs = self._out_pairs = None
         self._out.extend([] for _ in range(count))
         self._out_w.extend([] for _ in range(count))
         self._in.extend([] for _ in range(count))
@@ -99,6 +109,7 @@ class DiGraph:
         check_probability(weight, "weight", GraphError)
         if source == target:
             raise GraphError(f"self-loops are not allowed (node {source})")
+        self._in_pairs = self._out_pairs = None
         key = (source, target)
         pos = self._edge_index.get(key)
         if pos is not None:
@@ -184,9 +195,9 @@ class DiGraph:
     def in_adjacency(self, node: int) -> Tuple[List[int], List[float]]:
         """Parallel ``(sources, weights)`` lists of in-edges of ``node``.
 
-        .. warning:: **Aliasing.** Hot path for RIC sampling: the
-           returned lists are the graph's *internal* adjacency storage,
-           not copies. Mutating them corrupts the edge index silently.
+        .. warning:: **Aliasing.** The returned lists are the graph's
+           *internal* adjacency storage, not copies. Mutating them
+           corrupts the edge index and the pair tables silently.
            Treat them as frozen, or call :meth:`freeze` and use the
            :class:`~repro.graph.csr.FrozenDiGraph` accessors, which
            return genuinely immutable tuples.
@@ -202,6 +213,23 @@ class DiGraph:
            after :meth:`freeze`.
         """
         return self._out[node], self._out_w[node]
+
+    def in_pairs(self) -> List[Tuple[Tuple[int, float], ...]]:
+        """Per-node traversal table: ``pairs[v]`` holds the ``(source,
+        weight)`` pairs of ``v``'s in-edges in adjacency order, as
+        :meth:`FrozenDiGraph.in_pairs() <repro.graph.csr.FrozenDiGraph.in_pairs>`
+        does, so the sampling kernels run on either representation.
+        Built lazily; any mutation drops it, and it is not pickled."""
+        if self._in_pairs is None:
+            self._in_pairs = list(map(_pairs, self._in, self._in_w))
+        return self._in_pairs
+
+    def out_pairs(self) -> List[Tuple[Tuple[int, float], ...]]:
+        """Forward mirror of :meth:`in_pairs`: ``pairs[u]`` holds
+        ``(target, weight)`` pairs — the IC/LT cascade traversal table."""
+        if self._out_pairs is None:
+            self._out_pairs = list(map(_pairs, self._out, self._out_w))
+        return self._out_pairs
 
     def out_degree(self, node: int) -> int:
         """Number of out-edges of ``node``."""
@@ -222,9 +250,9 @@ class DiGraph:
     def edge_id(self, source: int, target: int) -> int:
         """A dense, stable integer id for an existing edge.
 
-        Edge ids index per-edge state arrays (e.g. the ``st[·]`` edge
-        realisation memo of Algorithm 1). Ids are assigned in insertion
-        order and are stable because edges cannot be removed.
+        Edge ids index per-edge state arrays (e.g. a live-edge mask).
+        Ids are assigned in insertion order and are stable because
+        edges cannot be removed.
         """
         if (source, target) not in self._edge_index:
             raise GraphError(f"edge ({source}, {target}) does not exist")
@@ -257,12 +285,12 @@ class DiGraph:
     def freeze(self):
         """Snapshot into an immutable CSR :class:`~repro.graph.csr.FrozenDiGraph`.
 
-        The snapshot preserves adjacency order exactly, so samplers and
-        simulators consume their RNG streams identically on either
-        representation; it is the layout the array-native hot-path
-        kernels (RIC/RR sampling, IC/LT cascades) run fastest on. The
-        original graph is untouched and may keep growing — the snapshot
-        does not follow later mutations.
+        The snapshot preserves adjacency order exactly, so its
+        ``in_pairs()``/``out_pairs()`` tables equal this graph's and
+        samplers and simulators consume their RNG streams identically on
+        either representation. It is immutable, compact and pickles as
+        raw arrays. The original graph is untouched and may keep growing
+        — the snapshot does not follow later mutations.
         """
         from repro.graph.csr import FrozenDiGraph
 
@@ -270,6 +298,12 @@ class DiGraph:
 
     def __repr__(self) -> str:
         return f"DiGraph(n={self._n}, m={self._m})"
+
+    def __getstate__(self):
+        """Pickle the adjacency, not the traversal tables."""
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_in_pairs"] = state["_out_pairs"] = None
+        return None, state
 
     # ------------------------------------------------------------------
     # Equality (structural), used by tests and round-trip checks

@@ -278,6 +278,10 @@ class ParallelRICSampler:
         """Advance the master stream and return the next child seed."""
         return self._serial.next_sample_seed()
 
+    def sample_indicator(self, seeds) -> Tuple[int, bool]:
+        """Draw the next ``(community_index, X_g(seeds))`` inline."""
+        return self._serial.sample_indicator(seeds)
+
     def sample_many(self, count: int) -> List[RICSample]:
         """Generate ``count`` samples, fanning out to worker processes.
 

@@ -1,4 +1,5 @@
-"""Reverse Influenceable Community (RIC) sampling — Algorithm 1.
+"""Reverse Influenceable Community (RIC) sampling — Algorithm 1, and the
+influence indicator Algorithm 6 draws.
 
 A RIC sample is generated by:
 
@@ -6,7 +7,7 @@ A RIC sample is generated by:
    ``ρ(C_i) = b_i / b``;
 2. lazily realising a deterministic sample graph ``G_g`` by reverse BFS
    from all of ``C_g``'s members, flipping each in-edge's coin at most
-   once (the ``st[·]`` edge-state memo of the paper);
+   once;
 3. computing, for each member ``u ∈ C_g``, the reachable set
    ``R_g(u)`` — all nodes with a realised path *to* ``u`` (``u`` itself
    included, matching the paper's Fig. 3 example).
@@ -14,43 +15,52 @@ A RIC sample is generated by:
 Only edges touched by the backward exploration are ever realised, so
 the cost is proportional to the explored neighbourhood, not to ``m``.
 
-The sampler accepts either graph representation. On a mutable
-:class:`~repro.graph.digraph.DiGraph` it runs the original dict/set
-kernels; on a frozen CSR snapshot
-(:meth:`DiGraph.freeze() <repro.graph.digraph.DiGraph.freeze>`) it runs
-array-native kernels — visited/reach tracking as epoch-stamped flat
-arrays, a per-node traversal cache over the CSR slices, and the
-provably-dead edge-coin memo elided (distinct community members mean
-each in-edge is examined at most once per sample) — that draw from the
-RNG in exactly the same order, so the two paths produce byte-identical
-samples for any seed.
+One kernel serves both graph representations: it iterates the per-node
+``(source, weight)`` tables of ``graph.in_pairs()``, which
+:class:`~repro.graph.digraph.DiGraph` and its CSR snapshot
+(:meth:`DiGraph.freeze() <repro.graph.digraph.DiGraph.freeze>`) both
+provide in the same adjacency order, so the two yield byte-identical
+samples for any seed. Algorithm 1's ``st[·]`` edge-state memo is
+elided: community members are distinct, so the reverse BFS dequeues
+each node once and examines each in-edge at most once per sample, and
+the memo could never record a hit. Visited and reach tracking are
+epoch-stamped per-node lists, and one ``random.Random`` per sampler is
+reseeded for each sample (``r.seed(x)`` leaves it in the state
+``Random(x)`` starts in).
+
+:meth:`RICSampler.sample_indicator` serves Algorithm 6, which needs only
+``X_g(S)``: it draws the same sample but stops as soon as the indicator
+is decided, and builds no reach sets.
 """
 
 from __future__ import annotations
 
+import random
 import time
-from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import (
+    AbstractSet,
     Any,
     Dict,
     FrozenSet,
     Iterable,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
 
 from repro.communities.structure import CommunityStructure
 from repro.errors import SamplingError
-from repro.graph.csr import FrozenDiGraph
 from repro.graph.digraph import DiGraph
 from repro.obs import metrics, trace
 from repro.rng import SeedLike, make_rng, spawn_seed
 from repro.sampling.profile import make_profile
+from repro.utils.math import popcount
+
+_NO_SEEDS: FrozenSet[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -107,30 +117,6 @@ class RICSample:
         return False
 
 
-def _draw_lt_trigger(sources, weights, rng) -> Optional[int]:
-    """Pick node's single LT trigger: in-neighbour ``u`` with
-    probability ``w(u, v)``, or ``None`` with the residual mass.
-
-    Requires the incoming weights to sum to at most 1 (the LT model's
-    precondition; weighted-cascade weights satisfy it exactly).
-    """
-    if not sources:
-        return None
-    total = sum(weights)
-    if total > 1.0 + 1e-9:
-        raise SamplingError(
-            "LT-mode RIC requires incoming weights to sum to <= 1 "
-            f"(found {total:.6f}); use assign_weighted_cascade"
-        )
-    draw = rng.random()
-    cumulative = 0.0
-    for u, w in zip(sources, weights):
-        cumulative += w
-        if draw < cumulative:
-            return u
-    return None
-
-
 class RICSampler:
     """Generates independent RIC samples for a (graph, communities) pair.
 
@@ -141,9 +127,16 @@ class RICSampler:
     ``(graph, communities, model, child_seed)`` — the property the
     parallel engine (:mod:`repro.sampling.parallel`) exploits to fan
     sample generation out to worker processes while staying byte-
-    identical to this serial sampler. The alias-free cumulative table of
-    the source distribution ``ρ`` is precomputed so repeated calls are
+    identical to this serial sampler. The cumulative table of the
+    source distribution ``ρ`` is precomputed so repeated calls are
     cheap.
+
+    A sampler is not reentrant: its per-node scratch and its reseeded
+    child stream are per sampler, so callers must not sample through
+    one instance from two threads at once
+    (:class:`~repro.serving.shards.WarmShard` serialises access under
+    ``shard.lock``). The graph's ``in_pairs()`` table is re-read per
+    sample, so a sampler follows later mutations of a ``DiGraph``.
     """
 
     def __init__(
@@ -162,44 +155,10 @@ class RICSampler:
         self.communities = communities
         self.model = model
         self._rng = make_rng(seed)
-        # Array-native kernel state for frozen (CSR) graphs. Epoch
-        # stamping avoids clearing the O(n)/O(m) scratch buffers between
-        # samples: an entry is "set for this sample" iff its stamp
-        # equals the current epoch, so resetting is one integer bump.
-        self._csr = graph if isinstance(graph, FrozenDiGraph) else None
-        if self._csr is not None:
-            n = graph.num_nodes
-            self._visit_epoch = array("q", bytes(8 * n))
-            self._reach_epoch = array("q", bytes(8 * n))
-            self._epoch = 0
-            self._reach_stamp = 0
-            in_off = graph.in_offsets
-            in_nbr = graph.in_neighbor_ids
-            in_w = graph.in_weights
-            if model == "lt":
-                # Per-node cumulative trigger table: tuples of
-                # ``(cumulative_weight, source)`` in adjacency order, so
-                # one draw + a linear walk realises the LT trigger with
-                # the exact float comparisons of _draw_lt_trigger.
-                lt_cum: List[Tuple[Tuple[float, int], ...]] = []
-                for u in range(n):
-                    running = 0.0
-                    entries = []
-                    for i in range(in_off[u], in_off[u + 1]):
-                        running += in_w[i]
-                        entries.append((running, in_nbr[i]))
-                    lt_cum.append(tuple(entries))
-                self._lt_cum = lt_cum
-                self._lt_total = array(
-                    "d", (c[-1][0] if c else 0.0 for c in lt_cum)
-                )
-            else:
-                # Shared per-node traversal cache (built lazily on the
-                # snapshot, reused by every sampler over it): the hot
-                # loop iterates (neighbor, weight) tuples at C speed
-                # instead of re-slicing the CSR arrays, which would box
-                # every int.
-                self._in_pairs = graph.in_pairs()
+        self._child = random.Random()
+        self._epoch = 0
+        self._stamp = 0
+        self._bind(graph.in_pairs())
         # Zero-benefit communities are excluded from the cumulative
         # table: ρ(C_i) = 0 means C_i must never be drawn, but a
         # duplicated CDF entry would be selected when the uniform draw
@@ -225,17 +184,138 @@ class RICSampler:
 
     # ------------------------------------------------------------------
 
+    def _bind(self, pairs) -> None:
+        """Size the per-node scratch for ``pairs`` (and LT's trigger table).
+
+        Scratch entries are epoch stamps: an entry is set for the
+        current sample iff it equals the current stamp, so resetting
+        between samples is one integer bump.
+        """
+        self._pairs = pairs
+        n = len(pairs)
+        self._visit = [0] * n
+        self._origin = [0] * n
+        self._reach = [0] * n
+        if self.model == "lt":
+            # Per-node cumulative trigger table of ``(cumulative_weight,
+            # source)`` in adjacency order: one draw and a linear walk
+            # realise the node's single LT trigger.
+            table: List[Tuple[Tuple[float, int], ...]] = []
+            for entries in pairs:
+                running = 0.0
+                cumulative = []
+                for v, w in entries:
+                    running += w
+                    cumulative.append((running, v))
+                table.append(tuple(cumulative))
+            self._lt_cum = table
+
+    def _child_stream(self, sample_seed: int) -> random.Random:
+        """The sampler's child stream, reseeded to ``sample_seed``.
+
+        Re-binds the scratch first when the graph's pair table is no
+        longer the one it was sized for (a ``DiGraph`` was mutated).
+        """
+        pairs = self.graph.in_pairs()
+        if pairs is not self._pairs:
+            self._bind(pairs)
+        rng = self._child
+        rng.seed(sample_seed)
+        return rng
+
     def _pick_source(self, rng) -> int:
         """Draw a community index from ``ρ`` by inverse CDF (binary search)."""
-        u = rng.random()
-        lo, hi = 0, len(self._cumulative) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cumulative[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self._source_index[lo]
+        return self._source_index[bisect_left(self._cumulative, rng.random())]
+
+    def _reverse_bfs(
+        self,
+        rng: random.Random,
+        members: Tuple[int, ...],
+        seeds: AbstractSet[int],
+        threshold: int,
+    ) -> Tuple[Optional[Dict[int, List[int]]], int]:
+        """Phase 1: reverse BFS from ``members``, realising edges lazily.
+
+        Returns ``(live_in, covered)``: ``live_in[u]`` lists the sources
+        of ``u``'s realised in-edges, for every visited ``u``. Each
+        visited node records the bit of the member whose search reached
+        it first, so a realised edge out of a seed proves that seed
+        reaches that member; ``covered`` is the mask of members proven
+        covered this way (or seeds themselves). Once ``threshold``
+        members are covered the search stops and ``live_in`` is
+        ``None``. The pool path passes no seeds and always runs to the
+        end.
+        """
+        self._epoch += 1
+        epoch = self._epoch
+        visit = self._visit
+        origin = self._origin
+        covered = 0
+        count = 0
+        bit = 1
+        for u in members:
+            visit[u] = epoch
+            origin[u] = bit
+            if u in seeds:
+                covered |= bit
+                count += 1
+            bit <<= 1
+        if count >= threshold:
+            return None, covered
+        live_in: Dict[int, List[int]] = {}
+        queue = deque(members)
+        popleft = queue.popleft
+        push = queue.append
+        draw = rng.random
+        pairs = self._pairs
+        if self.model == "ic":
+            while queue:
+                u = popleft()
+                realized: List[int] = []
+                live_in[u] = realized
+                bit = origin[u]
+                for v, w in pairs[u]:
+                    if draw() < w:
+                        realized.append(v)
+                        if visit[v] != epoch:
+                            visit[v] = epoch
+                            origin[v] = bit
+                            push(v)
+                        if v in seeds and not covered & bit:
+                            covered |= bit
+                            count += 1
+                            if count >= threshold:
+                                return None, covered
+            return live_in, covered
+        lt_cum = self._lt_cum
+        while queue:
+            u = popleft()
+            realized = []
+            live_in[u] = realized
+            cum = lt_cum[u]
+            if not cum:
+                continue
+            if cum[-1][0] > 1.0 + 1e-9:
+                raise SamplingError(
+                    "LT-mode RIC requires incoming weights to sum to <= 1 "
+                    f"(found {cum[-1][0]:.6f}); use assign_weighted_cascade"
+                )
+            r = draw()
+            for cumulative, v in cum:
+                if r < cumulative:
+                    realized.append(v)
+                    bit = origin[u]
+                    if visit[v] != epoch:
+                        visit[v] = epoch
+                        origin[v] = bit
+                        push(v)
+                    if v in seeds and not covered & bit:
+                        covered |= bit
+                        count += 1
+                        if count >= threshold:
+                            return None, covered
+                    break
+        return live_in, covered
 
     def next_sample_seed(self) -> int:
         """Draw the next sample's child-stream seed from the master RNG.
@@ -263,164 +343,28 @@ class RICSampler:
         Does not touch the master RNG stream: the sample is a pure
         function of the sampler's instance and ``sample_seed``.
         """
-        rng = make_rng(sample_seed)
-        if self._csr is not None:
-            return self._sample_frozen(rng, community_index)
+        rng = self._child_stream(sample_seed)
         if community_index is None:
             community_index = self._pick_source(rng)
         community = self.communities[community_index]
         members = community.members
-
-        # Phase 1 — backward BFS with lazy realisation of the sample
-        # graph. Under IC, st[·] is the per-edge coin memo of Alg. 1 (an
-        # edge absent from `state` is ⊥, otherwise y/n). Under LT, the
-        # triggering-set view realises *at most one* in-edge per node,
-        # memoised per node — the paper's "easily extended to LT" remark
-        # made concrete.
-        lt_mode = self.model == "lt"
-        # Per-edge coin memo (IC only; LT memoises per node instead).
-        state: Optional[Dict[Tuple[int, int], bool]] = None if lt_mode else {}
-        lt_trigger: Dict[int, Optional[int]] = {}
-        # Realised in-adjacency of the sample graph, for visited nodes.
-        live_in: Dict[int, List[int]] = {}
-        visited: Set[int] = set(members)
-        queue = deque(members)
-        while queue:
-            u = queue.popleft()
-            realized_sources = live_in.setdefault(u, [])
-            sources, weights = self.graph.in_adjacency(u)
-            if lt_mode:
-                if u not in lt_trigger:
-                    lt_trigger[u] = _draw_lt_trigger(sources, weights, rng)
-                trigger = lt_trigger[u]
-                if trigger is not None:
-                    realized_sources.append(trigger)
-                    if trigger not in visited:
-                        visited.add(trigger)
-                        queue.append(trigger)
-                continue
-            for v, w in zip(sources, weights):
-                key = (v, u)
-                realized = state.get(key)
-                if realized is None:
-                    realized = rng.random() < w
-                    state[key] = realized
-                if not realized:
-                    continue
-                realized_sources.append(v)
-                if v not in visited:
-                    visited.add(v)
-                    queue.append(v)
-
-        # Phase 2 — per-member reachable sets R_g(u) by backward traversal
-        # over the realised edges only.
-        reach_sets: List[FrozenSet[int]] = []
-        for u in members:
-            reach: Set[int] = {u}
-            stack = [u]
-            while stack:
-                x = stack.pop()
-                for v in live_in.get(x, ()):
-                    if v not in reach:
-                        reach.add(v)
-                        stack.append(v)
-            reach_sets.append(frozenset(reach))
-
-        return RICSample(
-            community_index=community_index,
-            threshold=community.threshold,
-            members=tuple(members),
-            reach_sets=tuple(reach_sets),
+        live_in, _ = self._reverse_bfs(
+            rng, members, _NO_SEEDS, community.threshold
         )
-
-    def _sample_frozen(
-        self, rng, community_index: Optional[int] = None
-    ) -> RICSample:
-        """Algorithm 1 against the CSR snapshot — flat-array kernels.
-
-        Performs exactly the same ``rng.random()`` draws in exactly the
-        same order as the mutable-graph path, so frozen and mutable
-        sampling are byte-identical for any seed — the equivalence the
-        test suite pins down. Visited/reach tracking is epoch-stamped
-        flat arrays instead of sets, and the per-edge coin memo
-        ``st[·]`` of Algorithm 1 is *elided entirely*: community
-        members are validated distinct, so the backward BFS dequeues
-        each node at most once, examines each in-edge at most once per
-        sample, and the memo can never record a hit — on the mutable
-        path the ``state.get`` lookup always returns ``None``. Skipping
-        the dead memo bookkeeping changes no draw and is where a large
-        share of the kernel's speedup comes from.
-        """
-        if community_index is None:
-            community_index = self._pick_source(rng)
-        community = self.communities[community_index]
-        members = community.members
-        draw = rng.random
-
-        self._epoch += 1
-        epoch = self._epoch
-        visit = self._visit_epoch
-
-        # Phase 1 — backward BFS, realising the sample graph lazily.
-        live_in: Dict[int, List[int]] = {}
-        queue = deque(members)
-        for u in members:
-            visit[u] = epoch
-        if self.model == "lt":
-            lt_cum = self._lt_cum
-            lt_total = self._lt_total
-            while queue:
-                u = queue.popleft()
-                realized_sources: List[int] = []
-                live_in[u] = realized_sources
-                cum = lt_cum[u]
-                if not cum:
-                    # In-degree 0: the list-based helper draws nothing.
-                    continue
-                if lt_total[u] > 1.0 + 1e-9:
-                    raise SamplingError(
-                        "LT-mode RIC requires incoming weights to sum "
-                        f"to <= 1 (found {lt_total[u]:.6f}); use "
-                        "assign_weighted_cascade"
-                    )
-                r = draw()
-                for cumulative, v in cum:
-                    if r < cumulative:
-                        realized_sources.append(v)
-                        if visit[v] != epoch:
-                            visit[v] = epoch
-                            queue.append(v)
-                        break
-        else:
-            in_pairs = self._in_pairs
-            while queue:
-                u = queue.popleft()
-                realized_sources = []
-                live_in[u] = realized_sources
-                append = realized_sources.append
-                for v, w in in_pairs[u]:
-                    if draw() < w:
-                        append(v)
-                        if visit[v] != epoch:
-                            visit[v] = epoch
-                            queue.append(v)
-
         # Phase 2 — per-member reachability over realised edges only,
         # marking membership with a fresh stamp per member.
-        reach_epoch = self._reach_epoch
+        reach = self._reach
         reach_sets: List[FrozenSet[int]] = []
-        empty: Tuple[int, ...] = ()
         for u in members:
-            self._reach_stamp += 1
-            stamp = self._reach_stamp
-            reach_epoch[u] = stamp
+            self._stamp += 1
+            stamp = self._stamp
+            reach[u] = stamp
             reached = [u]
             stack = [u]
             while stack:
-                x = stack.pop()
-                for v in live_in.get(x, empty):
-                    if reach_epoch[v] != stamp:
-                        reach_epoch[v] = stamp
+                for v in live_in[stack.pop()]:
+                    if reach[v] != stamp:
+                        reach[v] = stamp
                         reached.append(v)
                         stack.append(v)
             reach_sets.append(frozenset(reached))
@@ -431,6 +375,64 @@ class RICSampler:
             members=tuple(members),
             reach_sets=tuple(reach_sets),
         )
+
+    def sample_indicator(self, seeds: AbstractSet[int]) -> Tuple[int, bool]:
+        """Draw the next sample's ``(community_index, X_g(seeds))``.
+
+        Equals ``(s.community_index, s.is_influenced_by(seeds))`` for
+        ``s = self.sample()``, and advances the master stream by the
+        same one draw, but builds no reach sets and stops as soon as the
+        outcome is known. Coverage only grows as more edges are
+        realised, so stopping the reverse BFS once ``h`` members are
+        covered is exact; the rest of the child stream is thrown away.
+        If the BFS ends without reaching a seed the answer is 0.
+        Otherwise a per-member DFS over the realised edges stops at the
+        first seed it meets, and the member loop ends once ``h`` members
+        are covered or no longer can be. ``seeds`` is a set; ids outside
+        the graph never match.
+        """
+        rng = self._child_stream(self.next_sample_seed())
+        community_index = self._pick_source(rng)
+        community = self.communities[community_index]
+        members = community.members
+        threshold = community.threshold
+        live_in, covered = self._reverse_bfs(rng, members, seeds, threshold)
+        if live_in is None:
+            return community_index, True
+        if not covered:
+            return community_index, False
+        count = popcount(covered)
+        unknown = len(members) - count
+        bit = 1
+        for u in members:
+            if not covered & bit:
+                unknown -= 1
+                if self._reaches(u, live_in, seeds):
+                    count += 1
+                    if count >= threshold:
+                        return community_index, True
+                elif count + unknown < threshold:
+                    return community_index, False
+            bit <<= 1
+        return community_index, False
+
+    def _reaches(
+        self, u: int, live_in: Dict[int, List[int]], seeds: AbstractSet[int]
+    ) -> bool:
+        """Whether a seed lies in ``R_g(u)`` (DFS over realised edges)."""
+        self._stamp += 1
+        stamp = self._stamp
+        reach = self._reach
+        reach[u] = stamp
+        stack = [u]
+        while stack:
+            for v in live_in[stack.pop()]:
+                if v in seeds:
+                    return True
+                if reach[v] != stamp:
+                    reach[v] = stamp
+                    stack.append(v)
+        return False
 
     def sample_many(self, count: int) -> List[RICSample]:
         """Generate ``count`` independent RIC samples."""

@@ -12,7 +12,6 @@ from collections import deque
 from typing import FrozenSet, List, Optional
 
 from repro.errors import SamplingError
-from repro.graph.csr import FrozenDiGraph
 from repro.graph.digraph import DiGraph
 from repro.rng import SeedLike, make_rng
 
@@ -20,11 +19,10 @@ from repro.rng import SeedLike, make_rng
 class RRSampler:
     """Generates independent RR sets for a probabilistic graph.
 
-    Accepts a mutable :class:`DiGraph` or a frozen CSR snapshot; on a
-    snapshot the reverse BFS iterates the shared
-    :meth:`~repro.graph.csr.FrozenDiGraph.in_pairs` traversal cache,
-    drawing from the RNG in exactly the same order as the list-based
-    walk, so both representations yield identical RR sets per seed.
+    The reverse BFS iterates the graph's ``in_pairs()`` table, which a
+    mutable :class:`DiGraph` and its CSR snapshot provide in the same
+    adjacency order, so both representations yield identical RR sets
+    per seed.
     """
 
     def __init__(self, graph: DiGraph, seed: SeedLike = None) -> None:
@@ -32,35 +30,21 @@ class RRSampler:
             raise SamplingError("cannot sample RR sets from an empty graph")
         self.graph = graph
         self._rng = make_rng(seed)
-        self._pairs = (
-            graph.in_pairs() if isinstance(graph, FrozenDiGraph) else None
-        )
 
     def sample(self, root: Optional[int] = None) -> FrozenSet[int]:
         """One RR set; ``root`` forces the target node (tests)."""
         rng = self._rng
         if root is None:
             root = rng.randrange(self.graph.num_nodes)
+        pairs = self.graph.in_pairs()
+        random = rng.random
         visited = {root}
         queue = deque([root])
-        pairs = self._pairs
-        if pairs is not None:
-            random = rng.random
-            while queue:
-                u = queue.popleft()
-                for v, w in pairs[u]:
-                    if v not in visited and random() < w:
-                        visited.add(v)
-                        queue.append(v)
-            return frozenset(visited)
         while queue:
-            u = queue.popleft()
-            sources, weights = self.graph.in_adjacency(u)
-            for v, w in zip(sources, weights):
-                # Each in-edge of a dequeued node is examined exactly once,
-                # so a single coin flip per edge suffices (no memo needed:
-                # an RR set explores each edge at most once).
-                if v not in visited and rng.random() < w:
+            # Each in-edge of a dequeued node is examined exactly once,
+            # so one coin flip per edge suffices (no memo needed).
+            for v, w in pairs[queue.popleft()]:
+                if v not in visited and random() < w:
                     visited.add(v)
                     queue.append(v)
         return frozenset(visited)

@@ -46,6 +46,7 @@ unbounded read nor balloon a replica's memory with one giant body.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -334,9 +335,12 @@ class ShardApp:
             raise ServingError(f"'solver' must be a string, got {solver!r}")
         ci_width = payload.get("ci_width")
         if ci_width is not None:
-            if not isinstance(ci_width, (int, float)) or ci_width <= 0:
+            # The chained comparison is false for NaN and Infinity too.
+            if not isinstance(ci_width, (int, float)) or not (
+                0 < ci_width < math.inf
+            ):
                 raise ServingError(
-                    f"'ci_width' must be a positive number, got "
+                    f"'ci_width' must be a positive finite number, got "
                     f"{ci_width!r}"
                 )
             ci_width = float(ci_width)
@@ -354,7 +358,6 @@ class ShardApp:
             shard = self.store.get(scenario)
             with shard.lock:
                 shard.touch()
-                shard.warm()
                 response, cache_hit = shard.solve(
                     k,
                     solver_name=solver,

@@ -50,6 +50,7 @@ from repro.sampling.pool import RICSamplePool
 from repro.serving.scenarios import ScenarioSpec, build_instance
 from repro.utils.faults import FaultInjector
 from repro.utils.retry import RetryPolicy
+from repro.utils.validation import check_seed_budget
 
 SOLVERS = ("UBG", "MAF", "BT", "MB", "GreedyC")
 
@@ -182,7 +183,10 @@ class WarmShard:
     ) -> Tuple[Dict, bool]:
         """Answer one ``(budget, solver, ci_width)`` query.
 
-        Requires :attr:`lock`. Returns ``(response, cache_hit)``. The
+        Requires :attr:`lock`. Validates the query first (an unknown
+        solver or a budget outside ``[1, n]`` raises
+        :class:`~repro.errors.ServingError` with the pool untouched),
+        then warms the shard. Returns ``(response, cache_hit)``. The
         response's deterministic fields — ``seeds``, ``objective``,
         ``num_samples`` — depend only on the scenario spec and the
         query, never on timing, shard crashes or request interleaving
@@ -204,8 +208,8 @@ class WarmShard:
                 f"unknown solver {solver_name!r} "
                 f"(known: {', '.join(SOLVERS)})"
             )
-        if k < 1:
-            raise ServingError(f"budget must be >= 1, got {k}")
+        check_seed_budget(k, self.graph.num_nodes, ServingError)
+        self.warm()
         key = (k, solver_name, ci_width)
         cached = self._solve_cache.get(key)
         if cached is not None and cached[0] == self.version:

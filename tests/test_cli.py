@@ -217,7 +217,7 @@ def test_compare_command_repeated_trials(capsys):
     assert "3 trials" in out
 
 
-def test_solve_command_flat_engine_and_freeze_match_default(capsys):
+def test_solve_command_parallel_engine_matches_default(capsys):
     base_args = [
         "solve",
         "--dataset",
@@ -237,20 +237,22 @@ def test_solve_command_flat_engine_and_freeze_match_default(capsys):
     ]
     assert main(base_args) == 0
     default_out = capsys.readouterr().out
-    assert main(base_args + ["--freeze"]) == 0
-    fast_out = capsys.readouterr().out
+    assert main(base_args + ["--engine", "parallel", "--workers", "2"]) == 0
+    parallel_out = capsys.readouterr().out
 
-    # The default already selects on the flat engine; the CSR snapshot
-    # changes sampling speed, not results: same seeds and objective.
-    # The "sampling:" line reports wall-clock throughput, which differs
-    # between any two runs; everything else must match byte-for-byte.
+    # Workers receive the pickled mutable graph (without its pair
+    # tables) and sample through the same kernel: same seeds and
+    # objective. The "sampling:" line reports wall-clock throughput and
+    # the engine, which differ between the runs; everything else must
+    # match byte-for-byte.
     def _without_timing(text):
         return [
             line for line in text.splitlines()
             if not line.startswith("sampling:")
         ]
 
-    assert _without_timing(default_out) == _without_timing(fast_out)
+    assert "sampling: parallel engine" in parallel_out
+    assert _without_timing(default_out) == _without_timing(parallel_out)
 
 
 def test_bench_command_records_trajectory(capsys, tmp_path):

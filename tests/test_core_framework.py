@@ -6,6 +6,7 @@ import pytest
 
 from repro.communities.structure import Community, CommunityStructure
 from repro.core.framework import (
+    EstimateResult,
     estimate_benefit,
     lambda_stop_threshold,
     optimal_benefit_lower_bound,
@@ -14,11 +15,13 @@ from repro.core.framework import (
 )
 from repro.core.maf import MAF
 from repro.core.ubg import UBG
+from repro.diffusion.estimators import dagum_stopping_rule
 from repro.diffusion.simulator import community_benefit_exact
 from repro.errors import SolverError
 from repro.graph.builders import from_edge_list
 from repro.graph.generators import planted_partition_graph
 from repro.graph.weights import assign_weighted_cascade
+from repro.obs.diagnostics import ConvergenceMonitor
 from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSampler
 
@@ -126,6 +129,60 @@ def test_estimate_benefit_rejects_empty_seed_set():
     sampler = RICSampler(graph, communities, seed=23)
     with pytest.raises(SolverError):
         estimate_benefit(sampler, [], epsilon=0.2, delta=0.2)
+
+
+def test_estimate_benefit_rejects_seed_ids_outside_the_graph(
+    fig2_graph, fig2_communities
+):
+    """A seed id outside the graph never influences any sample, so the
+    stopping rule would never stop; the id is named up front instead."""
+    sampler = RICSampler(fig2_graph, fig2_communities, seed=1)
+    with pytest.raises(SolverError, match=r"\[7\]"):
+        estimate_benefit(
+            sampler, [7], epsilon=0.2, delta=0.2, max_trials=5000
+        )
+
+
+def test_estimate_benefit_matches_full_sample_reference(small_imc_instance):
+    """The indicator path returns what drawing full samples returns.
+
+    A twin sampler runs the reference loop — ``sample()`` plus
+    ``is_influenced_by`` — through the same stopping rule. Value, trial
+    count, convergence, the monitor's trial moments and per-community
+    activation counts, and the master stream must all agree.
+    """
+    graph, communities = small_imc_instance
+    seeds = [0, 5, 9, 14]
+    fast = RICSampler(graph, communities, seed=41)
+    twin = RICSampler(graph, communities, seed=41)
+    monitor = ConvergenceMonitor()
+    result = estimate_benefit(
+        fast, seeds, epsilon=0.1, delta=0.1, monitor=monitor
+    )
+
+    reference_monitor = ConvergenceMonitor()
+
+    def draw():
+        sample = twin.sample()
+        outcome = 1.0 if sample.is_influenced_by(seeds) else 0.0
+        reference_monitor.observe_trial(
+            outcome, community_index=sample.community_index
+        )
+        return outcome
+
+    reference = dagum_stopping_rule(draw, 0.1, 0.1)
+    assert result == EstimateResult(
+        value=communities.total_benefit * reference.value,
+        trials=reference.trials,
+        converged=reference.converged,
+    )
+    assert result.trials > 100
+    for attr in ("count", "mean", "variance", "min", "max"):
+        assert getattr(monitor.trial_moments, attr) == getattr(
+            reference_monitor.trial_moments, attr
+        )
+    assert monitor.activation.rates() == reference_monitor.activation.rates()
+    assert fast.next_sample_seed() == twin.next_sample_seed()
 
 
 # ---------------------------------------------------------------- IMCAF

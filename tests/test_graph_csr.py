@@ -2,9 +2,11 @@
 
 The contract under test is strong: freezing a graph must leave every
 randomized pipeline *byte-identical* — same RNG draw order, same
-samples, same cascades — not merely equal in distribution. The suite
-therefore compares frozen-vs-mutable outputs exactly, never
-statistically.
+samples, same cascades — not merely equal in distribution. Each
+sampler and simulator has one kernel fed by the graph's
+``in_pairs()``/``out_pairs()`` tables; the suite checks that the two
+pair sources, a mutable graph and its snapshot, drive it to exactly
+the same outputs, never statistically.
 """
 
 import pickle
@@ -123,6 +125,60 @@ def test_pair_caches_match_adjacency_order():
         assert in_pairs[u] == tuple(zip(sources, weights))
         targets, weights = graph.out_adjacency(u)
         assert out_pairs[u] == tuple(zip(targets, weights))
+
+
+def test_digraph_pair_tables_follow_mutation(instance):
+    """Mutating a graph drops its pair tables, so sampling afterwards —
+    through a sampler built before the mutation, too — matches a fresh
+    snapshot of the mutated graph."""
+    base, communities = instance
+    graph = base.copy()
+    before = graph.in_pairs()
+    assert graph.out_pairs() is graph.out_pairs()
+    ic = RICSampler(graph, communities, seed=8)
+    lt = RICSampler(graph, communities, seed=8, model="lt")
+    rr = RRSampler(graph, seed=8)
+    ic.sample()
+    lt.sample()
+    rr.sample()
+    # Hang a fresh node off a community member, halving the member's
+    # other in-weights so LT's weights still sum to at most 1.
+    v = next(v for v in communities[0].members if graph.in_degree(v) > 0)
+    new = graph.add_node()
+    for source, weight in graph.in_pairs()[v]:
+        graph.set_weight(source, v, weight / 2)
+    graph.add_edge(new, v, 0.5)
+    assert graph.in_pairs() is not before
+    frozen = graph.freeze()
+    assert graph.in_pairs() == frozen.in_pairs()
+    assert graph.out_pairs() == frozen.out_pairs()
+
+    for sampler, model in ((ic, "ic"), (lt, "lt")):
+        fresh = RICSampler(frozen, communities, seed=8, model=model)
+        fresh.sample()
+        assert sampler.sample_many(100) == fresh.sample_many(100)
+    fresh_rr = RRSampler(frozen, seed=8)
+    fresh_rr.sample()
+    assert [rr.sample() for _ in range(100)] == [
+        fresh_rr.sample() for _ in range(100)
+    ]
+    for seed in range(10):
+        assert simulate_ic(graph, [new, seed], seed=seed) == simulate_ic(
+            frozen, [new, seed], seed=seed
+        )
+        assert simulate_lt(graph, [new], seed=seed) == simulate_lt(
+            frozen, [new], seed=seed
+        )
+
+
+def test_digraph_pickle_drops_pair_tables():
+    graph = small_graph()
+    graph.in_pairs()
+    graph.out_pairs()
+    clone = pickle.loads(pickle.dumps(graph))
+    assert clone == graph
+    assert clone._in_pairs is None and clone._out_pairs is None
+    assert clone.in_pairs() == graph.in_pairs()
 
 
 def test_ric_sampling_byte_identical_ic(instance):

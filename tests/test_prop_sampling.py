@@ -88,3 +88,76 @@ def test_ric_deterministic_edges_fully_explored(args):
     sample = sampler.sample()
     for member, reach in zip(sample.members, sample.reach_sets):
         assert reach == reverse_reachable(deterministic, [member])
+
+
+@st.composite
+def indicator_case(draw):
+    """A graph (IC or LT weights), communities, seed set and model.
+
+    Under LT every node's in-weights are scaled by its in-degree so they
+    sum to at most 1. Seed sets mix community members, other nodes and
+    ids outside the graph.
+    """
+    model = draw(st.sampled_from(["ic", "lt"]))
+    n = draw(st.integers(3, 10))
+    possible = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(possible), max_size=24, unique=True))
+    in_degree = [0] * n
+    for _, v in edges:
+        in_degree[v] += 1
+    g = DiGraph(n)
+    for u, v in edges:
+        w = draw(st.floats(0.1, 1.0, allow_nan=False))
+        g.add_edge(u, v, w / in_degree[v] if model == "lt" else w)
+    size = draw(st.integers(1, min(5, n)))
+    members = tuple(draw(st.permutations(range(n)))[:size])
+    rest = [v for v in range(n) if v not in members]
+    communities = [
+        Community(
+            members=members,
+            threshold=draw(st.integers(1, size)),
+            benefit=draw(st.floats(0.5, 5.0, allow_nan=False)),
+        )
+    ]
+    if rest and draw(st.booleans()):
+        other = tuple(rest[: draw(st.integers(1, len(rest)))])
+        communities.append(
+            Community(
+                members=other,
+                threshold=draw(st.integers(1, len(other))),
+                benefit=draw(st.floats(0.5, 5.0, allow_nan=False)),
+            )
+        )
+    seeds = frozenset(
+        draw(st.lists(st.integers(0, n + 2), min_size=1, max_size=5))
+    )
+    frozen = draw(st.booleans())
+    seed = draw(st.integers(0, 2**16))
+    return (
+        g.freeze() if frozen else g,
+        CommunityStructure(communities),
+        seeds,
+        model,
+        seed,
+    )
+
+
+@given(indicator_case())
+@settings(max_examples=200, deadline=None)
+def test_sample_indicator_matches_full_sample(args):
+    """The early-exit Algorithm 6 indicator decides X_g(S) exactly.
+
+    A twin sampler materialises the full sample from the same child
+    seed; the indicator must agree on the source community and on the
+    outcome, and both master streams must stay in step.
+    """
+    graph, structure, seeds, model, seed = args
+    fast = RICSampler(graph, structure, seed=seed, model=model)
+    full = RICSampler(graph, structure, seed=seed, model=model)
+    for _ in range(8):
+        sample = full.sample_from_seed(full.next_sample_seed())
+        assert fast.sample_indicator(seeds) == (
+            sample.community_index,
+            sample.is_influenced_by(seeds),
+        )
+    assert fast.next_sample_seed() == full.next_sample_seed()

@@ -271,3 +271,43 @@ def test_predrawn_seeds_replay_sample_many(small_instance):
     assert materialised == RICSampler(
         graph, communities, seed=29
     ).sample_many(15)
+
+
+# ------------------------------------------- Algorithm 6 indicator
+
+
+def _shared_ancestor_gadget():
+    """Members 0 and 1 share the in-neighbour 3, which node 4 feeds;
+    node 5 feeds member 2 and node 6 is isolated. Every edge has weight
+    1 and every node at most one in-edge, so IC and LT both realise the
+    whole graph in every sample."""
+    return from_edge_list(
+        7, [(3, 0, 1.0), (3, 1, 1.0), (4, 3, 1.0), (5, 2, 1.0)]
+    )
+
+
+@pytest.mark.parametrize("model", ["ic", "lt"])
+@pytest.mark.parametrize(
+    "members, threshold, seeds, expected",
+    [
+        ((0, 1, 2), 1, {0}, True),  # a seeded member decides it at once
+        ((0, 1, 2), 2, {4, 5}, True),  # seed edges cover h during the BFS
+        ((0, 1, 2), 2, {5}, False),  # h-1 covered; no DFS finds another
+        ((0, 1, 2), 2, {4}, True),  # only the DFS sees 4 reach member 1
+        ((0, 1, 2), 3, {4}, False),  # the DFS reaches h-1, then a miss
+        ((2, 0, 1), 2, {4}, True),  # after a miss exactly h stay possible
+        ((0, 1, 2), 1, {6, 99}, False),  # no seed is ever visited
+    ],
+)
+def test_sample_indicator_exits_are_exact(
+    model, members, threshold, seeds, expected
+):
+    communities = CommunityStructure(
+        [Community(members=members, threshold=threshold, benefit=1.0)]
+    )
+    graph = _shared_ancestor_gadget()
+    sampler = RICSampler(graph, communities, seed=3, model=model)
+    twin = RICSampler(graph, communities, seed=3, model=model)
+    assert sampler.sample_indicator(frozenset(seeds)) == (0, expected)
+    assert twin.sample().is_influenced_by(seeds) is expected
+    assert sampler.next_sample_seed() == twin.next_sample_seed()

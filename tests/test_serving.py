@@ -245,6 +245,23 @@ class TestWarmShard:
                 shard.solve(2, solver_name="Oracle")
         shard.close()
 
+    def test_oversize_budget_rejected_before_any_growth(self):
+        graph, communities = _instance()
+        shard = WarmShard(_spec(), graph, communities, workers=1)
+        n = graph.num_nodes
+        with shard.lock:
+            with pytest.raises(ServingError, match=f"n={n}"):
+                shard.solve(n + 1)
+            assert len(shard.pool) == 0  # a cold shard stays cold
+            shard.warm()
+            size = len(shard.pool)
+            with pytest.raises(ServingError, match=f"n={n}"):
+                shard.solve(100_000)
+            assert len(shard.pool) == size
+            answer, _ = shard.solve(n)
+            assert len(answer["seeds"]) <= n
+        shard.close()
+
     def test_ci_width_tops_up_the_pool(self):
         graph, communities = _instance()
         shard = WarmShard(
@@ -487,6 +504,25 @@ class TestHTTPServer(_FrontDoorTests):
     @pytest.fixture
     def port(self, served):
         return served[1]
+
+    def test_out_of_bound_queries_are_400_and_leave_the_pool(self, served):
+        app, port, _ = served
+        assert _post(port, "/solve", {"scenario": "planted", "budget": 3})[0] == 200
+        shard = app.store.get("planted")
+        size = len(shard.pool)
+        # json.dumps writes NaN and Infinity as the bare tokens that
+        # json.loads accepts, so these reach the parser as floats.
+        for payload, bound in (
+            ({"budget": 3, "ci_width": float("nan")}, "finite"),
+            ({"budget": 3, "ci_width": float("inf")}, "finite"),
+            ({"budget": 100_000}, "exceeds the number of nodes"),
+        ):
+            status, answer = _post(
+                port, "/solve", {"scenario": "planted", **payload}
+            )
+            assert status == 400
+            assert bound in answer["error"]
+            assert len(shard.pool) == size
 
     def test_healthz_and_metrics(self, served):
         _, port, _ = served
