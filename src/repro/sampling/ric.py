@@ -38,7 +38,6 @@ from __future__ import annotations
 import random
 import time
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from typing import (
     AbstractSet,
@@ -196,6 +195,7 @@ class RICSampler:
         self._visit = [0] * n
         self._origin = [0] * n
         self._reach = [0] * n
+        self._live: List[List[int]] = [[]] * n
         if self.model == "lt":
             # Per-node cumulative trigger table of ``(cumulative_weight,
             # source)`` in adjacency order: one draw and a linear walk
@@ -233,11 +233,12 @@ class RICSampler:
         members: Tuple[int, ...],
         seeds: AbstractSet[int],
         threshold: int,
-    ) -> Tuple[Optional[Dict[int, List[int]]], int]:
+    ) -> Tuple[Optional[List[List[int]]], int]:
         """Phase 1: reverse BFS from ``members``, realising edges lazily.
 
         Returns ``(live_in, covered)``: ``live_in[u]`` lists the sources
-        of ``u``'s realised in-edges, for every visited ``u``. Each
+        of ``u``'s realised in-edges for every visited ``u`` (the list is
+        per-node scratch; other nodes' entries are stale). Each
         visited node records the bit of the member whose search reached
         it first, so a realised edge out of a seed proves that seed
         reaches that member; ``covered`` is the mask of members proven
@@ -262,15 +263,15 @@ class RICSampler:
             bit <<= 1
         if count >= threshold:
             return None, covered
-        live_in: Dict[int, List[int]] = {}
-        queue = deque(members)
-        popleft = queue.popleft
+        live_in = self._live
+        # A list iterated while it grows is a FIFO queue: the loop
+        # below visits nodes in BFS order, appended ones included.
+        queue = list(members)
         push = queue.append
         draw = rng.random
         pairs = self._pairs
         if self.model == "ic":
-            while queue:
-                u = popleft()
+            for u in queue:
                 realized: List[int] = []
                 live_in[u] = realized
                 bit = origin[u]
@@ -288,8 +289,7 @@ class RICSampler:
                                 return None, covered
             return live_in, covered
         lt_cum = self._lt_cum
-        while queue:
-            u = popleft()
+        for u in queue:
             realized = []
             live_in[u] = realized
             cum = lt_cum[u]
@@ -352,12 +352,16 @@ class RICSampler:
             rng, members, _NO_SEEDS, community.threshold
         )
         # Phase 2 — per-member reachability over realised edges only,
-        # marking membership with a fresh stamp per member.
+        # marking membership with a fresh stamp per member; a member
+        # without realised in-edges reaches only itself.
         reach = self._reach
         reach_sets: List[FrozenSet[int]] = []
+        stamp = self._stamp
         for u in members:
-            self._stamp += 1
-            stamp = self._stamp
+            if not live_in[u]:
+                reach_sets.append(frozenset((u,)))
+                continue
+            stamp += 1
             reach[u] = stamp
             reached = [u]
             stack = [u]
@@ -368,6 +372,7 @@ class RICSampler:
                         reached.append(v)
                         stack.append(v)
             reach_sets.append(frozenset(reached))
+        self._stamp = stamp
 
         return RICSample(
             community_index=community_index,
@@ -417,7 +422,7 @@ class RICSampler:
         return community_index, False
 
     def _reaches(
-        self, u: int, live_in: Dict[int, List[int]], seeds: AbstractSet[int]
+        self, u: int, live_in: List[List[int]], seeds: AbstractSet[int]
     ) -> bool:
         """Whether a seed lies in ``R_g(u)`` (DFS over realised edges)."""
         self._stamp += 1
