@@ -82,11 +82,11 @@ def ic_round_trace(
             active.add(s)
             current.add(s)
     rounds: List[Set[int]] = [set(current)]
+    pairs = graph.out_pairs()
     while current:
         next_round: Set[int] = set()
         for u in sorted(current):
-            targets, weights = graph.out_adjacency(u)
-            for v, w in zip(targets, weights):
+            for v, w in pairs[u]:
                 if v not in active and rng.random() < w:
                     active.add(v)
                     next_round.add(v)

@@ -31,11 +31,10 @@ def lt_live_edge_graph(graph: DiGraph, seed: SeedLike = None) -> DiGraph:
     """
     rng = make_rng(seed)
     live = DiGraph(graph.num_nodes)
-    for v in graph.nodes():
-        sources, weights = graph.in_adjacency(v)
-        if not sources:
+    for v, entries in enumerate(graph.in_pairs()):
+        if not entries:
             continue
-        total = sum(weights)
+        total = sum(w for _, w in entries)
         if total > 1.0 + 1e-9:
             raise GraphError(
                 f"LT live-edge model requires incoming weights <= 1; "
@@ -43,7 +42,7 @@ def lt_live_edge_graph(graph: DiGraph, seed: SeedLike = None) -> DiGraph:
             )
         draw = rng.random()
         cumulative = 0.0
-        for u, w in zip(sources, weights):
+        for u, w in entries:
             cumulative += w
             if draw < cumulative:
                 live.add_edge(u, v, 1.0)
@@ -65,9 +64,8 @@ def simulate_lt(
     used as-is (thresholds above the reachable mass simply never fire).
     """
     if strict:
-        for v in graph.nodes():
-            _, weights = graph.in_adjacency(v)
-            total = sum(weights)
+        for v, entries in enumerate(graph.in_pairs()):
+            total = sum(w for _, w in entries)
             if total > 1.0 + 1e-9:
                 raise GraphError(
                     f"LT model requires incoming weights to sum to <= 1; "

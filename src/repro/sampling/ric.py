@@ -186,9 +186,10 @@ class RICSampler:
     def _bind(self, pairs) -> None:
         """Size the per-node scratch for ``pairs`` (and LT's trigger table).
 
-        Scratch entries are epoch stamps: an entry is set for the
+        Visit and reach entries are stamps: an entry is set for the
         current sample iff it equals the current stamp, so resetting
-        between samples is one integer bump.
+        between samples is one integer bump. Origin and realised in-edge
+        entries are only read for nodes visited in the current sample.
         """
         self._pairs = pairs
         n = len(pairs)

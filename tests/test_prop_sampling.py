@@ -1,5 +1,6 @@
 """Property-based tests of RIC sampling on random graphs."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,14 +92,13 @@ def test_ric_deterministic_edges_fully_explored(args):
 
 
 @st.composite
-def indicator_case(draw):
-    """A graph (IC or LT weights), communities, seed set and model.
+def indicator_case(draw, model):
+    """A graph with ``model``'s weights, communities and a seed set.
 
     Under LT every node's in-weights are scaled by its in-degree so they
     sum to at most 1. Seed sets mix community members, other nodes and
     ids outside the graph.
     """
-    model = draw(st.sampled_from(["ic", "lt"]))
     n = draw(st.integers(3, 10))
     possible = [(u, v) for u in range(n) for v in range(n) if u != v]
     edges = draw(st.lists(st.sampled_from(possible), max_size=24, unique=True))
@@ -131,27 +131,23 @@ def indicator_case(draw):
     seeds = frozenset(
         draw(st.lists(st.integers(0, n + 2), min_size=1, max_size=5))
     )
-    frozen = draw(st.booleans())
-    seed = draw(st.integers(0, 2**16))
-    return (
-        g.freeze() if frozen else g,
-        CommunityStructure(communities),
-        seeds,
-        model,
-        seed,
-    )
+    return g, CommunityStructure(communities), seeds, draw(st.integers(0, 2**16))
 
 
-@given(indicator_case())
-@settings(max_examples=200, deadline=None)
-def test_sample_indicator_matches_full_sample(args):
+@pytest.mark.parametrize("frozen", [False, True], ids=["digraph", "frozen"])
+@pytest.mark.parametrize("model", ["ic", "lt"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_sample_indicator_matches_full_sample(model, frozen, data):
     """The early-exit Algorithm 6 indicator decides X_g(S) exactly.
 
     A twin sampler materialises the full sample from the same child
     seed; the indicator must agree on the source community and on the
     outcome, and both master streams must stay in step.
     """
-    graph, structure, seeds, model, seed = args
+    graph, structure, seeds, seed = data.draw(indicator_case(model))
+    if frozen:
+        graph = graph.freeze()
     fast = RICSampler(graph, structure, seed=seed, model=model)
     full = RICSampler(graph, structure, seed=seed, model=model)
     for _ in range(8):

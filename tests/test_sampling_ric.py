@@ -290,13 +290,20 @@ def _shared_ancestor_gadget():
 @pytest.mark.parametrize(
     "members, threshold, seeds, expected",
     [
-        ((0, 1, 2), 1, {0}, True),  # a seeded member decides it at once
-        ((0, 1, 2), 2, {4, 5}, True),  # seed edges cover h during the BFS
-        ((0, 1, 2), 2, {5}, False),  # h-1 covered; no DFS finds another
-        ((0, 1, 2), 2, {4}, True),  # only the DFS sees 4 reach member 1
-        ((0, 1, 2), 3, {4}, False),  # the DFS reaches h-1, then a miss
-        ((2, 0, 1), 2, {4}, True),  # after a miss exactly h stay possible
-        ((0, 1, 2), 1, {6, 99}, False),  # no seed is ever visited
+        # A seeded member decides it before the BFS.
+        pytest.param((0, 1, 2), 1, {0}, True, id="seeded-member"),
+        # Realised seed edges cover h members during the BFS.
+        pytest.param((0, 1, 2), 2, {4, 5}, True, id="bfs-covers-h"),
+        # h-1 covered during the BFS; no DFS finds another.
+        pytest.param((0, 1, 2), 2, {5}, False, id="bfs-covers-h-minus-1"),
+        # Only the DFS sees that 4 reaches member 1 too.
+        pytest.param((0, 1, 2), 2, {4}, True, id="dfs-covers-h"),
+        # The DFS reaches h-1 covered members, then the last one misses.
+        pytest.param((0, 1, 2), 3, {4}, False, id="dfs-stops-at-h-minus-1"),
+        # After a miss exactly h members stay possible, and are covered.
+        pytest.param((2, 0, 1), 2, {4}, True, id="miss-leaves-exactly-h"),
+        # No seed is ever visited; 99 is not a node.
+        pytest.param((0, 1, 2), 1, {6, 99}, False, id="no-seed-visited"),
     ],
 )
 def test_sample_indicator_exits_are_exact(
