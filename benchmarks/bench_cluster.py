@@ -97,7 +97,7 @@ def _instance():
             for b in blocks
         ]
     )
-    return graph.freeze(), communities
+    return graph, communities
 
 
 def _queries():

@@ -57,7 +57,7 @@ def _instance():
             for b in blocks
         ]
     )
-    return graph.freeze(), communities
+    return graph, communities
 
 
 def _run_phase(name, instance, injector):

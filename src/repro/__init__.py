@@ -91,7 +91,6 @@ from repro.errors import (
 )
 from repro.graph import (
     DiGraph,
-    FrozenDiGraph,
     assign_uniform_weights,
     assign_weighted_cascade,
     barabasi_albert_graph,
@@ -120,7 +119,6 @@ __version__ = "1.0.0"
 __all__ = [
     # graph
     "DiGraph",
-    "FrozenDiGraph",
     "from_edge_list",
     "from_undirected_edge_list",
     "assign_weighted_cascade",

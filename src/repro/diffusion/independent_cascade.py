@@ -28,8 +28,8 @@ def simulate_ic(
     The simulation is round-free (BFS order): each newly activated node
     flips a coin per out-edge exactly once, which is distribution-
     equivalent to the round-based formulation. The cascade walks the
-    graph's ``out_pairs()`` table, which a mutable graph and its CSR
-    snapshot provide in the same order: identical activations per seed.
+    graph's ``out_pairs()`` table in adjacency order, so a graph and
+    its pickled copy give identical activations per seed.
     """
     rng = make_rng(seed)
     active: Set[int] = set()

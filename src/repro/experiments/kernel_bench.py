@@ -1,29 +1,26 @@
 """Kernel microbenchmarks and the perf-regression trajectory artifact.
 
-The flat coverage engine and the array-backed graph snapshot exist
-purely for speed — results are byte-identical to the reference paths by
-construction. Speed claims rot silently, so this module
-measures them on a fixed synthetic workload and records the numbers in
+The flat coverage engine exists purely for speed — its results are
+byte-identical to the reference engine's by construction. Speed claims
+rot silently, so this module measures it and the RIC sampling kernel
+on a fixed synthetic workload and records the numbers in
 ``benchmarks/BENCH_kernels.json``: a *trajectory* file that each
 ``python -m repro bench --record`` run appends one entry to, giving
 future changes a perf baseline to diff against.
 
 Measured quantities per run:
 
-- sampling wall time and samples/sec of the one RIC kernel fed by a
-  mutable ``DiGraph`` and by its frozen CSR snapshot, on the same seed
-  — identical sample streams, two sources of the same ``in_pairs()``
-  traversal table;
+- sampling wall time and samples/sec of the RIC kernel, best of three
+  passes;
 - wall time of ``pool.add_many`` over the drawn samples, which builds
   the pool's mask index (timed apart from selection, which only reads
   it);
 - marginal-evaluation throughput (``gain_pair`` calls/sec) for the
   reference and flat coverage engines over the same pool;
 - end-to-end seed selection (UBG) wall time per engine;
-- the combined speedup of the flat path (sampling the snapshot +
-  indexing + flat selection) over the reference path (sampling the
-  mutable graph + indexing + reference selection); with one sampling
-  kernel, the margin comes from selection;
+- the combined speedup of the flat path (sampling + indexing + flat
+  selection) over the reference path (the same sampling and indexing
+  + reference selection); the margin comes from selection;
 - peak RSS of the process (``resource.getrusage``).
 
 The workload is deterministic (fixed graph/community/sampling seeds);
@@ -88,33 +85,21 @@ def build_workload() -> Tuple[DiGraph, CommunityStructure]:
     return graph, communities
 
 
-def _time_sampling(graph, communities, samples: int) -> Tuple[float, list]:
-    """Wall time to draw ``samples`` RIC samples on ``graph``."""
-    sampler = RICSampler(graph, communities, seed=WORKLOAD["sampling_seed"])
-    start = time.perf_counter()
-    out = sampler.sample_many(samples)
-    return time.perf_counter() - start, out
-
-
-def _time_sampling_interleaved(
-    variants, communities, samples: int, repeats: int = 3
-) -> Tuple[Dict[str, float], Dict[str, list]]:
-    """Best-of-``repeats`` sampling wall time per graph variant.
-
-    The passes are interleaved (mutable, frozen, mutable, frozen, ...)
-    so background load on a shared machine hits both graph variants alike
-    instead of biasing whichever happened to run second; taking the
-    minimum then discards the noisy passes.
-    """
-    best: Dict[str, float] = {}
-    outputs: Dict[str, list] = {}
-    for _ in range(max(1, repeats)):
-        for name, graph in variants.items():
-            elapsed, out = _time_sampling(graph, communities, samples)
-            if name not in best or elapsed < best[name]:
-                best[name] = elapsed
-            outputs.setdefault(name, out)
-    return best, outputs
+def _time_sampling(
+    graph, communities, samples: int, repeats: int = 3
+) -> Tuple[float, list]:
+    """Best-of-``repeats`` wall time to draw ``samples`` RIC samples on
+    ``graph``, and the samples; the minimum discards passes slowed by
+    background load on a shared machine."""
+    best = float("inf")
+    for _ in range(repeats):
+        sampler = RICSampler(
+            graph, communities, seed=WORKLOAD["sampling_seed"]
+        )
+        start = time.perf_counter()
+        out = sampler.sample_many(samples)
+        best = min(best, time.perf_counter() - start)
+    return best, out
 
 
 def _marginal_throughput(state, nodes, min_seconds: float = 0.25) -> float:
@@ -144,25 +129,15 @@ def run_kernel_bench(samples: int = 10_000, k: int = 10) -> Dict[str, Any]:
     if samples < 1:
         raise ReproError(f"samples must be positive, got {samples}")
     graph, communities = build_workload()
-    frozen = graph.freeze()
 
     with trace.span("bench/sampling", samples=samples):
-        times, outputs = _time_sampling_interleaved(
-            {"mutable": graph, "frozen": frozen}, communities, samples
-        )
-    t_mut, t_frozen = times["mutable"], times["frozen"]
-    out_mut, out_frozen = outputs["mutable"], outputs["frozen"]
-    if out_mut[: min(50, samples)] != out_frozen[: min(50, samples)]:
-        raise ReproError(
-            "sampling a graph and its snapshot disagrees — the pair "
-            "tables differ; fix that before trusting any timing"
-        )
+        t_sample, drawn = _time_sampling(graph, communities, samples)
 
-    pool = RICSamplePool(RICSampler(frozen, communities, seed=1))
+    pool = RICSamplePool(RICSampler(graph, communities, seed=1))
     start = time.perf_counter()
-    pool.add_many(out_frozen)
+    pool.add_many(drawn)
     t_index = time.perf_counter() - start
-    del out_mut, out_frozen
+    del drawn
     compact_stats = pool.compact()
     nodes = sorted(pool.touching_nodes())
 
@@ -181,18 +156,15 @@ def run_kernel_bench(samples: int = 10_000, k: int = 10) -> Dict[str, Any]:
             select_time[name] = time.perf_counter() - start
             marginals[name] = _marginal_throughput(factory(pool), nodes)
 
-    combined_flat = t_frozen + t_index + select_time["flat"]
-    combined_reference = t_mut + t_index + select_time["reference"]
+    combined_flat = t_sample + t_index + select_time["flat"]
+    combined_reference = t_sample + t_index + select_time["reference"]
     peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
         "samples": samples,
         "k": k,
         "sampling": {
-            "mutable_seconds": t_mut,
-            "frozen_seconds": t_frozen,
-            "mutable_samples_per_sec": samples / t_mut,
-            "frozen_samples_per_sec": samples / t_frozen,
-            "speedup": t_mut / t_frozen,
+            "seconds": t_sample,
+            "samples_per_sec": samples / t_sample,
         },
         "index_seconds": t_index,
         "marginals_per_sec": marginals,
@@ -261,17 +233,11 @@ def record_entry(
 
 def format_entry(entry: Dict[str, Any]) -> str:
     """Human-readable summary of one benchmark entry."""
-    sampling = entry["sampling"]
     combined = entry["combined"]
     lines: List[str] = [
         f"workload: {WORKLOAD['graph']}, {entry['samples']} samples, "
         f"k={entry['k']}",
-        (
-            "sampling:  mutable "
-            f"{sampling['mutable_samples_per_sec']:.0f}/s, frozen "
-            f"{sampling['frozen_samples_per_sec']:.0f}/s "
-            f"({sampling['speedup']:.2f}x)"
-        ),
+        f"sampling:  {entry['sampling']['samples_per_sec']:.0f}/s",
         "marginals: "
         + ", ".join(
             f"{name} {rate:.0f}/s"

@@ -4,12 +4,10 @@ The social network is modelled as a directed graph whose edges carry an
 influence probability ``w(u, v) ∈ [0, 1]`` (Section II-A of the paper).
 This package provides:
 
-- :class:`~repro.graph.digraph.DiGraph` — the core adjacency structure
-  with both forward and reverse adjacency (RIC sampling walks in-edges).
-- :class:`~repro.graph.csr.FrozenDiGraph` — the immutable CSR snapshot
-  (``DiGraph.freeze()``); contiguous storage, byte-identical sampling
-  and simulation, since both representations feed the kernels the same
-  ``in_pairs()``/``out_pairs()`` tables.
+- :class:`~repro.graph.digraph.DiGraph` — the one graph type: forward
+  and reverse adjacency (RIC sampling walks in-edges), read by every
+  sampler and simulator through its lazy ``in_pairs()``/``out_pairs()``
+  tables.
 - :mod:`~repro.graph.builders` — construction from edge lists / files,
   undirected-to-directed conversion.
 - :mod:`~repro.graph.weights` — edge-weight schemes (weighted-cascade,
@@ -34,7 +32,6 @@ from repro.graph.builders import (
     from_undirected_edge_list,
     induced_subgraph,
 )
-from repro.graph.csr import FrozenDiGraph
 from repro.graph.digraph import DiGraph, Edge
 from repro.graph.generators import (
     barabasi_albert_graph,
@@ -60,7 +57,6 @@ from repro.graph.weights import (
 __all__ = [
     "DiGraph",
     "Edge",
-    "FrozenDiGraph",
     "from_edge_list",
     "from_undirected_edge_list",
     "induced_subgraph",

@@ -1,4 +1,4 @@
-"""Core probabilistic directed graph.
+"""Core probabilistic directed graph — the one graph type.
 
 Nodes are dense integer ids ``0..n-1``. Each directed edge ``(u, v)``
 carries an influence probability ``w(u, v)``, the chance that an active
@@ -6,11 +6,17 @@ carries an influence probability ``w(u, v)``, the chance that an active
 keeps *both* out-adjacency (forward diffusion) and in-adjacency (reverse
 sampling — Algorithm 1 of the paper walks in-edges), each stored as
 parallel lists of neighbour ids and weights.
+
+Every sampler and simulator reads the edges through the lazy
+:meth:`DiGraph.in_pairs` / :meth:`DiGraph.out_pairs` tables: per-node
+``(neighbour, weight)`` tuples in adjacency order. Mutation drops them
+and pickling leaves them out, so a graph shipped to a worker process
+rebuilds the same tables there and samples byte-identically.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import GraphError
 from repro.utils.validation import check_node, check_probability
@@ -46,7 +52,6 @@ class DiGraph:
         "_in_w",
         "_edge_index",
         "_m",
-        "_edge_rank_cache",
         "_in_pairs",
         "_out_pairs",
     )
@@ -62,7 +67,6 @@ class DiGraph:
         # (u, v) -> position of v in _out[u]; also authoritative edge set.
         self._edge_index: Dict[Tuple[int, int], int] = {}
         self._m = 0
-        self._edge_rank_cache: Optional[Dict[Tuple[int, int], int]] = None
         self._in_pairs: Optional[List[Tuple[Tuple[int, float], ...]]] = None
         self._out_pairs: Optional[List[Tuple[Tuple[int, float], ...]]] = None
 
@@ -192,33 +196,10 @@ class DiGraph:
         for source, weight in zip(self._in[node], self._in_w[node]):
             yield Edge(source, node, weight)
 
-    def in_adjacency(self, node: int) -> Tuple[List[int], List[float]]:
-        """Parallel ``(sources, weights)`` lists of in-edges of ``node``.
-
-        .. warning:: **Aliasing.** The returned lists are the graph's
-           *internal* adjacency storage, not copies. Mutating them
-           corrupts the edge index and the pair tables silently.
-           Treat them as frozen, or call :meth:`freeze` and use the
-           :class:`~repro.graph.csr.FrozenDiGraph` accessors, which
-           return genuinely immutable tuples.
-        """
-        return self._in[node], self._in_w[node]
-
-    def out_adjacency(self, node: int) -> Tuple[List[int], List[float]]:
-        """Parallel ``(targets, weights)`` lists of out-edges of ``node``.
-
-        .. warning:: **Aliasing.** Returns the internal lists without
-           copying, exactly like :meth:`in_adjacency` — read-only by
-           convention on the mutable graph, read-only by construction
-           after :meth:`freeze`.
-        """
-        return self._out[node], self._out_w[node]
-
     def in_pairs(self) -> List[Tuple[Tuple[int, float], ...]]:
         """Per-node traversal table: ``pairs[v]`` holds the ``(source,
         weight)`` pairs of ``v``'s in-edges in adjacency order, as
-        :meth:`FrozenDiGraph.in_pairs() <repro.graph.csr.FrozenDiGraph.in_pairs>`
-        does, so the sampling kernels run on either representation.
+        immutable tuples — the table every reverse sampler iterates.
         Built lazily; any mutation drops it, and it is not pickled."""
         if self._in_pairs is None:
             self._in_pairs = list(map(_pairs, self._in, self._in_w))
@@ -247,23 +228,6 @@ class DiGraph:
             for v, w in zip(self._out[u], self._out_w[u]):
                 yield Edge(u, v, w)
 
-    def edge_id(self, source: int, target: int) -> int:
-        """A dense, stable integer id for an existing edge.
-
-        Edge ids index per-edge state arrays (e.g. a live-edge mask).
-        Ids are assigned in insertion order and are stable because
-        edges cannot be removed.
-        """
-        if (source, target) not in self._edge_index:
-            raise GraphError(f"edge ({source}, {target}) does not exist")
-        # Insertion order == rank in _edge_index (dicts preserve order);
-        # rebuild the cached rank map when the graph has grown.
-        if self._edge_rank_cache is None or len(self._edge_rank_cache) != self._m:
-            self._edge_rank_cache = {
-                key: i for i, key in enumerate(self._edge_index)
-            }
-        return self._edge_rank_cache[(source, target)]
-
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
@@ -281,20 +245,6 @@ class DiGraph:
         for u, v, w in self.edges():
             clone.add_edge(u, v, w)
         return clone
-
-    def freeze(self):
-        """Snapshot into an immutable CSR :class:`~repro.graph.csr.FrozenDiGraph`.
-
-        The snapshot preserves adjacency order exactly, so its
-        ``in_pairs()``/``out_pairs()`` tables equal this graph's and
-        samplers and simulators consume their RNG streams identically on
-        either representation. It is immutable, compact and pickles as
-        raw arrays. The original graph is untouched and may keep growing
-        — the snapshot does not follow later mutations.
-        """
-        from repro.graph.csr import FrozenDiGraph
-
-        return FrozenDiGraph.from_digraph(self)
 
     def __repr__(self) -> str:
         return f"DiGraph(n={self._n}, m={self._m})"

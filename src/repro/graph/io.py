@@ -98,18 +98,21 @@ def read_edge_list(
             line = raw.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "nodes":
-                    header_nodes = int(parts[1])
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
+            try:
+                if line.startswith("#"):
+                    parts = line[1:].split()
+                    if len(parts) == 2 and parts[0] == "nodes":
+                        header_nodes = int(parts[1])
+                    continue
+                parts = line.split()
+                if len(parts) not in (2, 3):
+                    raise ValueError("expected 'u v [w]'")
+                u, v = int(parts[0]), int(parts[1])
+                w = float(parts[2]) if len(parts) == 3 else default_weight
+            except ValueError as exc:
                 raise GraphError(
-                    f"{path}:{lineno}: expected 'u v [w]', got {line!r}"
-                )
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else default_weight
+                    f"{path}:{lineno}: {exc}, got {line!r}"
+                ) from None
             edges.append((u, v, w))
             max_id = max(max_id, u, v)
     n = num_nodes if num_nodes is not None else (

@@ -15,12 +15,11 @@ A RIC sample is generated by:
 Only edges touched by the backward exploration are ever realised, so
 the cost is proportional to the explored neighbourhood, not to ``m``.
 
-One kernel serves both graph representations: it iterates the per-node
-``(source, weight)`` tables of ``graph.in_pairs()``, which
-:class:`~repro.graph.digraph.DiGraph` and its CSR snapshot
-(:meth:`DiGraph.freeze() <repro.graph.digraph.DiGraph.freeze>`) both
-provide in the same adjacency order, so the two yield byte-identical
-samples for any seed. Algorithm 1's ``st[·]`` edge-state memo is
+One kernel draws every sample: it iterates the per-node ``(source,
+weight)`` tables of :meth:`DiGraph.in_pairs()
+<repro.graph.digraph.DiGraph.in_pairs>` in adjacency order, so a graph
+and its pickled copy in a worker process yield byte-identical samples
+for any seed. Algorithm 1's ``st[·]`` edge-state memo is
 elided: community members are distinct, so the reverse BFS dequeues
 each node once and examines each in-edge at most once per sample, and
 the memo could never record a hit. Visited and reach tracking are
@@ -135,7 +134,7 @@ class RICSampler:
     one instance from two threads at once
     (:class:`~repro.serving.shards.WarmShard` serialises access under
     ``shard.lock``). The graph's ``in_pairs()`` table is re-read per
-    sample, so a sampler follows later mutations of a ``DiGraph``.
+    sample, so a sampler follows later mutations of its graph.
     """
 
     def __init__(

@@ -19,10 +19,9 @@ from repro.rng import SeedLike, make_rng
 class RRSampler:
     """Generates independent RR sets for a probabilistic graph.
 
-    The reverse BFS iterates the graph's ``in_pairs()`` table, which a
-    mutable :class:`DiGraph` and its CSR snapshot provide in the same
-    adjacency order, so both representations yield identical RR sets
-    per seed.
+    The reverse BFS iterates the graph's ``in_pairs()`` table in
+    adjacency order, so a graph and its pickled copy yield identical
+    RR sets per seed.
     """
 
     def __init__(self, graph: DiGraph, seed: SeedLike = None) -> None:

@@ -73,9 +73,8 @@ def build_instance(spec: ScenarioSpec) -> Tuple[DiGraph, CommunityStructure]:
     """Materialise ``spec`` into its ``(graph, communities)`` pair.
 
     The same pipeline as ``python -m repro solve``: load the dataset
-    stand-in at ``spec.scale``, detect Louvain communities, attach the
-    threshold policy, then freeze the graph into its CSR snapshot so
-    shard workers sample via the array-native kernels.
+    stand-in at ``spec.scale``, detect Louvain communities and attach
+    the threshold policy. Shards sample the returned graph as built.
     """
     dataset = load_dataset(
         spec.dataset, scale=spec.scale, seed=derive_seed(spec.seed, "dataset")
@@ -90,7 +89,7 @@ def build_instance(spec: ScenarioSpec) -> Tuple[DiGraph, CommunityStructure]:
     communities = build_structure(
         blocks, size_cap=spec.size_cap, threshold_policy=policy
     )
-    return graph.freeze(), communities
+    return graph, communities
 
 
 def default_scenarios(

@@ -335,9 +335,12 @@ class ShardApp:
             raise ServingError(f"'solver' must be a string, got {solver!r}")
         ci_width = payload.get("ci_width")
         if ci_width is not None:
-            # The chained comparison is false for NaN and Infinity too.
-            if not isinstance(ci_width, (int, float)) or not (
-                0 < ci_width < math.inf
+            # The chained comparison is false for NaN and Infinity too;
+            # a JSON ``true`` is an int to isinstance, so bools go first.
+            if (
+                isinstance(ci_width, bool)
+                or not isinstance(ci_width, (int, float))
+                or not 0 < ci_width < math.inf
             ):
                 raise ServingError(
                     f"'ci_width' must be a positive finite number, got "

@@ -57,7 +57,7 @@ def _instance(seed: int = 17):
             for b in blocks
         ]
     )
-    return graph.freeze(), communities
+    return graph, communities
 
 
 def _spec(name: str = "planted", **kwargs) -> ScenarioSpec:

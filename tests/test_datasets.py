@@ -49,10 +49,9 @@ def test_load_minimum_size_floor():
 
 def test_weighted_cascade_applied_by_default():
     ds = load_dataset("epinions", scale=0.05, seed=2)
-    for v in range(ds.num_nodes):
-        sources, weights = ds.graph.in_adjacency(v)
-        if sources:
-            assert sum(weights) == pytest.approx(1.0)
+    for pairs in ds.graph.in_pairs():
+        if pairs:
+            assert sum(w for _, w in pairs) == pytest.approx(1.0)
 
 
 def test_raw_structural_graph_option():

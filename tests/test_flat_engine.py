@@ -34,7 +34,7 @@ def build_pool(samples=120, seed=3):
             for b in blocks
         ]
     )
-    pool = RICSamplePool(RICSampler(graph.freeze(), communities, seed=seed))
+    pool = RICSamplePool(RICSampler(graph, communities, seed=seed))
     pool.grow(samples)
     return pool
 

@@ -48,10 +48,12 @@ def test_read_skips_comments_and_blanks(tmp_path):
 
 
 def test_read_rejects_malformed_line(tmp_path):
+    """Every parse failure names the file and line as a GraphError."""
     path = tmp_path / "g.txt"
-    path.write_text("0 1 0.5 extra junk\n")
-    with pytest.raises(GraphError, match="expected"):
-        read_edge_list(path)
+    for bad in ("0 1 0.5 extra junk", "a b", "0 1 heavy", "# nodes x"):
+        path.write_text(f"0 1 0.5\n{bad}\n")
+        with pytest.raises(GraphError, match=r"g\.txt:2: .*got"):
+            read_edge_list(path)
 
 
 def test_write_dot_basic(tmp_path):

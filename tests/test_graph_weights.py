@@ -23,10 +23,9 @@ def test_weighted_cascade_is_one_over_indegree():
 def test_weighted_cascade_incoming_mass_sums_to_one():
     g = from_edge_list(5, [(0, 4), (1, 4), (2, 4), (3, 4), (4, 0), (1, 0)])
     assign_weighted_cascade(g)
-    for v in range(5):
-        sources, weights = g.in_adjacency(v)
-        if sources:
-            assert sum(weights) == pytest.approx(1.0)
+    for pairs in g.in_pairs():
+        if pairs:
+            assert sum(w for _, w in pairs) == pytest.approx(1.0)
 
 
 def test_weighted_cascade_returns_graph_for_chaining():

@@ -42,7 +42,7 @@ def _instance(seed: int = 17):
             for b in blocks
         ]
     )
-    return graph.freeze(), communities
+    return graph, communities
 
 
 @pytest.fixture(scope="module")

@@ -30,7 +30,7 @@ def small_digraphs(draw):
 
 @given(small_digraphs())
 @settings(max_examples=150, deadline=None)
-def test_in_out_adjacency_consistent(g):
+def test_in_out_neighbors_consistent(g):
     out_pairs = {(u, v) for u in g.nodes() for v in g.out_neighbors(u)}
     in_pairs = {(u, v) for v in g.nodes() for u in g.in_neighbors(v)}
     assert out_pairs == in_pairs

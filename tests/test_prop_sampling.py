@@ -134,11 +134,10 @@ def indicator_case(draw, model):
     return g, CommunityStructure(communities), seeds, draw(st.integers(0, 2**16))
 
 
-@pytest.mark.parametrize("frozen", [False, True], ids=["digraph", "frozen"])
 @pytest.mark.parametrize("model", ["ic", "lt"])
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
-def test_sample_indicator_matches_full_sample(model, frozen, data):
+def test_sample_indicator_matches_full_sample(model, data):
     """The early-exit Algorithm 6 indicator decides X_g(S) exactly.
 
     A twin sampler materialises the full sample from the same child
@@ -146,8 +145,6 @@ def test_sample_indicator_matches_full_sample(model, frozen, data):
     outcome, and both master streams must stay in step.
     """
     graph, structure, seeds, seed = data.draw(indicator_case(model))
-    if frozen:
-        graph = graph.freeze()
     fast = RICSampler(graph, structure, seed=seed, model=model)
     full = RICSampler(graph, structure, seed=seed, model=model)
     for _ in range(8):

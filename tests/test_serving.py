@@ -49,7 +49,7 @@ def _instance(seed: int = 17):
             for b in blocks
         ]
     )
-    return graph.freeze(), communities
+    return graph, communities
 
 
 def _spec(name: str = "planted", **kwargs) -> ScenarioSpec:
@@ -515,6 +515,7 @@ class TestHTTPServer(_FrontDoorTests):
         for payload, bound in (
             ({"budget": 3, "ci_width": float("nan")}, "finite"),
             ({"budget": 3, "ci_width": float("inf")}, "finite"),
+            ({"budget": 3, "ci_width": True}, "finite"),
             ({"budget": 100_000}, "exceeds the number of nodes"),
         ):
             status, answer = _post(
