@@ -1,41 +1,13 @@
-"""DiGraph core structure tests, and the pair-table contract.
+"""DiGraph core structure tests.
 
-Every sampler and simulator reads the graph through its lazy
-``in_pairs()``/``out_pairs()`` tables, so those tables must hold the
-adjacency in order, follow every mutation, and come back identical
-from a pickle — the way a graph reaches worker processes — so that a
-pickled copy draws byte-identical samples and cascades, not merely
-equal ones in distribution.
+The pair-table contract (order, mutation, pickling) lives in
+``tests/test_graph_csr.py``.
 """
-
-import pickle
 
 import pytest
 
-from repro.communities.structure import Community, CommunityStructure
-from repro.diffusion.independent_cascade import simulate_ic
-from repro.diffusion.linear_threshold import simulate_lt
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph, Edge
-from repro.graph.generators import planted_partition_graph
-from repro.graph.weights import assign_weighted_cascade
-from repro.sampling.ric import RICSampler
-from repro.sampling.rr import RRSampler
-
-
-@pytest.fixture(scope="module")
-def instance():
-    graph, blocks = planted_partition_graph(
-        [10] * 5, p_in=0.35, p_out=0.03, directed=True, seed=23
-    )
-    assign_weighted_cascade(graph)
-    communities = CommunityStructure(
-        [
-            Community(members=tuple(b), threshold=2, benefit=float(len(b)))
-            for b in blocks
-        ]
-    )
-    return graph, communities
 
 
 def test_empty_graph():
@@ -185,99 +157,3 @@ def test_adjacency_views_are_parallel():
     g.add_edge(1, 2, 0.9)
     assert g.in_pairs()[2] == ((0, 0.1), (1, 0.9))
     assert g.out_pairs()[0] == ((2, 0.1),)
-
-
-def test_pair_tables_match_adjacency_order():
-    g = DiGraph(5)
-    g.add_edge(2, 1, 0.75)
-    g.add_edge(0, 1, 0.5)
-    g.add_edge(0, 2, 0.25)
-    g.add_edge(3, 4, 1.0)
-    g.add_edge(4, 0, 0.1)
-    in_pairs = g.in_pairs()
-    out_pairs = g.out_pairs()
-    assert g.in_pairs() is in_pairs  # built once
-    assert g.out_pairs() is out_pairs
-    for u in g.nodes():
-        assert in_pairs[u] == tuple((s, w) for s, _, w in g.in_edges(u))
-        assert out_pairs[u] == tuple((t, w) for _, t, w in g.out_edges(u))
-    assert in_pairs[1] == ((2, 0.75), (0, 0.5))  # insertion order
-
-
-def test_pickle_drops_pair_tables_and_samples_identically(instance):
-    graph, communities = instance
-    graph.in_pairs()
-    graph.out_pairs()
-    clone = pickle.loads(pickle.dumps(graph))
-    assert clone == graph
-    assert clone._in_pairs is None and clone._out_pairs is None
-    assert clone.in_pairs() == graph.in_pairs()
-    assert clone.out_pairs() == graph.out_pairs()
-    for model, count in (("ic", 300), ("lt", 200)):
-        assert RICSampler(
-            clone, communities, seed=5, model=model
-        ).sample_many(count) == RICSampler(
-            graph, communities, seed=5, model=model
-        ).sample_many(count)
-    original, copied = RRSampler(graph, seed=9), RRSampler(clone, seed=9)
-    for _ in range(200):
-        assert original.sample() == copied.sample()
-    for seed in range(20):
-        assert simulate_ic(clone, [seed], seed=seed) == simulate_ic(
-            graph, [seed], seed=seed
-        )
-        assert simulate_lt(clone, [seed], seed=seed) == simulate_lt(
-            graph, [seed], seed=seed
-        )
-
-
-def test_pair_tables_follow_mutation(instance):
-    """Every mutation drops the pair tables, so they — and samplers built
-    before the mutation — match a pickled copy of the mutated graph,
-    which has fresh tables and the same adjacency order."""
-    base, communities = instance
-    graph = base.copy()
-
-    def fresh_copy():
-        clone = pickle.loads(pickle.dumps(graph))
-        assert graph.in_pairs() == clone.in_pairs()
-        assert graph.out_pairs() == clone.out_pairs()
-        return clone
-
-    ic = RICSampler(graph, communities, seed=8)
-    lt = RICSampler(graph, communities, seed=8, model="lt")
-    rr = RRSampler(graph, seed=8)
-    ic.sample()
-    lt.sample()
-    rr.sample()
-    fresh_copy()
-    graph.add_nodes(2)
-    fresh_copy()
-    new = graph.add_node()
-    fresh_copy()
-    # Hang the new nodes off a community member, halving the member's
-    # other in-weights so LT's weights still sum to at most 1.
-    v = next(v for v in communities[0].members if graph.in_degree(v) > 0)
-    for source, weight in graph.in_pairs()[v]:
-        graph.set_weight(source, v, weight / 2)
-    fresh_copy()
-    graph.add_edge(new, v, 0.5)
-    graph.add_edge(new - 1, new, 1.0)
-    oracle = fresh_copy()
-
-    for sampler, model in ((ic, "ic"), (lt, "lt")):
-        fresh = RICSampler(oracle, communities, seed=8, model=model)
-        fresh.sample()
-        assert sampler.sample_many(100) == fresh.sample_many(100)
-    fresh_rr = RRSampler(oracle, seed=8)
-    fresh_rr.sample()
-    assert [rr.sample() for _ in range(100)] == [
-        fresh_rr.sample() for _ in range(100)
-    ]
-    for seed in range(10):
-        assert simulate_ic(graph, [new - 1, seed], seed=seed) == simulate_ic(
-            oracle, [new - 1, seed], seed=seed
-        )
-        assert simulate_lt(graph, [new - 1], seed=seed) == simulate_lt(
-            oracle, [new - 1], seed=seed
-        )
