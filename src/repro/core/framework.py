@@ -28,7 +28,10 @@ from typing import Any, Callable, Dict, Optional, Protocol, Union
 
 from repro.communities.structure import CommunityStructure
 from repro.core.solution import SeedSelection
-from repro.diffusion.estimators import dagum_stopping_rule
+from repro.diffusion.estimators import (
+    dagum_stopping_rule,
+    stopping_rule_threshold,
+)
 from repro.errors import DeadlineExceededError, SolverError
 from repro.graph.digraph import DiGraph
 from repro.obs import metrics, trace
@@ -163,16 +166,32 @@ def estimate_benefit(
     ``max_trials`` ran out first (Alg. 6 returns -1) — IMCAF responds by
     growing its pool instead.
 
+    Each trial adds at most 1 to the running sum, so when ``max_trials``
+    is below the threshold ``Λ'`` no run can converge. Then nothing is
+    drawn: the result is ``(None, 0, False)`` and the sampler's master
+    stream is advanced by the ``max_trials`` seeds the trials would have
+    taken, so a later Estimate on the same sampler draws the samples it
+    would have drawn anyway.
+
     ``monitor``, when given, observes every drawn indicator
     (:meth:`~repro.obs.diagnostics.ConvergenceMonitor.observe_trial`)
     — a pure tap on the trial stream that changes neither the draws nor
-    the stopping decision. Seed ids outside the graph raise
-    :class:`~repro.errors.SolverError`.
+    the stopping decision. Seed ids outside the graph and a negative
+    ``max_trials`` raise :class:`~repro.errors.SolverError`.
     """
     seed_set = frozenset(seeds)
     if not seed_set:
         raise SolverError("cannot estimate the benefit of an empty seed set")
     check_candidates(seed_set, sampler.graph.num_nodes, SolverError)
+    if max_trials is not None:
+        if max_trials < 0:
+            raise SolverError(
+                f"max_trials must be non-negative, got {max_trials}"
+            )
+        if max_trials < stopping_rule_threshold(epsilon, delta):
+            for _ in range(max_trials):
+                sampler.next_sample_seed()
+            return EstimateResult(value=None, trials=0, converged=False)
     indicator = sampler.sample_indicator
 
     def draw() -> float:

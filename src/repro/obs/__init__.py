@@ -10,7 +10,7 @@ record of the run:
   arms, evaluation — streamed to JSONL as they finish.
 - **Metrics** (:data:`metrics`): counters, gauges and fixed-bucket
   histograms for discrete events (samples generated, coverage resyncs,
-  heap compactions, redispatched batches, deadline truncations).
+  redispatched batches, deadline truncations).
 - **Manifests** (:func:`build_manifest`): one JSON document per run
   binding git SHA, platform, RNG seeds, a config hash, phase timings
   and the metrics snapshot — written atomically alongside checkpoint /

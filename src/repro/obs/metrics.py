@@ -3,8 +3,7 @@
 Names are dotted paths grouped by subsystem (see
 ``docs/observability.md`` for the registry of names this package
 emits), e.g. ``ric.samples.generated``, ``coverage.resyncs``,
-``heap.compactions``, ``parallel.batches.redispatched``,
-``deadline.truncated``.
+``parallel.batches.redispatched``, ``deadline.truncated``.
 
 All mutators are no-ops while instrumentation is disabled (the
 default), so call sites can stay in place permanently. Histograms use
@@ -39,8 +38,6 @@ CATALOG: Dict[str, str] = {
     # counters
     "ric.samples.generated": "RIC samples generated (both engines)",
     "coverage.resyncs": "coverage-engine rebuilds after pool growth",
-    "heap.compactions": "lazy-heap compaction passes",
-    "pool.compactions": "pool compact() reach-set interning passes",
     "parallel.batches.redispatched": "parallel batches retried after worker loss",
     "parallel.worker.restarts": "parallel worker processes restarted",
     "deadline.truncated": "runs truncated by an expired deadline",

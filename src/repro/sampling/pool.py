@@ -190,7 +190,6 @@ class RICSamplePool:
         self._interned_through = len(self.samples)
         rewritten, self._pending_rewrites = self._pending_rewrites, 0
         entries = sum(map(len, self._masks.values()))
-        metrics.inc("pool.compactions")
         metrics.set_gauge("pool.coverage_entries", entries)
         return {
             "reach_sets": self._reach_sets_total,

@@ -46,7 +46,7 @@ unbounded read nor balloon a replica's memory with one giant body.
 from __future__ import annotations
 
 import json
-import math
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -335,12 +335,13 @@ class ShardApp:
             raise ServingError(f"'solver' must be a string, got {solver!r}")
         ci_width = payload.get("ci_width")
         if ci_width is not None:
-            # The chained comparison is false for NaN and Infinity too;
-            # a JSON ``true`` is an int to isinstance, so bools go first.
+            # The chained comparison is false for NaN and Infinity too,
+            # and for an integer too large for float() to convert; a
+            # JSON ``true`` is an int to isinstance, so bools go first.
             if (
                 isinstance(ci_width, bool)
                 or not isinstance(ci_width, (int, float))
-                or not 0 < ci_width < math.inf
+                or not 0 < ci_width <= sys.float_info.max
             ):
                 raise ServingError(
                     f"'ci_width' must be a positive finite number, got "

@@ -14,7 +14,6 @@ import heapq
 import itertools
 from typing import Generic, Hashable, Iterator, List, Optional, Tuple, TypeVar
 
-from repro.obs import metrics
 
 T = TypeVar("T", bound=Hashable)
 
@@ -58,7 +57,6 @@ class LazyMaxHeap(Generic[T]):
             if self._live.get(entry[2]) == entry[1]
         ]
         heapq.heapify(self._heap)
-        metrics.inc("heap.compactions")
 
     def __len__(self) -> int:
         return len(self._live)

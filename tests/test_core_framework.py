@@ -15,7 +15,10 @@ from repro.core.framework import (
 )
 from repro.core.maf import MAF
 from repro.core.ubg import UBG
-from repro.diffusion.estimators import dagum_stopping_rule
+from repro.diffusion.estimators import (
+    dagum_stopping_rule,
+    stopping_rule_threshold,
+)
 from repro.diffusion.simulator import community_benefit_exact
 from repro.errors import SolverError
 from repro.graph.builders import from_edge_list
@@ -183,6 +186,75 @@ def test_estimate_benefit_matches_full_sample_reference(small_imc_instance):
         )
     assert monitor.activation.rates() == reference_monitor.activation.rates()
     assert fast.next_sample_seed() == twin.next_sample_seed()
+
+
+def test_estimate_benefit_skips_a_budget_below_the_threshold(
+    small_imc_instance,
+):
+    """``max_trials < Λ'`` cannot converge: nothing is drawn or observed,
+    and the master stream ends where the full run of trials leaves it."""
+    graph, communities = small_imc_instance
+    seeds = [0, 5, 9, 14]
+    max_trials = math.ceil(stopping_rule_threshold(0.2, 0.2)) - 1
+    skipped = RICSampler(graph, communities, seed=42)
+    twin = RICSampler(graph, communities, seed=42)
+    monitor = ConvergenceMonitor()
+    result = estimate_benefit(
+        skipped,
+        seeds,
+        epsilon=0.2,
+        delta=0.2,
+        max_trials=max_trials,
+        monitor=monitor,
+    )
+    assert result == EstimateResult(value=None, trials=0, converged=False)
+    assert monitor.trial_moments.count == 0
+    assert monitor.activation.rates() == {}
+
+    seed_set = frozenset(seeds)
+    reference = dagum_stopping_rule(
+        lambda: 1.0 if twin.sample_indicator(seed_set)[1] else 0.0,
+        0.2,
+        0.2,
+        max_trials=max_trials,
+    )
+    assert reference.trials == max_trials and not reference.converged
+    assert skipped.next_sample_seed() == twin.next_sample_seed()
+
+
+def test_estimate_benefit_draws_at_a_budget_of_ceil_threshold(
+    small_imc_instance,
+):
+    """With every member seeded each trial succeeds, so ``ceil(Λ')``
+    trials are exactly enough to converge."""
+    graph, communities = small_imc_instance
+    members = [u for community in communities for u in community.members]
+    threshold = stopping_rule_threshold(0.2, 0.2)
+    trials = math.ceil(threshold)
+    monitor = ConvergenceMonitor()
+    result = estimate_benefit(
+        RICSampler(graph, communities, seed=43),
+        members,
+        epsilon=0.2,
+        delta=0.2,
+        max_trials=trials,
+        monitor=monitor,
+    )
+    assert result == EstimateResult(
+        value=communities.total_benefit * threshold / trials,
+        trials=trials,
+        converged=True,
+    )
+    assert monitor.trial_moments.count == trials
+
+
+def test_estimate_benefit_rejects_a_negative_budget(small_imc_instance):
+    graph, communities = small_imc_instance
+    sampler = RICSampler(graph, communities, seed=44)
+    with pytest.raises(SolverError, match="max_trials"):
+        estimate_benefit(
+            sampler, [0], epsilon=0.2, delta=0.2, max_trials=-1
+        )
 
 
 # ---------------------------------------------------------------- IMCAF

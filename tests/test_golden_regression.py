@@ -11,6 +11,7 @@ import pytest
 from repro.communities.louvain import louvain_communities
 from repro.communities.structure import Community, CommunityStructure
 from repro.communities.thresholds import build_structure, constant_thresholds
+from repro.core.framework import solve_imc
 from repro.core.maf import MAF
 from repro.core.ubg import UBG
 from repro.datasets.registry import load_dataset
@@ -65,6 +66,32 @@ def test_golden_maf_seeds(golden_instance):
     result = MAF(seed=99).solve(pool, 4)
     assert result.seeds == (4, 2, 22, 20)
     assert result.objective == pytest.approx(16.916666666, abs=1e-6)
+
+
+def test_golden_imcaf_estimate_after_a_skipped_estimate(golden_instance):
+    # Stage 2's Estimate has T_max = 5370 below Λ' ≈ 5921, so it draws
+    # nothing; stage 3's Estimate converges. Its benefit estimate pins
+    # that the skip advanced the Estimate sampler's stream exactly as
+    # the 5370 undrawn trials would have. Recorded before the skip.
+    graph, communities, _ = golden_instance
+    result = solve_imc(
+        graph,
+        communities,
+        k=4,
+        solver=MAF(seed=99),
+        seed=1234,
+        max_samples=20_000,
+    )
+    assert result.selection.seeds == (22, 20, 4, 21)
+    assert result.selection.objective == pytest.approx(
+        17.080074104569782, abs=1e-9
+    )
+    assert result.num_samples == 9716
+    assert result.stopped_by == "estimate"
+    assert result.benefit_estimate == pytest.approx(
+        17.07162266828392, abs=1e-9
+    )
+    assert result.iterations == 3
 
 
 def test_golden_dataset_fingerprint():

@@ -516,6 +516,7 @@ class TestHTTPServer(_FrontDoorTests):
             ({"budget": 3, "ci_width": float("nan")}, "finite"),
             ({"budget": 3, "ci_width": float("inf")}, "finite"),
             ({"budget": 3, "ci_width": True}, "finite"),
+            ({"budget": 3, "ci_width": 10**400}, "finite"),
             ({"budget": 100_000}, "exceeds the number of nodes"),
         ):
             status, answer = _post(
