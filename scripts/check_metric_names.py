@@ -13,13 +13,20 @@ Also reports the reverse direction — catalogued names with no call site
 — as *stale* entries; those fail the lint too, so deleting a metric
 means deleting its catalogue row and doc row in the same change.
 
+Finally, every catalogued name must have a *reader*: it must appear as
+a string literal in a test, a benchmark, an example, ``perfbench/``,
+the report renderer or the fleet SLO derivation
+(:data:`READER_PATHS`). A metric that nothing reads answers no
+operator question and goes, with its call sites.
+
 Usage::
 
     python scripts/check_metric_names.py          # lint, exit 1 on drift
     python scripts/check_metric_names.py --list   # dump call sites
 
 Importable pieces (used by ``tests/test_docs_consistency.py``):
-:func:`find_metric_call_sites` and :func:`check_catalog`.
+:func:`find_metric_call_sites`, :func:`check_catalog` and
+:func:`find_unread_metrics`.
 """
 
 from __future__ import annotations
@@ -39,6 +46,17 @@ SRC_ROOT = os.path.join(REPO_ROOT, "src")
 CALL_SITE = re.compile(
     r"metrics\.(?P<method>inc|set_gauge|observe)\(\s*"
     r"(?P<quote>['\"])(?P<name>[^'\"]+)(?P=quote)"
+)
+
+#: Files and directories (relative to the repo root) whose Python
+#: sources count as readers of a metric name.
+READER_PATHS = (
+    "tests",
+    "perfbench",
+    "benchmarks",
+    "examples",
+    os.path.join("src", "repro", "obs", "report.py"),
+    os.path.join("src", "repro", "serving", "fleet.py"),
 )
 
 
@@ -85,6 +103,28 @@ def check_catalog(
     return missing, stale
 
 
+def find_unread_metrics(catalog: Dict[str, str]) -> List[str]:
+    """Catalogued names that no reader names as a string literal."""
+    texts = []
+    for reader in READER_PATHS:
+        root = os.path.join(REPO_ROOT, reader)
+        paths = [root] if os.path.isfile(root) else [
+            os.path.join(dirpath, name)
+            for dirpath, _dirnames, filenames in os.walk(root)
+            for name in filenames
+            if name.endswith(".py")
+        ]
+        for path in paths:
+            with open(path, "r", encoding="utf-8") as handle:
+                texts.append(handle.read())
+    text = "\n".join(texts)
+    return sorted(
+        name
+        for name in catalog
+        if f'"{name}"' not in text and f"'{name}'" not in text
+    )
+
+
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -112,7 +152,15 @@ def main(argv: List[str] | None = None) -> int:
             "(stale — remove it and its docs/observability.md row)",
             file=sys.stderr,
         )
-    if missing or stale:
+    unread = find_unread_metrics(CATALOG)
+    for name in unread:
+        print(
+            f"CATALOG entry {name!r} has no reader in "
+            f"{', '.join(READER_PATHS)} (read it there, or delete the "
+            "metric with its call sites)",
+            file=sys.stderr,
+        )
+    if missing or stale or unread:
         return 1
     print(
         f"ok: {len(sites)} call sites, {len(CATALOG)} catalogued names, "

@@ -14,11 +14,9 @@ Four subcommands cover the common workflows::
 ``solve`` and ``compare`` accept ``--trace-out``/``--metrics-out`` to
 record structured spans/metrics plus a run manifest through
 ``repro.obs`` (see ``docs/observability.md``); results are identical
-with or without instrumentation. ``--metrics-format prom`` switches the
-metrics dump to the Prometheus text format, ``--monitor`` attaches a
-convergence monitor (pure observer), and ``--ci-width W`` turns it into
-adaptive sampling that stops once ĉ(S)'s relative CI width reaches
-``W``.
+with or without instrumentation. ``--monitor`` attaches a convergence
+monitor (pure observer), and ``--ci-width W`` turns it into adaptive
+sampling that stops once ĉ(S)'s relative CI width reaches ``W``.
 
 All randomness is controlled by ``--seed``; every command prints plain
 ASCII tables (the same renderer the benchmark harness uses).
@@ -30,17 +28,8 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from repro.communities.louvain import louvain_communities
-from repro.communities.thresholds import (
-    build_structure,
-    constant_thresholds,
-    fractional_thresholds,
-)
-from repro.core.bt import BT, MB
-from repro.core.framework import solve_imc
-from repro.core.maf import MAF
-from repro.core.ubg import UBG, GreedyC
-from repro.datasets.registry import DATASETS, load_dataset
+from repro.core import SOLVERS, make_solver, solve_imc
+from repro.datasets.registry import DATASETS
 from repro.diffusion.simulator import BenefitEvaluator
 from repro.errors import ReproError
 from repro.experiments.config import ExperimentConfig
@@ -75,11 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve an IMC instance")
     solve.add_argument("--dataset", default="facebook", choices=list(DATASETS))
     solve.add_argument("--scale", type=float, default=0.2)
-    solve.add_argument(
-        "--solver",
-        default="UBG",
-        choices=["UBG", "MAF", "BT", "MB", "GreedyC"],
-    )
+    solve.add_argument("--solver", default="UBG", choices=SOLVERS)
     solve.add_argument("--k", type=int, default=10)
     solve.add_argument(
         "--threshold", default="bounded", choices=["bounded", "fractional"]
@@ -406,7 +391,7 @@ def _add_scenario_flags(subparser) -> None:
     subparser.add_argument(
         "--solver",
         default="UBG",
-        choices=["UBG", "MAF", "BT", "MB", "GreedyC"],
+        choices=SOLVERS,
         help="default solver for requests that do not name one",
     )
     subparser.add_argument(
@@ -432,15 +417,6 @@ def _add_observability_flags(subparser) -> None:
         metavar="PATH",
         help="dump the run's counters/gauges/histograms to this file",
     )
-    subparser.add_argument(
-        "--metrics-format",
-        default="json",
-        choices=["json", "prom"],
-        help=(
-            "--metrics-out format: typed JSONL records (json, default) "
-            "or Prometheus text exposition (prom)"
-        ),
-    )
 
 
 def _with_observability(args, command: str, run) -> int:
@@ -460,9 +436,7 @@ def _with_observability(args, command: str, run) -> int:
     from repro import obs
 
     with obs.session(
-        trace_out=args.trace_out,
-        metrics_out=args.metrics_out,
-        metrics_format=getattr(args, "metrics_format", "json"),
+        trace_out=args.trace_out, metrics_out=args.metrics_out
     ) as recorder:
         code = run(extras)
     artifacts = {}
@@ -490,18 +464,6 @@ def _with_observability(args, command: str, run) -> int:
     return code
 
 
-def _make_solver(name: str, seed: Optional[int]):
-    if name == "UBG":
-        return UBG()
-    if name == "MAF":
-        return MAF(seed=seed)
-    if name == "BT":
-        return BT()
-    if name == "MB":
-        return MB(seed=seed)
-    return GreedyC()
-
-
 def _cmd_datasets() -> int:
     rows = [
         (
@@ -527,25 +489,25 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_solve(args, extras: Optional[dict] = None) -> int:
-    dataset = load_dataset(
-        args.dataset, scale=args.scale, seed=derive_seed(args.seed, "dataset")
-    )
-    graph = dataset.graph
-    blocks = louvain_communities(graph, seed=derive_seed(args.seed, "louvain"))
-    policy = (
-        constant_thresholds(2)
-        if args.threshold == "bounded"
-        else fractional_thresholds(0.5)
-    )
-    communities = build_structure(
-        blocks, size_cap=args.size_cap, threshold_policy=policy
+    from repro.serving import ScenarioSpec, build_instance
+
+    graph, communities = build_instance(
+        ScenarioSpec(
+            name=args.dataset,
+            dataset=args.dataset,
+            scale=args.scale,
+            threshold=args.threshold,
+            size_cap=args.size_cap,
+            model=args.model,
+            seed=args.seed,
+        )
     )
     print(
         f"instance: {args.dataset} n={graph.num_nodes} m={graph.num_edges} "
         f"r={communities.r} b={communities.total_benefit:g} "
         f"h_max={communities.max_threshold}"
     )
-    solver = _make_solver(args.solver, derive_seed(args.seed, "solver"))
+    solver = make_solver(args.solver, derive_seed(args.seed, "solver"))
     profiles: List[dict] = []
 
     def _collect_profile(info: dict) -> None:

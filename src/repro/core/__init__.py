@@ -19,6 +19,8 @@ stop-and-stare IMCAF loop (Algorithm 5) for an ``α(1-ε)`` guarantee
 with probability ``1 - δ``.
 """
 
+from typing import Optional
+
 from repro.core.bt import BT, MB
 from repro.core.budgeted import (
     BudgetedUBG,
@@ -48,8 +50,37 @@ from repro.core.reduction import DkSReduction, dks_to_imc, induced_edge_count
 from repro.core.solution import SeedSelection
 from repro.core.static_bound import StaticIMCResult, solve_imc_static
 from repro.core.ubg import UBG, GreedyC
+from repro.errors import SolverError
+
+#: The MAXR solver names :func:`make_solver` builds.
+SOLVERS = ("UBG", "MAF", "BT", "MB", "GreedyC")
+
+
+def make_solver(name: str, seed: Optional[int]):
+    """Build a fresh solver by name with its default settings.
+
+    Solvers carry per-run state (deadlines, RNG streams), so each solve
+    gets a new instance; MAF/MB randomness is derived from ``seed``.
+    An unknown ``name`` raises :class:`~repro.errors.SolverError`.
+    """
+    if name == "UBG":
+        return UBG()
+    if name == "MAF":
+        return MAF(seed=seed)
+    if name == "BT":
+        return BT()
+    if name == "MB":
+        return MB(seed=seed)
+    if name == "GreedyC":
+        return GreedyC()
+    raise SolverError(
+        f"unknown solver {name!r} (known: {', '.join(SOLVERS)})"
+    )
+
 
 __all__ = [
+    "SOLVERS",
+    "make_solver",
     "CoverageState",
     "FlatCoverage",
     "SeedSelection",

@@ -425,7 +425,6 @@ def solve_imc(
                         "seed (no best-so-far result to return)"
                     )
                 stopped_by = "deadline"
-                metrics.inc("deadline.truncated")
                 selection = replace(selection, truncated=True)
                 break
             with trace.span("imc/evaluate", stage=iterations):
@@ -485,7 +484,6 @@ def solve_imc(
                 # Growing the pool is the expensive step; don't start it
                 # on an expired budget.
                 stopped_by = "deadline"
-                metrics.inc("deadline.truncated")
                 selection = replace(selection, truncated=True)
                 break
             grow_pool(amount=min(len(pool), math.ceil(cap) - len(pool)))

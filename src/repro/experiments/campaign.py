@@ -20,7 +20,6 @@ from repro.obs import (
     build_manifest,
     enabled as obs_enabled,
     manifest_path_for,
-    metrics,
     trace,
     write_manifest,
 )
@@ -106,7 +105,6 @@ def run_campaign(
     for index, (dataset, threshold, formation) in enumerate(grid):
         key = cell_key(dataset, threshold, formation)
         if store is not None and key in store:
-            metrics.inc("campaign.cells.skipped")
             cells.append(
                 CampaignCell(
                     dataset=dataset,
@@ -135,7 +133,6 @@ def run_campaign(
                 config, algorithms, list(k_values),
                 candidate_limit=candidate_limit,
             )
-        metrics.inc("campaign.cells.completed")
         if store is not None:
             store.record(key, _cell_payload(runs))
         cells.append(

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ExperimentError
-from repro.obs import metrics, trace
+from repro.obs import trace
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -165,7 +165,6 @@ class CheckpointStore:
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp_path, self.path)
-        metrics.inc("checkpoint.records.written")
 
     def report(self) -> ResumeReport:
         """Skipped/computed summary of this store's session."""

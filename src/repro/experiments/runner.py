@@ -28,9 +28,7 @@ from repro.communities.thresholds import (
     constant_thresholds,
     fractional_thresholds,
 )
-from repro.core.bt import BT, MB
-from repro.core.maf import MAF
-from repro.core.ubg import UBG, GreedyC
+from repro.core import BT, MAF, MB, SOLVERS, UBG, GreedyC
 from repro.datasets.registry import load_dataset
 from repro.diffusion.simulator import BenefitEvaluator
 from repro.errors import ExperimentError
@@ -41,7 +39,6 @@ from repro.obs import (
     build_manifest,
     enabled as obs_enabled,
     manifest_path_for,
-    metrics,
     observe_pool,
     trace,
     write_manifest,
@@ -192,7 +189,7 @@ def run_algorithm(
         )
     timer = Stopwatch()
     with trace.span("experiment/run_algorithm", algorithm=name, k=k):
-        if name in ("UBG", "MAF", "BT", "MB", "GreedyC"):
+        if name in SOLVERS:
             solver = _maxr_solver(name, config, candidate_limit)
             with timer:
                 local_pool = pool if pool is not None else make_pool(
@@ -228,7 +225,6 @@ def run_algorithm(
             raise ExperimentError(f"unknown algorithm {name!r}")
         with trace.span("experiment/evaluate", algorithm=name, k=k):
             benefit = evaluator(seeds) if seeds else 0.0
-        metrics.inc("experiment.runs.completed")
     return AlgorithmRun(
         algorithm=name,
         k=k,
@@ -304,10 +300,7 @@ def run_suite(
     graph = communities = pool = None
     if todo:
         graph, communities = build_instance(config)
-        needs_pool = any(
-            name in ("UBG", "MAF", "BT", "MB", "GreedyC")
-            for name, _ in todo
-        )
+        needs_pool = any(name in SOLVERS for name, _ in todo)
         pool = make_pool(graph, communities, config) if needs_pool else None
     results: Dict[str, List[AlgorithmRun]] = {name: [] for name in algorithms}
     for k in k_values:
@@ -327,7 +320,6 @@ def run_suite(
         for name in algorithms:
             key = _run_key(name, k)
             if store is not None and key in store:
-                metrics.inc("experiment.runs.skipped")
                 run = _run_from_payload(store.get(key), store.path)
                 if evaluator is not None and run.seeds:
                     # The evaluator hands each evaluation the next child

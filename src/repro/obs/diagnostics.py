@@ -242,9 +242,10 @@ class ConvergenceCriterion:
     method: str = "normal"
 
     def __post_init__(self) -> None:
-        if self.ci_width <= 0:
+        if not 0 < self.ci_width < math.inf:
             raise ObservabilityError(
-                f"ci_width must be positive, got {self.ci_width}"
+                f"ci_width must be a positive finite number, got "
+                f"{self.ci_width}"
             )
         if self.min_samples < 1:
             raise ObservabilityError(
@@ -379,11 +380,11 @@ def observe_pool(pool) -> Dict[str, Any]:
 
     Computes :func:`pool_composition` and publishes it: the reach-size
     histogram (``pool.reach.histogram``), the samples-per-source
-    histogram (``pool.sources.histogram``), the dedup-ratio gauge
-    (``pool.reach.unique_ratio``) and the footprint gauge
-    (``pool.bytes``). Returns the composition dict so callers can embed
-    it in a manifest. All emission is gated on the instrumentation
-    session like every other metric call.
+    histogram (``pool.sources.histogram``) and the footprint gauge
+    (``pool.bytes``). Returns the composition dict, whose
+    ``unique_ratio`` is the dedup ratio, so callers can embed it in a
+    manifest. All emission is gated on the instrumentation session like
+    every other metric call.
     """
     composition = pool_composition(pool)
     for sample in pool.samples:
@@ -395,7 +396,6 @@ def observe_pool(pool) -> Dict[str, Any]:
         metrics.observe(
             "pool.sources.histogram", count, buckets=SOURCE_COUNT_BUCKETS
         )
-    metrics.set_gauge("pool.reach.unique_ratio", composition["unique_ratio"])
     metrics.set_gauge("pool.bytes", composition["bytes"])
     return composition
 
@@ -409,8 +409,8 @@ class ConvergenceMonitor:
 
     - :meth:`observe_batch` — every batch of RIC samples as it lands
       (from either sampling engine, alongside that engine's unified
-      ``last_profile()`` dict): reach-size/member accumulators update
-      and the batch shape is remembered;
+      ``last_profile()`` dict): reach sizes feed the
+      ``pool.reach.histogram`` and the batch shape is remembered;
     - :meth:`observe_stage` — every stop-stage evaluation of the
       candidate seed set: one ``(num_samples, ĉ, halfwidth)`` trajectory
       point plus per-community activation counts;
@@ -418,7 +418,7 @@ class ConvergenceMonitor:
       draw: the influence indicators stream into a
       :class:`StreamingMoments`;
     - :meth:`finalize` — once, at end of run: pool-composition
-      diagnostics and footprint/ratio gauges.
+      diagnostics and the footprint gauge.
 
     The monitor is strictly read-only with respect to the run: no RNG
     draws, no pool mutation. With no criterion it never asks to stop
@@ -434,10 +434,6 @@ class ConvergenceMonitor:
         self.criterion = criterion
         #: ĉ(S) trajectory: one dict per observed stage.
         self.trajectory: List[Dict[str, Any]] = []
-        #: Reach-set size moments over every observed sample.
-        self.reach_sizes = StreamingMoments()
-        #: Members-per-sample moments over every observed sample.
-        self.members_per_sample = StreamingMoments()
         #: Algorithm 6 influence-indicator moments (Welford).
         self.trial_moments = StreamingMoments()
         #: Per-community activation counts (stages + Alg. 6 trials).
@@ -454,16 +450,14 @@ class ConvergenceMonitor:
         samples: Sequence[Any],
         profile: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Fold one landed batch of RIC samples into the accumulators.
+        """Record one landed batch of RIC samples.
 
         ``profile`` is the generating engine's ``last_profile()`` dict
         (the unified schema both engines share); its mode/shape is kept
         for the summary's batch log.
         """
         for sample in samples:
-            self.members_per_sample.push(len(sample.members))
             for reach in sample.reach_sets:
-                self.reach_sizes.push(len(reach))
                 metrics.observe(
                     "pool.reach.histogram",
                     len(reach),
@@ -487,8 +481,9 @@ class ConvergenceMonitor:
         already computed; the monitor derives ĉ(S), its confidence
         half-width (per the criterion's method and delta, defaulting to
         a 95% normal interval when unmonitored), appends the trajectory
-        point, publishes the ``estimator.*`` gauges, and folds the
-        per-community influence split into the activation tracker.
+        point, publishes the ``estimator.samples.used`` gauge, and
+        folds the per-community influence split into the activation
+        tracker.
         """
         n = len(pool)
         if n < 1:
@@ -516,11 +511,6 @@ class ConvergenceMonitor:
         )
         seen, hit = pool.influenced_count_by_community(seeds)
         self.activation.add_counts(seen, hit)
-        metrics.inc("estimator.stages")
-        metrics.set_gauge("estimator.mean", estimate)
-        metrics.set_gauge("estimator.ci.halfwidth", halfwidth)
-        if relative is not None:
-            metrics.set_gauge("estimator.ci.width", relative)
         metrics.set_gauge("estimator.samples.used", n)
 
     def observe_trial(
@@ -530,7 +520,6 @@ class ConvergenceMonitor:
         self.trial_moments.push(value)
         if community_index is not None:
             self.activation.observe(community_index, value > 0)
-        metrics.inc("estimator.trials.observed")
 
     # -- stopping rule -------------------------------------------------
 
@@ -559,7 +548,7 @@ class ConvergenceMonitor:
     # -- finalisation --------------------------------------------------
 
     def finalize(self, pool) -> None:
-        """End-of-run pool diagnostics: composition, footprint, gauges.
+        """End-of-run pool diagnostics: composition and footprint gauge.
 
         Idempotent per monitor; safe to skip (``summary`` then omits the
         pool block).
@@ -569,7 +558,6 @@ class ConvergenceMonitor:
             metrics.observe(
                 "pool.sources.histogram", count, buckets=SOURCE_COUNT_BUCKETS
             )
-        metrics.set_gauge("pool.reach.unique_ratio", composition["unique_ratio"])
         metrics.set_gauge("pool.bytes", composition["bytes"])
         self._composition = composition
 

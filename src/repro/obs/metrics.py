@@ -3,7 +3,7 @@
 Names are dotted paths grouped by subsystem (see
 ``docs/observability.md`` for the registry of names this package
 emits), e.g. ``ric.samples.generated``, ``coverage.resyncs``,
-``parallel.batches.redispatched``, ``deadline.truncated``.
+``estimator.samples.used``, ``serving.request.seconds``.
 
 All mutators are no-ops while instrumentation is disabled (the
 default), so call sites can stay in place permanently. Histograms use
@@ -30,40 +30,21 @@ DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
 #: Catalogue of every metric name the package emits, mapped to a
 #: one-line description. ``scripts/check_metric_names.py`` greps ``src/``
 #: for ``inc(``/``set_gauge(``/``observe(`` call sites and fails when a
-#: literal name is missing here, and the docs-consistency test requires
-#: every catalogued name to appear in ``docs/observability.md`` — so
-#: this dict, the code and the docs cannot drift apart. Add the entry
+#: literal name is missing here or when a name here has no reader (a
+#: test, benchmark, example, perfbench, the report or the fleet SLO
+#: derivation), and the docs-consistency tests tie this dict to the
+#: tables in ``docs/observability.md`` in both directions — so the
+#: dict, the code and the docs cannot drift apart. Add the entry
 #: *first* when introducing a metric.
 CATALOG: Dict[str, str] = {
     # counters
     "ric.samples.generated": "RIC samples generated (both engines)",
     "coverage.resyncs": "coverage-engine rebuilds after pool growth",
-    "parallel.batches.redispatched": "parallel batches retried after worker loss",
-    "parallel.worker.restarts": "parallel worker processes restarted",
-    "deadline.truncated": "runs truncated by an expired deadline",
-    "experiment.runs.completed": "experiment repetitions completed",
-    "experiment.runs.skipped": "experiment repetitions skipped (resume)",
-    "campaign.cells.completed": "campaign grid cells completed",
-    "campaign.cells.skipped": "campaign grid cells skipped (resume)",
-    "checkpoint.records.written": "checkpoint records appended",
-    "estimator.stages": "stop-stage ĉ(S) evaluations observed",
-    "estimator.trials.observed": "Algorithm 6 (Dagum) trial draws observed",
     "estimator.adaptive.stops": "adaptive early stops (CI criterion met)",
     "serving.requests.total": "solve requests answered by the shard server",
-    "serving.requests.batched": "solve requests coalesced onto another's solve",
     "serving.requests.failed": "solve requests answered with an error",
-    "serving.shards.hits": "shard lookups served from a warm shard",
-    "serving.shards.misses": "shard lookups that built (or rebuilt) a shard",
-    "serving.shards.evictions": "cold shards evicted under the byte budget",
-    "serving.requests.width_coalesced": (
-        "ci_width requests answered from a shared cross-width top-up"
-    ),
-    "cluster.replica.restarts": "replica processes respawned by the supervisor",
-    "cluster.heartbeat.failures": "replica heartbeat probes that failed",
     "router.requests.total": "solve requests accepted by the cluster router",
     "router.requests.failed": "router requests answered with an error",
-    "router.failovers": "requests re-routed to a rendezvous successor",
-    "router.circuit.opened": "per-replica circuit breakers tripped open",
     "router.trace.minted": "trace ids minted at the router front door",
     "router.trace.adopted": "inbound trace contexts adopted by the router",
     "serving.trace.adopted": "inbound trace contexts adopted by a replica",
@@ -71,15 +52,8 @@ CATALOG: Dict[str, str] = {
     # gauges
     "pool.coverage_entries": "mask-index (node, sample) entries at last compact()",
     "pool.bytes": "approximate pool memory footprint in bytes",
-    "pool.reach.unique_ratio": "distinct reach sets / total reach sets",
-    "estimator.mean": "latest stop-stage benefit estimate ĉ(S)",
-    "estimator.ci.halfwidth": "latest CI halfwidth of ĉ(S) (benefit units)",
-    "estimator.ci.width": "latest relative CI width (halfwidth / ĉ)",
     "estimator.samples.used": "pool samples behind the latest ĉ(S)",
     "serving.shards.active": "warm shards currently resident",
-    "serving.shards.bytes": "summed resident shard footprint in bytes",
-    "cluster.replicas.active": "replica processes currently healthy",
-    "cluster.scrape.replicas": "replicas successfully scraped at last aggregation",
     "cluster.slo.p50.seconds": "fleet p50 request latency from merged histograms",
     "cluster.slo.p95.seconds": "fleet p95 request latency from merged histograms",
     "cluster.slo.p99.seconds": "fleet p99 request latency from merged histograms",
@@ -89,7 +63,6 @@ CATALOG: Dict[str, str] = {
     "pool.sources.histogram": "samples-per-source-community distribution",
     "serving.request.seconds": "shard-server solve request latency",
     "router.request.seconds": "router end-to-end solve request latency",
-    "serving.batch.wait.seconds": "follower wait for a coalesced flight's leader",
 }
 
 

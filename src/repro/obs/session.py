@@ -28,12 +28,9 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from repro.errors import ObservabilityError
 from repro.obs import _gate
-from repro.obs.metrics import metrics, to_prometheus_text
-from repro.obs.sinks import JsonlSink, write_jsonl, write_text
+from repro.obs.metrics import metrics
+from repro.obs.sinks import JsonlSink, write_jsonl
 from repro.obs.tracer import phase_timings, trace
-
-#: Accepted ``metrics_format`` values for :func:`enable`/:func:`session`.
-METRICS_FORMATS = ("json", "prom")
 
 
 class Recorder:
@@ -46,15 +43,11 @@ class Recorder:
     """
 
     def __init__(self, trace_path: Optional[str],
-                 metrics_path: Optional[str],
-                 metrics_format: str = "json") -> None:
+                 metrics_path: Optional[str]) -> None:
         #: Path the span JSONL streams to (``None`` = memory only).
         self.trace_path = trace_path
         #: Path the metrics snapshot is dumped to at close.
         self.metrics_path = metrics_path
-        #: Dump format for ``metrics_path``: ``"json"`` (JSONL records)
-        #: or ``"prom"`` (Prometheus text exposition).
-        self.metrics_format = metrics_format
         #: Finished-span records, retained at session close.
         self.spans: List[Dict[str, Any]] = []
         #: Metrics registry snapshot, retained at session close.
@@ -78,18 +71,15 @@ def enabled() -> bool:
 
 
 def enable(trace_out: Optional[str] = None,
-           metrics_out: Optional[str] = None,
-           metrics_format: str = "json") -> Recorder:
+           metrics_out: Optional[str] = None) -> Recorder:
     """Start collecting spans and metrics; returns the session's
     :class:`Recorder`.
 
     ``trace_out`` streams finished spans to a JSONL file as they
     complete; ``metrics_out`` dumps the metrics snapshot (atomically)
-    when the session ends — as typed JSONL records
-    (``metrics_format="json"``, the default) or in the Prometheus text
-    exposition format (``"prom"``), scrapeable/diffable with standard
-    tooling. Both paths optional — with neither, data is only held in
-    memory for :func:`disable` to return.
+    as typed JSONL records when the session ends, which
+    ``python -m repro report`` renders. Both paths optional — with
+    neither, data is only held in memory for :func:`disable` to return.
     """
     global _CURRENT, _SINK, _STARTED
     if _CURRENT is not None:
@@ -97,17 +87,12 @@ def enable(trace_out: Optional[str] = None,
             "an instrumentation session is already active; "
             "sessions do not nest"
         )
-    if metrics_format not in METRICS_FORMATS:
-        raise ObservabilityError(
-            f"unknown metrics_format {metrics_format!r}; "
-            f"expected one of {METRICS_FORMATS}"
-        )
     trace.reset()
     metrics.reset()
     _SINK = JsonlSink(trace_out) if trace_out else None
     if _SINK is not None:
         trace.attach_sink(_SINK)
-    _CURRENT = Recorder(trace_out, metrics_out, metrics_format)
+    _CURRENT = Recorder(trace_out, metrics_out)
     _STARTED = time.perf_counter()
     _gate.active = True
     return _CURRENT
@@ -133,12 +118,7 @@ def disable() -> Recorder:
         _SINK.close()
         _SINK = None
     if recorder.metrics_path:
-        if recorder.metrics_format == "prom":
-            write_text(recorder.metrics_path,
-                       to_prometheus_text(recorder.metrics))
-        else:
-            write_jsonl(recorder.metrics_path,
-                        _metric_records(recorder.metrics))
+        write_jsonl(recorder.metrics_path, _metric_records(recorder.metrics))
     trace.reset()
     metrics.reset()
     _CURRENT = None
@@ -166,16 +146,14 @@ def _metric_records(snapshot: Dict[str, Any]) -> List[Dict[str, Any]]:
 
 @contextmanager
 def session(trace_out: Optional[str] = None,
-            metrics_out: Optional[str] = None,
-            metrics_format: str = "json") -> Iterator[Recorder]:
+            metrics_out: Optional[str] = None) -> Iterator[Recorder]:
     """Context-manager form of :func:`enable`/:func:`disable`.
 
     The yielded :class:`Recorder` is fully populated only after the
     block exits (the session closes even when the block raises, so a
     failing run still leaves its trace on disk).
     """
-    recorder = enable(trace_out=trace_out, metrics_out=metrics_out,
-                      metrics_format=metrics_format)
+    recorder = enable(trace_out=trace_out, metrics_out=metrics_out)
     try:
         yield recorder
     finally:

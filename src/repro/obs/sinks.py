@@ -71,21 +71,6 @@ def write_jsonl(path: str, records: Iterable[Dict[str, Any]]) -> str:
     return path
 
 
-def write_text(path: str, text: str) -> str:
-    """Write ``text`` to ``path`` atomically (same tmp/fsync/replace
-    discipline as :func:`write_jsonl`). Used for non-JSONL end-of-run
-    artifacts like the Prometheus metrics export. Returns ``path``.
-    """
-    path = os.fspath(path)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    return path
-
-
 def read_jsonl(path: str) -> list:
     """Read a JSONL file back into a list of records.
 

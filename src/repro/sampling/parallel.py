@@ -464,10 +464,6 @@ class ParallelRICSampler:
             attempts=attempts,
         )
         metrics.inc("ric.samples.generated", count)
-        if retries:
-            metrics.inc("parallel.batches.redispatched", retries)
-        if worker_restarts:
-            metrics.inc("parallel.worker.restarts", worker_restarts)
 
     def last_profile(self) -> Optional[Dict[str, Any]]:
         """Profile of the most recent ``sample_many`` call.

@@ -21,10 +21,7 @@ shared flight did not reach (see :meth:`repro.serving.server.ShardApp.solve`).
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
-
-from repro.obs import metrics
 
 #: Sentinel distinguishing "no width supplied" from an explicit ``None``
 #: (``None`` is a meaningful registration: no CI requirement).
@@ -51,9 +48,9 @@ class RequestBatcher:
 
     :meth:`run` returns ``(result, leader)`` where ``leader`` tells the
     caller whether *it* performed the computation (followers count as
-    batched requests in the server's metrics). Exceptions raised by the
-    leader propagate to every follower of the same flight, so a failed
-    solve fails its whole batch loudly instead of hanging it.
+    batched requests in the server's ``/status`` counters). Exceptions
+    raised by the leader propagate to every follower of the same flight,
+    so a failed solve fails its whole batch loudly instead of hanging it.
     """
 
     def __init__(self) -> None:
@@ -88,11 +85,7 @@ class RequestBatcher:
             if width is not _UNSET:
                 flight.widths.append(width)
         if not leader:
-            waited = time.perf_counter()
             flight.done.wait()
-            metrics.observe(
-                "serving.batch.wait.seconds", time.perf_counter() - waited
-            )
             if flight.error is not None:
                 raise flight.error
             return flight.result, False

@@ -43,7 +43,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import ClusterError
-from repro.obs import metrics
 from repro.obs.events import EventJournal
 from repro.obs.manifest import build_manifest, write_manifest
 from repro.serving.router import ReplicaEndpoint, RouterApp
@@ -345,7 +344,6 @@ class Supervisor:
                     f"replica {state.replica_id} did not become healthy "
                     f"within {self.config.startup_timeout:.1f}s"
                 )
-        self._set_active_gauge()
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="repro-supervisor", daemon=True
         )
@@ -415,7 +413,6 @@ class Supervisor:
             with self._lock:
                 state.healthy = False
             self._emit("replica.stopped", replica=state.replica_id)
-        metrics.set_gauge("cluster.replicas.active", 0)
 
     # -- monitoring -----------------------------------------------------
 
@@ -427,7 +424,6 @@ class Supervisor:
                 if skip:
                     continue
                 self._check(state)
-            self._set_active_gauge()
 
     def _check(self, state: _ReplicaState) -> None:
         process = state.process
@@ -440,7 +436,6 @@ class Supervisor:
                 state.healthy = True
                 state.misses = 0
             return
-        metrics.inc("cluster.heartbeat.failures")
         with self._lock:
             state.misses += 1
             misses = state.misses
@@ -503,7 +498,6 @@ class Supervisor:
             }
             self.restart_log.append(entry)
             state.process = self._spawn(state)
-            metrics.inc("cluster.replica.restarts")
             self._emit(
                 "replica.respawned",
                 replica=state.replica_id,
@@ -516,7 +510,6 @@ class Supervisor:
                 entry["healthy_at"] = time.monotonic()
                 with self._lock:
                     state.restarting = False
-                self._set_active_gauge()
                 return
             process = state.process
             if process is not None and process.is_alive():
@@ -530,11 +523,6 @@ class Supervisor:
             replica=state.replica_id,
             attempts=policy.max_attempts - 1,
         )
-
-    def _set_active_gauge(self) -> None:
-        with self._lock:
-            active = sum(1 for s in self._replicas.values() if s.healthy)
-        metrics.set_gauge("cluster.replicas.active", active)
 
     # -- views ----------------------------------------------------------
 

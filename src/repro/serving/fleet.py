@@ -61,14 +61,13 @@ def derive_slo_gauges(snapshot: Dict[str, Any]) -> Dict[str, float]:
     return slo
 
 
-def _publish_slo(slo: Dict[str, float], scraped: int) -> None:
+def _publish_slo(slo: Dict[str, float]) -> None:
     """Mirror derived SLO gauges into the ambient registry.
 
     The aggregation document carries the values regardless; these
     gated set_gauge calls additionally make them visible to whatever
     session-level metrics dump the router process writes.
     """
-    metrics.set_gauge("cluster.scrape.replicas", scraped)
     value = slo.get("cluster.slo.p50.seconds")
     if value is not None:
         metrics.set_gauge("cluster.slo.p50.seconds", value)
@@ -165,7 +164,7 @@ class FleetMetricsAggregator:
         snapshot = merged.snapshot()
         slo = derive_slo_gauges(snapshot)
         snapshot["gauges"].update(slo)
-        _publish_slo(slo, scraped=len(per_replica))
+        _publish_slo(slo)
         document = {
             "snapshot": snapshot,
             "slo": slo,

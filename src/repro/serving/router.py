@@ -509,7 +509,6 @@ class RouterApp:
         for attempt, endpoint in enumerate(candidates):
             if attempt > 0:
                 self._count("failovers")
-                metrics.inc("router.failovers")
             breaker = self.breaker(endpoint.replica_id)
             try:
                 with trace.span(
@@ -525,13 +524,11 @@ class RouterApp:
                         endpoint, body, trace.propagation_headers()
                     )
             except (OSError, http.client.HTTPException) as exc:
-                if breaker.record_failure():
-                    metrics.inc("router.circuit.opened")
+                breaker.record_failure()
                 errors.append(f"{endpoint.replica_id}: {exc}")
                 continue
             if status >= 500:
-                if breaker.record_failure():
-                    metrics.inc("router.circuit.opened")
+                breaker.record_failure()
                 errors.append(f"{endpoint.replica_id}: HTTP {status}")
                 continue
             breaker.record_success()

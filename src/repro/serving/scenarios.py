@@ -11,6 +11,7 @@ from; :func:`default_scenarios` builds one spec per requested dataset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -53,10 +54,25 @@ class ScenarioSpec:
                 f"scenario {self.name!r} names unknown dataset "
                 f"{self.dataset!r} (known: {', '.join(DATASETS)})"
             )
+        if not 0 < self.scale < math.inf:
+            raise ServingError(
+                f"scenario {self.name!r} scale must be a positive finite "
+                f"number, got {self.scale}"
+            )
         if self.threshold not in ("bounded", "fractional"):
             raise ServingError(
                 f"scenario {self.name!r} threshold must be 'bounded' or "
                 f"'fractional', got {self.threshold!r}"
+            )
+        if self.size_cap < 1:
+            raise ServingError(
+                f"scenario {self.name!r} size_cap must be >= 1, got "
+                f"{self.size_cap}"
+            )
+        if self.model not in ("ic", "lt"):
+            raise ServingError(
+                f"scenario {self.name!r} model must be 'ic' or 'lt', got "
+                f"{self.model!r}"
             )
         if self.pool_size < 1:
             raise ServingError(

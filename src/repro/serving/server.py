@@ -294,9 +294,6 @@ class ShardApp:
                     metrics.observe("serving.request.seconds", elapsed)
         if not leader:
             self._count("batched")
-            metrics.inc("serving.requests.batched")
-            if ci_width is not None:
-                metrics.inc("serving.requests.width_coalesced")
         response = dict(result)
         response["batched"] = not leader
         return response

@@ -34,9 +34,7 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.communities.structure import CommunityStructure
-from repro.core.bt import BT, MB
-from repro.core.maf import MAF
-from repro.core.ubg import UBG, GreedyC
+from repro.core import SOLVERS, make_solver
 from repro.errors import ServingError, UnknownScenarioError
 from repro.obs import metrics, trace
 from repro.obs.diagnostics import (
@@ -52,36 +50,12 @@ from repro.utils.faults import FaultInjector
 from repro.utils.retry import RetryPolicy
 from repro.utils.validation import check_seed_budget
 
-SOLVERS = ("UBG", "MAF", "BT", "MB", "GreedyC")
-
 #: Confidence level for the reported ĉ(S) interval (1 - delta).
 CI_DELTA = 0.05
 
 #: Adaptive top-up ceiling: a ``ci_width`` request may grow the pool to
 #: at most this multiple of the scenario's warm ``pool_size``.
 MAX_POOL_FACTOR = 4
-
-
-def make_solver(name: str, seed: Optional[int]):
-    """Build a fresh solver (UBG and GreedyC select on the flat engine).
-
-    Solvers carry per-run state (deadlines, RNG streams), so each solve
-    gets a new instance; MAF/MB randomness is derived from ``seed`` so
-    repeated solves of the same request are deterministic.
-    """
-    if name == "UBG":
-        return UBG()
-    if name == "MAF":
-        return MAF(seed=seed)
-    if name == "BT":
-        return BT()
-    if name == "MB":
-        return MB(seed=seed)
-    if name == "GreedyC":
-        return GreedyC()
-    raise ServingError(
-        f"unknown solver {name!r} (known: {', '.join(SOLVERS)})"
-    )
 
 
 class WarmShard:
@@ -336,7 +310,6 @@ class ShardStore:
             shard = self._shards.get(name)
             if shard is not None:
                 self.counters["hits"] += 1
-                metrics.inc("serving.shards.hits")
                 shard.touch()
                 return shard
             spec = self._specs.get(name)
@@ -350,11 +323,9 @@ class ShardStore:
                 shard = self._shards.get(name)
                 if shard is not None:
                     self.counters["hits"] += 1
-                    metrics.inc("serving.shards.hits")
                     shard.touch()
                     return shard
                 self.counters["misses"] += 1
-                metrics.inc("serving.shards.misses")
             instance = self._instances.get(name)
             if instance is None:
                 instance = build_instance(spec)
@@ -414,19 +385,13 @@ class ShardStore:
             finally:
                 shard.lock.release()
             self.counters["evictions"] += 1
-            metrics.inc("serving.shards.evictions")
             evicted.append(name)
             if self.on_evict is not None:
                 self.on_evict(name)
-        self._publish_gauges()
-        return evicted
-
-    def _publish_gauges(self) -> None:
         with self._lock:
             active = len(self._shards)
-            total = sum(s.bytes for s in self._shards.values())
         metrics.set_gauge("serving.shards.active", active)
-        metrics.set_gauge("serving.shards.bytes", total)
+        return evicted
 
     def status(self) -> Dict[str, object]:
         """JSON-ready store snapshot for ``/status``."""

@@ -48,7 +48,7 @@ class Deadline:
     def __init__(
         self, seconds: float, clock: Clock = time.monotonic
     ) -> None:
-        if seconds < 0:
+        if not seconds >= 0:  # also rejects NaN, which never expires
             raise SolverError(
                 f"deadline seconds must be non-negative, got {seconds}"
             )

@@ -122,6 +122,38 @@ def test_every_catalogued_metric_is_documented():
     )
 
 
+def test_every_documented_metric_is_catalogued():
+    import re
+
+    from repro.obs.metrics import CATALOG
+
+    documented = []
+    in_table = False
+    for line in (ROOT / "docs" / "observability.md").read_text().splitlines():
+        if line.startswith(("| Counter |", "| Gauge |", "| Histogram |")):
+            in_table = True
+        elif in_table and line.startswith("|"):
+            documented += re.findall(r"`([^`]+)`", line.split("|")[1])
+        else:
+            in_table = False
+    assert documented, "no metric tables found in docs/observability.md"
+    stale = sorted(name for name in documented if name not in CATALOG)
+    assert not stale, (
+        "docs/observability.md's metric tables name metrics missing "
+        f"from CATALOG: {stale}"
+    )
+
+
+def test_every_catalogued_metric_has_a_reader():
+    from repro.obs.metrics import CATALOG
+
+    unread = _load_metric_lint().find_unread_metrics(CATALOG)
+    assert not unread, (
+        "CATALOG names no test, report, fleet derivation, perfbench, "
+        f"benchmark or example reads: {unread}"
+    )
+
+
 def test_metric_lint_script_passes_as_a_script():
     import subprocess
     import sys

@@ -178,6 +178,8 @@ def test_bernoulli_sample_variance_is_welford_closed_form():
         {"ci_width": 0.1, "delta": 0.0},
         {"ci_width": 0.1, "delta": 1.0},
         {"ci_width": 0.1, "method": "hoeffding"},
+        {"ci_width": float("nan")},
+        {"ci_width": float("inf")},
     ],
 )
 def test_convergence_criterion_validation(kwargs):

@@ -218,18 +218,6 @@ def test_cli_monitor_flag_is_byte_identical(capsys):
     ] == _result_lines(plain)
 
 
-def test_cli_metrics_format_prom(capsys, tmp_path):
-    prom_path = tmp_path / "run.prom"
-    code = main(
-        SOLVE_ARGS
-        + ["--metrics-out", str(prom_path), "--metrics-format", "prom"]
-    )
-    assert code == 0
-    text = prom_path.read_text()
-    assert "# TYPE ric_samples_generated_total counter" in text
-    assert "ric_samples_generated_total" in text
-
-
 def test_report_renders_metrics_dump_with_bucket_tables(capsys, tmp_path):
     metrics_path = tmp_path / "run.metrics.jsonl"
     assert (

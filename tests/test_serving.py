@@ -83,6 +83,19 @@ class TestScenarioSpec:
         with pytest.raises(ServingError, match="threshold"):
             ScenarioSpec(name="x", dataset="facebook", threshold="huge")
 
+    def test_bad_instance_fields_rejected_at_construction(self):
+        # Each used to pass here and fail only at the scenario's first
+        # /solve, inside the replica (a NaN scale as a bare ValueError).
+        for field, value in (
+            ("scale", 0.0),
+            ("scale", -1.0),
+            ("scale", float("nan")),
+            ("size_cap", 0),
+            ("model", "foo"),
+        ):
+            with pytest.raises(ServingError, match=f"'x' {field}"):
+                ScenarioSpec(name="x", dataset="facebook", **{field: value})
+
     def test_describe_is_json_ready(self):
         spec = _spec()
         assert json.loads(json.dumps(spec.describe()))["name"] == "planted"

@@ -56,8 +56,10 @@ def test_deadline_never_does_not_expire():
 
 
 def test_deadline_rejects_negative_seconds():
-    with pytest.raises(SolverError):
-        Deadline(-1.0)
+    # NaN is not negative, but a NaN deadline would never expire.
+    for seconds in (-1.0, float("nan")):
+        with pytest.raises(SolverError):
+            Deadline(seconds)
 
 
 def test_as_deadline_coercions():
