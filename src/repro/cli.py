@@ -490,6 +490,22 @@ def _cmd_table1(args) -> int:
 
 def _cmd_solve(args, extras: Optional[dict] = None) -> int:
     from repro.serving import ScenarioSpec, build_instance
+    from repro.utils.retry import Deadline
+
+    # Reject a bad --ci-width or --deadline before the instance build.
+    convergence = None
+    if args.ci_width is not None:
+        from repro.obs.diagnostics import ConvergenceCriterion
+
+        convergence = ConvergenceCriterion(
+            ci_width=args.ci_width, min_samples=args.min_samples
+        )
+    elif args.monitor:
+        from repro.obs.diagnostics import ConvergenceMonitor
+
+        convergence = ConvergenceMonitor()
+    if args.deadline is not None:
+        Deadline(args.deadline)  # validation only: solve_imc starts the clock
 
     graph, communities = build_instance(
         ScenarioSpec(
@@ -513,18 +529,6 @@ def _cmd_solve(args, extras: Optional[dict] = None) -> int:
     def _collect_profile(info: dict) -> None:
         if info.get("sampling_profile"):
             profiles.append(info["sampling_profile"])
-
-    convergence = None
-    if args.ci_width is not None:
-        from repro.obs.diagnostics import ConvergenceCriterion
-
-        convergence = ConvergenceCriterion(
-            ci_width=args.ci_width, min_samples=args.min_samples
-        )
-    elif args.monitor:
-        from repro.obs.diagnostics import ConvergenceMonitor
-
-        convergence = ConvergenceMonitor()
 
     result = solve_imc(
         graph,

@@ -23,6 +23,18 @@ adds nothing to either gain, and the surviving terms are summed in the
 original order, so the ``(ĉ, ν)`` pairs are bit-identical to an
 unpruned scan.
 
+While the seed set is empty, :meth:`FlatCoverage.gain_pair` answers
+from the pool's empty-seed cache
+(:meth:`RICSamplePool.empty_seed_gain`), which holds the same floats:
+the ν arm's CELF start-up and the ĉ arm's first round then cost a
+lookup per node, shared by every engine on the pool until it grows.
+
+:meth:`FlatCoverage.gain_bound` is the length of a node's pruned list
+(or of its index dict before its first marginal call). Every sample the
+node could still push past its threshold is one of those entries, so
+the length bounds its ĉ gain now and after any later seed; the ĉ greedy
+prunes its rounds with it.
+
 It is the default engine of :class:`~repro.core.ubg.UBG`,
 :class:`~repro.core.ubg.GreedyC`, :func:`~repro.core.greedy.greedy_maxr`
 and :func:`~repro.core.greedy.lazy_greedy_nu`; ``engine="reference"``
@@ -45,10 +57,10 @@ class FlatCoverage:
 
     The public surface mirrors :class:`~repro.core.objective.CoverageState`:
     ``add_seed``, ``gain_influenced``, ``gain_fractional``, ``gain_pair``,
-    ``resync`` and the two estimate accessors. Like the reference
-    engine, it snapshots the pool's sample count at construction and
-    fails fast (``SolverError``) when the pool has grown, until
-    :meth:`resync` reloads its state.
+    ``gain_bound``, ``resync`` and the two estimate accessors. Like the
+    reference engine, it snapshots the pool's sample count at
+    construction and fails fast (``SolverError``) when the pool has
+    grown, until :meth:`resync` reloads its state.
     """
 
     def __init__(self, pool: RICSamplePool) -> None:
@@ -202,14 +214,27 @@ class FlatCoverage:
 
     # -- marginals ------------------------------------------------------
 
+    def gain_bound(self, node: int) -> int:
+        """Upper bound on ``node``'s ĉ gain, now and after any later seed.
+
+        The number of entries :meth:`gain_pair` would still scan; see
+        the module docstring.
+        """
+        self._check_sync()
+        entries = self._entries(node)
+        return 0 if entries is None else len(entries)
+
     def gain_pair(self, node: int) -> Tuple[int, float]:
         """Marginal (ĉ, ν) gains of adding ``node``.
 
         Prunes the node's dead entries (sample saturated, or every
         member bit already covered) as a side effect; see the module
-        docstring for why that leaves every answer unchanged.
+        docstring for why that leaves every answer unchanged. With no
+        seeds yet, answers from the pool's empty-seed cache.
         """
         self._check_sync()
+        if not self.seeds:
+            return self.pool.empty_seed_gain(node)
         if node in self._seed_set:
             return 0, 0.0
         entries = self._entries(node)

@@ -2,14 +2,21 @@
 
 Two variants back the MAXR solvers:
 
-- :func:`greedy_maxr` — greedy on the *non-submodular* ``ĉ_R``. Because
-  CELF's lazy pruning is unsound without submodularity, every round
-  recomputes the marginal of every candidate (via the pool's inverted
-  index, so a round costs the total coverage size, not ``n · |R|``).
-  Ties on the ĉ marginal — which are pervasive early on, when no single
+- :func:`greedy_maxr` — greedy on the *non-submodular* ``ĉ_R``. Each
+  round picks the candidate with the largest ``(ĉ gain, ν gain, -id)``:
+  ties on the ĉ marginal — which are pervasive early on, when no single
   node pushes any sample past its threshold — are broken by the ν
-  (fractional-progress) marginal, then by node id; the fallback keeps
-  the greedy directed instead of stalling on an all-zeros round.
+  (fractional-progress) marginal, then by node id, so the greedy stays
+  directed instead of stalling on an all-zeros round. CELF's cached
+  gains are unsound without submodularity, so the round cannot reuse
+  old marginals; it prunes with a bound instead. The engine's
+  ``gain_bound(v)`` counts the entries through which ``v`` could still
+  complete a sample, which only shrinks as seeds are added, so it
+  bounds ``v``'s ĉ gain at every later state. Candidates are evaluated
+  in descending bound order and the round stops once the next bound is
+  below the best ĉ gain found: every skipped candidate loses on ĉ. A
+  candidate whose bound equals that gain is still evaluated, so the
+  picks equal the eager loop's, tie-breaks included.
 
 - :func:`lazy_greedy_nu` — CELF lazy greedy on the *submodular* ``ν_R``
   (Lemma 3 proves submodularity), with the classic cached-upper-bound
@@ -25,6 +32,7 @@ empty-handed" is the contract the deadline-aware solvers build on.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, List, Optional, Sequence
 
 from repro.core.flat_engine import FlatCoverage
@@ -65,40 +73,46 @@ def greedy_maxr(
     pool: RICSamplePool,
     k: int,
     candidates: Optional[Iterable[int]] = None,
-    tie_break_fractional: bool = True,
     engine: str = "flat",
     deadline: Optional[Deadline] = None,
 ) -> List[int]:
-    """Greedy on ``ĉ_R`` — full marginal recomputation each round.
+    """Greedy on ``ĉ_R``, evaluating only the marginals that can win.
 
     Returns up to ``k`` seeds (fewer when the pool has fewer touching
-    nodes than ``k``, or when ``deadline`` expires mid-selection). With
-    ``tie_break_fractional`` disabled, ties on the ĉ marginal fall
-    straight to the node-id order — the literal greedy of Alg. 2
-    line 2, kept for ablations.
+    nodes than ``k``, or when ``deadline`` expires mid-selection); the
+    same seeds as recomputing every candidate's marginal each round
+    (see the module docstring for the bound and why it is exact).
     """
     if k < 0:
         raise SolverError(f"k must be non-negative, got {k}")
     state = _make_state(pool, engine)
-    pool_candidates = _candidates(pool, candidates)
+    # One (-bound, node) entry per unchosen candidate. A round re-pushes
+    # only the nodes it evaluated; the others keep older, larger bounds,
+    # which still hold.
+    heap = [
+        (-state.gain_bound(node), node)
+        for node in _candidates(pool, candidates)
+    ]
+    heapq.heapify(heap)
     chosen: List[int] = []
-    remaining = set(pool_candidates)
-    for _ in range(min(k, len(pool_candidates))):
+    for _ in range(min(k, len(heap))):
         if _out_of_time(deadline, chosen):
             break
-        best_node = None
         best_key = None
-        for node in sorted(remaining):
+        evaluated: List[int] = []
+        while heap and (best_key is None or -heap[0][0] >= best_key[0]):
+            node = heapq.heappop(heap)[1]
+            evaluated.append(node)
             gain_c, gain_nu = state.gain_pair(node)
-            key = (gain_c, gain_nu) if tie_break_fractional else (gain_c, 0.0)
+            key = (gain_c, gain_nu, -node)
             if best_key is None or key > best_key:
                 best_key = key
-                best_node = node
-        if best_node is None:
-            break
+        best_node = -best_key[2]
         state.add_seed(best_node)
-        remaining.discard(best_node)
         chosen.append(best_node)
+        for node in evaluated:
+            if node != best_node:
+                heapq.heappush(heap, (-state.gain_bound(node), node))
     return chosen
 
 

@@ -221,6 +221,11 @@ class CoverageState:
                 gain += (min(current + new, threshold) - current) / threshold
         return gain
 
+    def gain_bound(self, node: int) -> int:
+        """Upper bound on ``node``'s ĉ gain: its ``(sample, member)`` pair
+        count. Never shrinks; the flat engine's bound is the tight one."""
+        return len(self._coverage_of(node))
+
     def gain_pair(self, node: int) -> Tuple[int, float]:
         """Both marginals in one pass (used by the ĉ greedy's tie-break)."""
         self._check_sync()

@@ -2,10 +2,11 @@
 
 UBG instantiates the Sandwich Approximation with the submodular upper
 bound ``ν_R(S) = (b/|R|) Σ_g min(|I_g(S)|/h_g, 1)`` (eq. 7). It runs
-greedy on both ``ν_R`` (lazily — submodular) and ``ĉ_R`` (eagerly —
-non-submodular) and keeps whichever seed set scores higher on ``ĉ_R``,
-yielding the data-dependent ratio ``(ĉ_R(S_ν)/ν_R(S_ν)) · (1 - 1/e)``
-(Theorem 2 + Lemma 3).
+greedy on both ``ν_R`` (lazily — submodular) and ``ĉ_R`` (no marginal
+reused across rounds — non-submodular — but each round skips the
+candidates whose ĉ-gain bound cannot win) and keeps whichever seed set
+scores higher on ``ĉ_R``, yielding the data-dependent ratio
+``(ĉ_R(S_ν)/ν_R(S_ν)) · (1 - 1/e)`` (Theorem 2 + Lemma 3).
 """
 
 from __future__ import annotations

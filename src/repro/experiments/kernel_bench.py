@@ -16,7 +16,9 @@ Measured quantities per run:
   the pool's mask index (timed apart from selection, which only reads
   it);
 - marginal-evaluation throughput (``gain_pair`` calls/sec) for the
-  reference and flat coverage engines over the same pool;
+  reference and flat coverage engines over the same pool, with the UBG
+  selection's first seed added (on the empty seed set the flat engine
+  answers from the pool's cache, which would time a dict lookup);
 - end-to-end seed selection (UBG) wall time per engine;
 - the combined speedup of the flat path (sampling + indexing + flat
   selection) over the reference path (the same sampling and indexing
@@ -152,9 +154,11 @@ def run_kernel_bench(samples: int = 10_000, k: int = 10) -> Dict[str, Any]:
             # on the pool, which the throughput pass would otherwise
             # build untimed.
             start = time.perf_counter()
-            UBG(engine=name).solve(pool, k)
+            selection = UBG(engine=name).solve(pool, k)
             select_time[name] = time.perf_counter() - start
-            marginals[name] = _marginal_throughput(factory(pool), nodes)
+            state = factory(pool)
+            state.add_seed(selection.seeds[0])
+            marginals[name] = _marginal_throughput(state, nodes)
 
     combined_flat = t_sample + t_index + select_time["flat"]
     combined_reference = t_sample + t_index + select_time["reference"]

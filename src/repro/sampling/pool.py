@@ -4,7 +4,9 @@ MAXR solvers repeatedly ask "which members of which samples does node
 v cover?". :class:`RICSamplePool` answers from one inverted index,
 ``node -> {sample_idx: member_mask}``, grown incrementally by every
 :meth:`RICSamplePool.add`, so IMCAF's exponential doubling reuses all
-previously generated samples and no consumer rebuilds the index.
+previously generated samples and no consumer rebuilds the index. Every
+greedy starts from the empty seed set, so the pool also caches each
+node's ``(ĉ, ν)`` marginal there until the next :meth:`add`.
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ class RICSamplePool:
       it;
     - ``community_counts`` — per-community source frequency in ``R``
       (MAF's community frequency).
+
+    Derived from the index and dropped by every :meth:`add`: each
+    node's marginal on the empty seed set (:meth:`empty_seed_gain`),
+    computed on first request.
     """
 
     def __init__(self, sampler: RICSampler) -> None:
@@ -57,6 +63,7 @@ class RICSamplePool:
         self.samples: List[RICSample] = []
         self._masks: Dict[int, Dict[int, int]] = {}
         self._community_counts: Dict[int, int] = {}
+        self._empty_gains: Dict[int, Tuple[int, float]] = {}
         # Persistent intern table (reach-set value -> canonical object)
         # plus a watermark of how many samples compact() has already
         # processed. Together they make the compact -> add -> compact
@@ -81,8 +88,11 @@ class RICSamplePool:
         """Append one sample and update all indexes.
 
         ORs each member's bit into the mask of every node in its reach
-        set; the only place the mask index grows.
+        set; the only place the mask index grows, so it also drops the
+        empty-seed marginals.
         """
+        if self._empty_gains:
+            self._empty_gains = {}
         index = len(self.samples)
         if self._interned_through:
             # The pool has been compacted at least once: intern the new
@@ -136,6 +146,33 @@ class RICSamplePool:
         in :meth:`add`.
         """
         return MappingProxyType(self._masks)
+
+    def empty_seed_gain(self, node: int) -> Tuple[int, float]:
+        """``node``'s marginal ``(ĉ, ν)`` gain on the empty seed set.
+
+        With no seeds, every entry is live and a sample needs all ``h``
+        of its members, so the pair is the count of masks with
+        ``popcount >= h`` and ``Σ min(popcount, h) / h`` over the
+        node's entries in sample order: the floats a coverage engine's
+        ``gain_pair`` computes. Cached per node until the next
+        :meth:`add`; like :meth:`add`, it must not race other pool
+        access (``shard.lock`` in serving).
+        """
+        gain = self._empty_gains.get(node)
+        if gain is None:
+            samples = self.samples
+            gain_c = 0
+            gain_nu = 0.0
+            for sample_idx, mask in self._masks.get(node, _NO_MASKS).items():
+                threshold = samples[sample_idx].threshold
+                added = popcount(mask)
+                if added >= threshold:
+                    gain_nu += 1.0
+                    gain_c += 1
+                else:
+                    gain_nu += added / threshold
+            gain = self._empty_gains[node] = (gain_c, gain_nu)
+        return gain
 
     def _intern_sample(self, sample: RICSample) -> RICSample:
         """Rewrite ``sample``'s reach sets through the intern table.

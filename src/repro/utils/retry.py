@@ -143,7 +143,7 @@ class TimeBudget:
     def __init__(
         self, seconds: float, clock: Clock = time.monotonic
     ) -> None:
-        if seconds < 0:
+        if not seconds >= 0:  # also rejects NaN, which never runs out
             raise SolverError(
                 f"budget seconds must be non-negative, got {seconds}"
             )

@@ -47,6 +47,18 @@ def test_solve_command_bounded(capsys):
     assert "stopped_by=" in out
 
 
+@pytest.mark.parametrize("flag", ["--ci-width", "--deadline"])
+def test_solve_rejects_nan_before_building_the_instance(capsys, flag):
+    code = main(
+        ["solve", "--dataset", "facebook", "--scale", "0.1", "--k", "3",
+         flag, "nan"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "instance:" not in captured.out
+    assert "error:" in captured.err
+
+
 def test_solve_command_lt_model(capsys):
     code = main(
         [

@@ -491,22 +491,22 @@ def test_replica_kill_under_load_is_client_invisible():
         )
         assert killed.golden() == clean.golden()  # and zero errors
         # The victim must come back within the policy's schedule plus
-        # replica startup; poll the supervisor's view until it does.
+        # replica startup; poll the supervisor's restart log until it
+        # records a healthy respawn. (The victim's health flag alone
+        # reads True until the supervisor misses its first heartbeat.)
         bound = sum(policy.delays()) + config.startup_timeout
         deadline = time.monotonic() + bound
         while time.monotonic() < deadline:
-            health = {
-                e.replica_id: e.healthy for e in supervisor.endpoints()
-            }
-            if health.get(victim):
+            entries = [
+                e
+                for e in supervisor.restart_log
+                if e["replica_id"] == victim and e["healthy_at"] is not None
+            ]
+            if entries:
                 break
             time.sleep(0.1)
+        health = {e.replica_id: e.healthy for e in supervisor.endpoints()}
         assert health.get(victim), supervisor.restart_log
-        entries = [
-            e
-            for e in supervisor.restart_log
-            if e["replica_id"] == victim and e["healthy_at"] is not None
-        ]
         assert entries
         final = entries[-1]
         # Backoff honoured: the respawn waited at least its delay.

@@ -54,7 +54,7 @@ def test_greedy_maxr_tie_break_uses_fractional_progress():
         RICSample(0, 2, (0, 1), (frozenset({0, 5}), frozenset({1, 5}))),
     ]
     pool = _pool_with(samples)
-    seeds = greedy_maxr(pool, 2, tie_break_fractional=True)
+    seeds = greedy_maxr(pool, 2)
     assert 5 in seeds  # 5 covers 3 member-slots, most progress
     assert pool.influenced_count(seeds) >= 1
 

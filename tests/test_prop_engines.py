@@ -173,3 +173,35 @@ def test_flat_engines_sharing_a_pool_keep_their_own_state(args):
         _assert_marginals_agree(first_reference, first)
     assert first.influenced_count == first_reference.influenced_count
     assert second.influenced_count == second_reference.influenced_count
+
+
+def _empty_seed_pairs(pool):
+    """Every node's cached empty-seed pair, with ν as ``float.hex``."""
+    return [
+        (c, nu.hex()) for c, nu in map(pool.empty_seed_gain, range(NUM_NODES))
+    ]
+
+
+def _reference_pairs(pool):
+    reference = CoverageState(pool)
+    return [
+        (c, nu.hex()) for c, nu in map(reference.gain_pair, range(NUM_NODES))
+    ]
+
+
+@given(pool_seeds_growth())
+@settings(max_examples=150, deadline=None)
+def test_empty_seed_pairs_match_the_reference_and_follow_add(args):
+    pool, _, growth, _ = args
+    assert _empty_seed_pairs(pool) == _reference_pairs(pool)
+    # A second read answers from the cache, and a fresh flat engine
+    # with no seeds answers from it too.
+    assert _empty_seed_pairs(pool) == _reference_pairs(pool)
+    flat = FlatCoverage(pool)
+    assert [flat.gain_pair(v) for v in range(NUM_NODES)] == [
+        pool.empty_seed_gain(v) for v in range(NUM_NODES)
+    ]
+    # Each add() changes the index, so the pairs must follow it.
+    for sample in growth:
+        pool.add(sample)
+        assert _empty_seed_pairs(pool) == _reference_pairs(pool)

@@ -110,6 +110,8 @@ def test_time_budget_live_charge_and_deadline():
 def test_time_budget_rejects_negative():
     with pytest.raises(SolverError):
         TimeBudget(-0.1)
+    with pytest.raises(SolverError):
+        TimeBudget(float("nan"))
 
 
 # ----------------------------------------------------------------------
