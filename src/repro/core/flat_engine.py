@@ -23,17 +23,12 @@ adds nothing to either gain, and the surviving terms are summed in the
 original order, so the ``(ĉ, ν)`` pairs are bit-identical to an
 unpruned scan.
 
-While the seed set is empty, :meth:`FlatCoverage.gain_pair` answers
-from the pool's empty-seed cache
-(:meth:`RICSamplePool.empty_seed_gain`), which holds the same floats:
-the ν arm's CELF start-up and the ĉ arm's first round then cost a
-lookup per node, shared by every engine on the pool until it grows.
-
-:meth:`FlatCoverage.gain_bound` is the length of a node's pruned list
-(or of its index dict before its first marginal call). Every sample the
-node could still push past its threshold is one of those entries, so
-the length bounds its ĉ gain now and after any later seed; the ĉ greedy
-prunes its rounds with it.
+While the seed set is empty, ``gain_pair`` answers from the pool's
+empty-seed cache (:meth:`RICSamplePool.empty_seed_gain`), which holds
+the same floats. ``gain_bound`` is the length of a node's pruned list
+(or of its index dict before its first marginal call): every sample
+the node could still push past its threshold is one of those entries,
+so it bounds the node's ĉ gain now and after any later seed.
 
 It is the default engine of :class:`~repro.core.ubg.UBG`,
 :class:`~repro.core.ubg.GreedyC`, :func:`~repro.core.greedy.greedy_maxr`

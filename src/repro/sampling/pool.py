@@ -91,8 +91,7 @@ class RICSamplePool:
         set; the only place the mask index grows, so it also drops the
         empty-seed marginals.
         """
-        if self._empty_gains:
-            self._empty_gains = {}
+        self._empty_gains.clear()
         index = len(self.samples)
         if self._interned_through:
             # The pool has been compacted at least once: intern the new

@@ -2,14 +2,14 @@
 
 ``greedy_maxr`` evaluates candidates in descending ``gain_bound`` order
 and ends a round once the next bound is below the best ĉ gain found.
-The reference here is the literal loop it replaced: every round
-recomputes every remaining candidate's ``(ĉ, ν)`` marginal on the
-reference engine and keeps the largest ``(ĉ, ν, -id)``. On random
-pools, on both engines, with and without a ``candidates`` restriction
-and after the pool grows, both must pick the same seeds in the same
-order. Pools mix thresholds above 1 (where ĉ is not submodular, so a
-node's ĉ gain can rise after other seeds) with threshold-1 samples
-(where ĉ gains are positive from the first round, so rounds prune).
+The reference here is the literal greedy loop: every round recomputes
+every remaining candidate's ``(ĉ, ν)`` marginal on the reference engine
+and keeps the largest ``(ĉ, ν, -id)``. On random pools, on both
+engines, with and without a ``candidates`` restriction and after the
+pool grows, both must pick the same seeds in the same order. Pools mix
+thresholds above 1 (where ĉ is not submodular, so a node's ĉ gain can
+rise after other seeds) with threshold-1 samples (where ĉ gains are
+positive from the first round, so rounds prune).
 """
 
 from hypothesis import given, settings
