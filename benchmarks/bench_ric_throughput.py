@@ -47,9 +47,7 @@ def test_ric_throughput(benchmark):
             pool.grow(SAMPLES)
             elapsed = time.perf_counter() - start
             total_reach = sum(
-                len(reach)
-                for sample in pool.samples
-                for reach in sample.reach_sets
+                sum(sample.reach_sizes()) for sample in pool.samples
             )
             rows.append(
                 (

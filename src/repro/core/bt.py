@@ -20,11 +20,12 @@ inapproximability bound of Theorem 1.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 from typing import (
     Dict,
-    FrozenSet,
     Iterable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -38,90 +39,103 @@ from repro.obs import trace
 from repro.rng import SeedLike
 from repro.sampling.pool import RICSamplePool
 from repro.utils.heap import LazyMaxHeap
+from repro.utils.math import popcount
 from repro.utils.retry import Deadline, as_deadline
 from repro.utils.validation import check_candidates, check_positive
 
+_NO_MASKS: Mapping[int, int] = MappingProxyType({})
+
 
 class _Collection:
-    """A lightweight reduced RIC collection.
+    """A lightweight reduced RIC collection on ``(node, mask)`` pairs.
 
-    Each sample is ``(threshold, reach_sets)`` where ``threshold`` may
-    be 0 (already influenced by the implicit outer seeds). An inverted
-    ``node → [(sample, member)]`` index supports greedy selection.
+    Sample ``s`` has threshold ``thresholds[s]``, which may be 0
+    (already influenced by the implicit outer seeds), and the pairs
+    ``pairs[s] = (nodes, masks)``: bit ``i`` of a node's mask is set
+    when the node reaches the sample's ``i``-th remaining member.
+    ``index`` is the node-major ``node -> {sample: mask}`` view of the
+    live (threshold ≥ 1) samples, which greedy selection reads.
     """
 
-    __slots__ = ("thresholds", "reach_sets", "coverage", "auto_influenced")
+    __slots__ = ("thresholds", "pairs", "index", "auto_influenced")
 
     def __init__(
         self,
         thresholds: List[int],
-        reach_sets: List[Tuple[FrozenSet[int], ...]],
+        pairs: List[Tuple[Sequence[int], Sequence[int]]],
+        index: Optional[Mapping[int, Mapping[int, int]]] = None,
     ) -> None:
         self.thresholds = thresholds
-        self.reach_sets = reach_sets
-        self.coverage: Dict[int, List[Tuple[int, int]]] = {}
+        self.pairs = pairs
         self.auto_influenced = sum(1 for h in thresholds if h <= 0)
-        for sample_idx, reaches in enumerate(reach_sets):
-            if thresholds[sample_idx] <= 0:
-                continue  # already influenced; coverage is irrelevant
-            for member_idx, reach in enumerate(reaches):
-                for node in reach:
-                    self.coverage.setdefault(node, []).append(
-                        (sample_idx, member_idx)
-                    )
+        if index is None:
+            built: Dict[int, Dict[int, int]] = {}
+            for sample_idx, (nodes, masks) in enumerate(pairs):
+                if thresholds[sample_idx] <= 0:
+                    continue  # already influenced; coverage is irrelevant
+                for node, mask in zip(nodes, masks):
+                    entry = built.get(node)
+                    if entry is None:
+                        built[node] = {sample_idx: mask}
+                    else:
+                        entry[sample_idx] = mask
+            index = built
+        self.index = index
 
     def __len__(self) -> int:
         return len(self.thresholds)
 
     @classmethod
     def from_pool(cls, pool: RICSamplePool) -> "_Collection":
-        """The unreduced collection mirroring the full pool."""
+        """The unreduced collection: the pool's samples and mask index."""
         return cls(
             [s.threshold for s in pool.samples],
-            [s.reach_sets for s in pool.samples],
+            [(s.nodes, s.masks) for s in pool.samples],
+            pool.mask_index,
         )
 
-    def nodes(self) -> List[int]:
-        """Nodes covering at least one member of a live sample."""
-        return list(self.coverage)
-
     def touched_by(self, node: int) -> List[int]:
-        """Distinct live-sample indices with ``node`` in some reach set."""
-        return sorted({s for s, _ in self.coverage.get(node, ())})
+        """Ascending indices of the live samples ``node`` touches."""
+        return list(self.index.get(node, _NO_MASKS))
 
     def reduce_by(self, node: int) -> "_Collection":
         """The collection ``G_R(node)`` after seeding ``node``.
 
-        Keeps only samples touched by ``node`` (plus none others — BT's
-        score ``|D_R(K(u), u)|`` only counts those); in each, removes
-        every member reached by ``node`` and decrements the threshold
-        per removal (Alg. 4 lines 2-7).
+        Keeps only the live samples ``node`` touches (BT's score
+        ``|D_R(K(u), u)|`` only counts those, Alg. 4 lines 2-7). In
+        each, the members ``node`` reaches leave: the threshold drops
+        by their count, ``popcount(mask_u)``, and every other node's
+        mask loses them (``mask & ~mask_u``), leaving the node out when
+        nothing remains.
         """
-        touched = self.touched_by(node)
         thresholds: List[int] = []
-        reach_sets: List[Tuple[FrozenSet[int], ...]] = []
-        for sample_idx in touched:
-            kept = [
-                reach
-                for reach in self.reach_sets[sample_idx]
-                if node not in reach
-            ]
-            removed = len(self.reach_sets[sample_idx]) - len(kept)
-            thresholds.append(max(0, self.thresholds[sample_idx] - removed))
-            reach_sets.append(tuple(kept))
-        return _Collection(thresholds, reach_sets)
+        pairs: List[Tuple[Sequence[int], Sequence[int]]] = []
+        for sample_idx, mask_u in self.index.get(node, _NO_MASKS).items():
+            nodes, masks = self.pairs[sample_idx]
+            keep = ~mask_u
+            kept_nodes: List[int] = []
+            kept_masks: List[int] = []
+            for v, mask in zip(nodes, masks):
+                mask &= keep
+                if mask:
+                    kept_nodes.append(v)
+                    kept_masks.append(mask)
+            thresholds.append(
+                max(0, self.thresholds[sample_idx] - popcount(mask_u))
+            )
+            pairs.append((kept_nodes, kept_masks))
+        return _Collection(thresholds, pairs)
 
     def influenced_count(self, seeds: Sequence[int]) -> int:
         """Samples influenced by ``seeds`` (auto-influenced included)."""
-        seed_set = set(seeds)
-        covered: Dict[int, Set[int]] = {}
-        for v in seed_set:
-            for sample_idx, member_idx in self.coverage.get(v, ()):
-                covered.setdefault(sample_idx, set()).add(member_idx)
+        covered: Dict[int, int] = {}
+        for v in set(seeds):
+            for sample_idx, mask in self.index.get(v, _NO_MASKS).items():
+                covered[sample_idx] = covered.get(sample_idx, 0) | mask
         live_influenced = sum(
             1
-            for sample_idx, members in covered.items()
-            if len(members) >= self.thresholds[sample_idx]
+            for sample_idx, mask in covered.items()
+            if popcount(mask) >= self.thresholds[sample_idx]
         )
         return live_influenced + self.auto_influenced
 
@@ -140,22 +154,20 @@ def _greedy_cover(
 
     With ``h ≤ 1`` a sample is influenced as soon as *any* member is
     covered — plain max coverage, submodular, so lazy evaluation is
-    sound and the result carries the ``1 - 1/e`` guarantee. ``deadline``
+    sound and the result carries the ``1 - 1/e`` guarantee. A node's
+    gain is the number of its live samples not yet covered. ``deadline``
     is polled between CELF iterations (after at least one pick).
     """
+    index = collection.index
     sample_covered = [h <= 0 for h in collection.thresholds]
     heap: LazyMaxHeap[int] = LazyMaxHeap()
 
     def gain(node: int) -> int:
-        return len(
-            {
-                s
-                for s, _ in collection.coverage.get(node, ())
-                if not sample_covered[s]
-            }
+        return sum(
+            1 for s in index.get(node, _NO_MASKS) if not sample_covered[s]
         )
 
-    for node in sorted(collection.coverage):
+    for node in sorted(index):
         if allowed is not None and node not in allowed:
             continue
         g = gain(node)
@@ -175,7 +187,7 @@ def _greedy_cover(
                 heap.push(node, fresh)
                 continue
         chosen.append(node)
-        for s, _ in collection.coverage.get(node, ()):
+        for s in index.get(node, _NO_MASKS):
             sample_covered[s] = True
     return chosen
 
@@ -201,7 +213,7 @@ def _bt_solve(
         return []
     if depth <= 1 or collection.max_threshold() <= 1:
         return _greedy_cover(collection, k, allowed=allowed, deadline=deadline)
-    candidates = collection.nodes()
+    candidates = list(collection.index)
     if allowed is not None:
         candidates = [v for v in candidates if v in allowed]
     # Rank by how many live samples each node touches; the limit keeps

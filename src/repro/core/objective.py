@@ -9,9 +9,9 @@ Both MAXR objectives are functions of, per sample ``g``, the set of
 :class:`CoverageState` maintains ``I_g(S)`` incrementally as seeds are
 added, and computes the marginal gain of a candidate node for either
 objective in time proportional to the candidate's coverage list. It is
-the readable reference engine: it builds its own ``(sample, member)``
-pairs from the pool's samples, independently of the pool's mask index,
-so the tests can check the fast engine
+the readable reference engine: it unpacks the samples' member masks
+into its own ``(sample, member)`` pairs, independently of the pool's
+mask index, so the tests can check the fast engine
 (:class:`~repro.core.flat_engine.FlatCoverage`) against it.
 """
 
@@ -40,7 +40,7 @@ class CoverageState:
         self.seeds: List[int] = []
         self._seed_set: Set[int] = set()
         # node -> (sample_idx, member_idx) pairs it covers, built here
-        # from the samples' reach sets.
+        # from the samples' member masks.
         self._pairs: Dict[int, List[Tuple[int, int]]] = {}
         self._index_samples(0)
         # covered[g] = set of member indices of sample g hit by the seeds.
@@ -55,9 +55,14 @@ class CoverageState:
         pairs = self._pairs
         for sample_idx in range(start, len(self.pool.samples)):
             sample = self.pool.samples[sample_idx]
-            for member_idx, reach in enumerate(sample.reach_sets):
-                for node in reach:
-                    pairs.setdefault(node, []).append((sample_idx, member_idx))
+            for node, mask in zip(sample.nodes, sample.masks):
+                covered = pairs.setdefault(node, [])
+                member_idx = 0
+                while mask:
+                    if mask & 1:
+                        covered.append((sample_idx, member_idx))
+                    mask >>= 1
+                    member_idx += 1
 
     def _coverage_of(self, node: int) -> Sequence[Tuple[int, int]]:
         """``(sample_idx, member_idx)`` pairs covered by ``node``."""

@@ -140,7 +140,6 @@ def run_kernel_bench(samples: int = 10_000, k: int = 10) -> Dict[str, Any]:
     pool.add_many(drawn)
     t_index = time.perf_counter() - start
     del drawn
-    compact_stats = pool.compact()
     nodes = sorted(pool.touching_nodes())
 
     from repro.core.objective import CoverageState
@@ -178,7 +177,6 @@ def run_kernel_bench(samples: int = 10_000, k: int = 10) -> Dict[str, Any]:
             "reference_path_seconds": combined_reference,
             "speedup_vs_reference": combined_reference / combined_flat,
         },
-        "pool_compaction": compact_stats,
         "peak_rss_kb": peak_rss_kb,
         "python": sys.version.split()[0],
         # Full provenance block (git SHA, platform, interpreter) so a

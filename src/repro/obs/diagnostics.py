@@ -317,24 +317,19 @@ class ActivationTracker:
 def pool_memory_bytes(pool) -> int:
     """Shallow structural memory estimate of a RIC sample pool, in bytes.
 
-    Sums ``sys.getsizeof`` over the sample list, each sample's tuples,
-    the reach-set frozensets (each *distinct object* counted once, so
-    interning via ``RICSamplePool.compact()`` is reflected), and the
-    mask index: its node table and each node's ``{sample: mask}``
-    dict. Element integers (sample indices, masks) are not charged;
+    Sums ``sys.getsizeof`` over the sample list, each sample and its
+    three tuples (members and the ``(node, mask)`` pairs), and the mask
+    index: its node table and each node's ``{sample: mask}`` dict.
+    Element integers (node ids, sample indices, masks) are not charged;
     treat the number as a comparable footprint gauge, not an exact RSS
     prediction.
     """
     total = sys.getsizeof(pool.samples)
-    seen_ids = set()
     for sample in pool.samples:
         total += sys.getsizeof(sample)
         total += sys.getsizeof(sample.members)
-        total += sys.getsizeof(sample.reach_sets)
-        for reach in sample.reach_sets:
-            if id(reach) not in seen_ids:
-                seen_ids.add(id(reach))
-                total += sys.getsizeof(reach)
+        total += sys.getsizeof(sample.nodes)
+        total += sys.getsizeof(sample.masks)
     index = pool._masks
     total += sys.getsizeof(index)
     total += sum(map(sys.getsizeof, index.values()))
@@ -344,28 +339,18 @@ def pool_memory_bytes(pool) -> int:
 def pool_composition(pool) -> Dict[str, Any]:
     """Composition diagnostics of a RIC sample pool.
 
-    Returns reach-set counts and dedup ratio (``unique_reach_sets /
-    reach_sets`` — the same numbers ``RICSamplePool.compact()`` reports,
-    computed here without mutating the pool), reach-size moments,
-    samples per source community, and the
+    Returns the sample count, reach-size moments (one size per member
+    of each sample), samples per source community, and the
     :func:`pool_memory_bytes` footprint. One full pass over the pool —
     call it at end of run (the monitor does so in
     :meth:`ConvergenceMonitor.finalize`), not per batch.
     """
     sizes = StreamingMoments()
-    distinct = set()
-    total_sets = 0
     for sample in pool.samples:
-        for reach in sample.reach_sets:
-            total_sets += 1
-            sizes.push(len(reach))
-            distinct.add(reach)
-    unique = len(distinct)
+        for size in sample.reach_sizes():
+            sizes.push(size)
     return {
         "samples": len(pool.samples),
-        "reach_sets": total_sets,
-        "unique_reach_sets": unique,
-        "unique_ratio": unique / total_sets if total_sets else 1.0,
         "reach_size": sizes.as_dict(),
         "sources": {
             str(index): count
@@ -381,16 +366,15 @@ def observe_pool(pool) -> Dict[str, Any]:
     Computes :func:`pool_composition` and publishes it: the reach-size
     histogram (``pool.reach.histogram``), the samples-per-source
     histogram (``pool.sources.histogram``) and the footprint gauge
-    (``pool.bytes``). Returns the composition dict, whose
-    ``unique_ratio`` is the dedup ratio, so callers can embed it in a
-    manifest. All emission is gated on the instrumentation session like
+    (``pool.bytes``). Returns the composition dict, so callers can
+    embed it in a manifest. All emission is gated on the instrumentation session like
     every other metric call.
     """
     composition = pool_composition(pool)
     for sample in pool.samples:
-        for reach in sample.reach_sets:
+        for size in sample.reach_sizes():
             metrics.observe(
-                "pool.reach.histogram", len(reach), buckets=REACH_SIZE_BUCKETS
+                "pool.reach.histogram", size, buckets=REACH_SIZE_BUCKETS
             )
     for count in pool.community_counts().values():
         metrics.observe(
@@ -457,10 +441,10 @@ class ConvergenceMonitor:
         for the summary's batch log.
         """
         for sample in samples:
-            for reach in sample.reach_sets:
+            for size in sample.reach_sizes():
                 metrics.observe(
                     "pool.reach.histogram",
-                    len(reach),
+                    size,
                     buckets=REACH_SIZE_BUCKETS,
                 )
         self._samples_observed += len(samples)

@@ -50,7 +50,6 @@ CATALOG: Dict[str, str] = {
     "serving.trace.adopted": "inbound trace contexts adopted by a replica",
     "cluster.events.recorded": "lifecycle events appended to an event journal",
     # gauges
-    "pool.coverage_entries": "mask-index (node, sample) entries at last compact()",
     "pool.bytes": "approximate pool memory footprint in bytes",
     "estimator.samples.used": "pool samples behind the latest ĉ(S)",
     "serving.shards.active": "warm shards currently resident",

@@ -200,9 +200,6 @@ def _estimator_lines(block: Dict[str, Any]) -> List[str]:
     if pool:
         lines.append(
             f"  pool: {pool.get('samples', 0)} samples, "
-            f"{pool.get('unique_reach_sets', 0)}/"
-            f"{pool.get('reach_sets', 0)} distinct reach sets "
-            f"(ratio {pool.get('unique_ratio', 0.0):.3f}), "
             f"~{pool.get('bytes', 0)} bytes"
         )
     return lines

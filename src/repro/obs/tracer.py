@@ -52,12 +52,12 @@ SPAN_CATALOG: Dict[str, str] = {
     "imc/select": "IMC seed selection (solver dispatch)",
     "imc/evaluate": "IMC objective evaluation of a fixed seed set",
     "imc/estimate": "sample-average objective estimate",
-    "ubg/nu_arm": "UBG nu-greedy arm (node-greedy candidate)",
-    "ubg/c_arm": "UBG c-greedy arm (community-greedy candidate)",
-    "greedyc/select": "community-greedy baseline selection",
-    "maf/s1_communities": "MAF stage 1: community budget allocation",
-    "maf/s2_nodes": "MAF stage 2: in-community node selection",
-    "bt/select": "BT (benefit-threshold) baseline selection",
+    "ubg/nu_arm": "UBG sandwich arm: greedy on the upper bound ν",
+    "ubg/c_arm": "UBG sandwich arm: greedy on ĉ itself",
+    "greedyc/select": "plain ĉ-greedy selection",
+    "maf/s1_communities": "MAF arm S1: community budget allocation",
+    "maf/s2_nodes": "MAF arm S2: every touching node ranked by touch count",
+    "bt/select": "BT bounded-threshold selection (Algorithm 4)",
     "mb/maf_arm": "MB arm running MAF",
     "mb/bt_arm": "MB arm running BT",
     "experiment/run_algorithm": "one algorithm run inside an experiment",
@@ -71,7 +71,7 @@ SPAN_CATALOG: Dict[str, str] = {
     "serving/request": "replica-side request span (adopted trace context)",
     "serving/compute": "batch leader's shard solve (warm + solve + cache)",
     "serving/resolve": "follower re-solve after an unsatisfying coalesced width",
-    "serving/topup": "shard pool top-up merge rounds toward a CI-width target",
+    "serving/topup": "pool top-up merge rounds to a sample target (warm-up, CI width)",
 }
 
 #: Process-global span-id counter (``itertools.count`` increments

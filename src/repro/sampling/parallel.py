@@ -13,9 +13,9 @@ determinism:
 2. Child seeds are split into contiguous batches and shipped to workers;
    each worker holds a fork/pickle copy of the (graph, communities)
    instance and materialises each sample purely from its child seed.
-3. Workers return *compact tuples* (ints and tuples, not pickled
-   ``frozenset``-of-``frozenset`` objects) which the master expands back
-   into :class:`RICSample` objects in sample order.
+3. Workers return the :class:`RICSample` objects as drawn (each holds
+   only int tuples: its ``(node, member-mask)`` pairs), and the master
+   appends them in sample order.
 
 Because a RIC sample is a pure function of ``(instance, child seed)``
 and child seeds are drawn identically in both modes,
@@ -65,41 +65,12 @@ from repro.sampling.ric import RICSample, RICSampler
 from repro.utils.faults import FaultInjector
 from repro.utils.retry import RetryPolicy
 
-#: Compact wire format for one sample:
-#: ``(community_index, threshold, members, reach_sets_as_sorted_tuples)``.
-CompactSample = Tuple[int, int, Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
-
 #: One unit of worker work: ``(start_index, child_seeds, attempt)``.
 BatchTask = Tuple[int, Sequence[int], int]
 
 #: Default retry schedule for worker recovery: three total attempts
 #: with fast, deterministically-jittered backoff.
 DEFAULT_RETRY = RetryPolicy(max_attempts=3, base_delay=0.05, max_delay=1.0)
-
-
-def compact_sample(sample: RICSample) -> CompactSample:
-    """Flatten a :class:`RICSample` into the compact tuple wire format.
-
-    Reach sets are sorted so the encoding is canonical: two equal
-    samples always serialise to identical bytes.
-    """
-    return (
-        sample.community_index,
-        sample.threshold,
-        sample.members,
-        tuple(tuple(sorted(reach)) for reach in sample.reach_sets),
-    )
-
-
-def expand_sample(compact: CompactSample) -> RICSample:
-    """Rebuild a :class:`RICSample` from its compact tuple encoding."""
-    community_index, threshold, members, reach_tuples = compact
-    return RICSample(
-        community_index=community_index,
-        threshold=threshold,
-        members=tuple(members),
-        reach_sets=tuple(frozenset(reach) for reach in reach_tuples),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -144,22 +115,22 @@ def _materialise_batch(
     seeds: Sequence[int],
     start: int,
     attempt: int,
-) -> List[CompactSample]:
+) -> List[RICSample]:
     """Materialise one batch's samples from their child seeds."""
-    out: List[CompactSample] = []
+    out: List[RICSample] = []
     for index, seed in enumerate(seeds):
         if injector is not None:
             injector.fire("sample", start=start, attempt=attempt, index=index)
-        out.append(compact_sample(sampler.sample_from_seed(seed)))
+        out.append(sampler.sample_from_seed(seed))
     return out
 
 
 def _generate_batch(
     task: BatchTask,
-) -> Tuple[int, float, List[CompactSample], List[Dict[str, Any]]]:
+) -> Tuple[int, float, List[RICSample], List[Dict[str, Any]]]:
     """Generate one batch of samples from child seeds.
 
-    Returns ``(start_index, worker_seconds, compact_samples, spans)`` so
+    Returns ``(start_index, worker_seconds, samples, spans)`` so
     the master can reassemble results in order, compute utilisation, and
     merge any worker-side spans into its trace (``spans`` is empty when
     the pool was created without instrumentation).
@@ -320,9 +291,9 @@ class ParallelRICSampler:
             samples: List[RICSample] = []
             busy = 0.0
             for start in sorted(completed):
-                worker_seconds, compacts = completed[start]
+                worker_seconds, batch_samples = completed[start]
                 busy += worker_seconds
-                samples.extend(expand_sample(c) for c in compacts)
+                samples.extend(batch_samples)
             self._record_profile(
                 count, time.perf_counter() - began, mode="parallel",
                 batches=num_batches, batch_size=batch, busy=busy, **health,
@@ -333,11 +304,11 @@ class ParallelRICSampler:
 
     def _dispatch(
         self, pending: Dict[int, Sequence[int]]
-    ) -> Tuple[Dict[int, Tuple[float, List[CompactSample]]], Dict[str, Any]]:
+    ) -> Tuple[Dict[int, Tuple[float, List[RICSample]]], Dict[str, Any]]:
         """Run all batches to completion, healing worker failures.
 
         Returns ``(completed, health)`` where ``completed`` maps batch
-        start index to ``(worker_seconds, compact_samples)`` and
+        start index to ``(worker_seconds, samples)`` and
         ``health`` carries the retry/restart counters for the profile.
         Batches that fail (crash, timeout, worker exception) are
         re-dispatched with their original child seeds — byte-identical
@@ -345,7 +316,7 @@ class ParallelRICSampler:
         """
         policy = self.retry
         delays = policy.delays()
-        completed: Dict[int, Tuple[float, List[CompactSample]]] = {}
+        completed: Dict[int, Tuple[float, List[RICSample]]] = {}
         failed_batches: Set[int] = set()
         retries = 0
         restarts = 0

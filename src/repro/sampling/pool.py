@@ -24,17 +24,11 @@ from typing import (
 )
 
 from repro.errors import SamplingError
-from repro.obs import metrics
 from repro.sampling.ric import RICSample, RICSampler
 from repro.sampling.rr import RRSampler
 from repro.utils.math import popcount
 
 _NO_MASKS: Mapping[int, int] = MappingProxyType({})
-
-# One shared int per single-bit mask. Most index entries hold one
-# member bit; pointing them at these few objects instead of a fresh int
-# each keeps the index smaller and its masks hot in cache.
-_BITS = tuple(1 << i for i in range(64))
 
 
 class RICSamplePool:
@@ -64,17 +58,6 @@ class RICSamplePool:
         self._masks: Dict[int, Dict[int, int]] = {}
         self._community_counts: Dict[int, int] = {}
         self._empty_gains: Dict[int, Tuple[int, float]] = {}
-        # Persistent intern table (reach-set value -> canonical object)
-        # plus a watermark of how many samples compact() has already
-        # processed. Together they make the compact -> add -> compact
-        # top-up cycle O(new samples) instead of O(pool) per pass, and
-        # guarantee a reach set is interned exactly once: the canonical
-        # representative chosen on first sight never changes, so a
-        # re-compact can never re-point references ("double-intern").
-        self._intern: Dict[FrozenSet[int], FrozenSet[int]] = {}
-        self._interned_through = 0
-        self._reach_sets_total = 0
-        self._pending_rewrites = 0
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -87,30 +70,20 @@ class RICSamplePool:
     def add(self, sample: RICSample) -> None:
         """Append one sample and update all indexes.
 
-        ORs each member's bit into the mask of every node in its reach
-        set; the only place the mask index grows, so it also drops the
+        Files each of the sample's ``(node, mask)`` pairs under its
+        node; the only place the mask index grows, so it also drops the
         empty-seed marginals.
         """
         self._empty_gains.clear()
         index = len(self.samples)
-        if self._interned_through:
-            # The pool has been compacted at least once: intern the new
-            # sample's reach sets eagerly against the persistent table,
-            # so a server's compact -> add -> compact top-up loop never
-            # accumulates duplicate frozensets between passes.
-            sample = self._intern_sample(sample)
         self.samples.append(sample)
         masks = self._masks
-        for member_idx, reach in enumerate(sample.reach_sets):
-            bit = _BITS[member_idx] if member_idx < 64 else 1 << member_idx
-            for node in reach:
-                entry = masks.get(node)
-                if entry is None:
-                    masks[node] = {index: bit}
-                else:
-                    prev = entry.get(index)
-                    entry[index] = bit if prev is None else prev | bit
-        self._reach_sets_total += len(sample.reach_sets)
+        for node, mask in zip(sample.nodes, sample.masks):
+            entry = masks.get(node)
+            if entry is None:
+                masks[node] = {index: mask}
+            else:
+                entry[index] = mask
         self._community_counts[sample.community_index] = (
             self._community_counts.get(sample.community_index, 0) + 1
         )
@@ -173,67 +146,6 @@ class RICSamplePool:
             gain = self._empty_gains[node] = (gain_c, gain_nu)
         return gain
 
-    def _intern_sample(self, sample: RICSample) -> RICSample:
-        """Rewrite ``sample``'s reach sets through the intern table.
-
-        Returns the same object (fields rewritten in place when any
-        reference changed); counts rewrites in ``_pending_rewrites`` so
-        the next :meth:`compact` can report them.
-        """
-        intern = self._intern
-        new_sets = []
-        changed = False
-        for reach in sample.reach_sets:
-            kept = intern.setdefault(reach, reach)
-            if kept is not reach:
-                changed = True
-                self._pending_rewrites += 1
-            new_sets.append(kept)
-        if changed:
-            # RICSample is a frozen dataclass; rewriting the field
-            # through object.__setattr__ preserves value equality
-            # while sharing the canonical frozensets.
-            object.__setattr__(sample, "reach_sets", tuple(new_sets))
-        return sample
-
-    def compact(self) -> Dict[str, int]:
-        """Intern duplicate reach sets.
-
-        RIC samples over a common graph repeat reach sets constantly (a
-        node with one realised in-path yields the same frozenset in
-        many samples). Keeping one canonical frozenset per distinct
-        value drops the duplicates' memory and makes later equality
-        checks pointer comparisons. Samples are rewritten in place to
-        reference the canonical objects; values are unchanged, so the
-        mask index, estimators and golden results are unaffected.
-        Idempotent.
-
-        The intern table persists across calls and samples already
-        processed are watermarked, so the serving top-up cycle
-        ``compact() -> add() -> compact()`` costs O(new samples) per
-        pass, not O(pool): canonical representatives never change
-        between passes, samples appended after the first pass are
-        interned eagerly by :meth:`add`, and a no-op re-compact reports
-        ``interned_duplicates == 0``.
-
-        Returns a stats dict: ``reach_sets`` (total), ``unique_reach_sets``,
-        ``interned_duplicates`` (references rewritten to a canonical
-        object since the previous pass), and ``coverage_entries``
-        (``(node, sample)`` entries of the mask index).
-        """
-        for sample in self.samples[self._interned_through:]:
-            self._intern_sample(sample)
-        self._interned_through = len(self.samples)
-        rewritten, self._pending_rewrites = self._pending_rewrites, 0
-        entries = sum(map(len, self._masks.values()))
-        metrics.set_gauge("pool.coverage_entries", entries)
-        return {
-            "reach_sets": self._reach_sets_total,
-            "unique_reach_sets": len(self._intern),
-            "interned_duplicates": rewritten,
-            "coverage_entries": entries,
-        }
-
     def touch_count(self, node: int) -> int:
         """Number of distinct samples ``node`` touches (MAF frequency)."""
         return len(self._masks.get(node, _NO_MASKS))
@@ -272,9 +184,7 @@ class RICSamplePool:
                 "top_source_share": 0.0,
             }
         reach_sizes = [
-            len(reach)
-            for sample in self.samples
-            for reach in sample.reach_sets
+            size for sample in self.samples for size in sample.reach_sizes()
         ]
         return {
             "num_samples": float(len(self.samples)),

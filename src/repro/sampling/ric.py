@@ -10,7 +10,10 @@ A RIC sample is generated by:
    once;
 3. computing, for each member ``u ∈ C_g``, the reachable set
    ``R_g(u)`` — all nodes with a realised path *to* ``u`` (``u`` itself
-   included, matching the paper's Fig. 3 example).
+   included, matching the paper's Fig. 3 example). A sample stores the
+   sets as ``(node, member-mask)`` pairs: bit ``i`` of a node's mask is
+   set iff the node lies in ``R_g(u_i)``, which is all that ``X_g(S)``
+   and ``|I_g(S)|`` read.
 
 Only edges touched by the backward exploration are ever realised, so
 the cost is proportional to the explored neighbourhood, not to ``m``.
@@ -29,7 +32,7 @@ reseeded for each sample (``r.seed(x)`` leaves it in the state
 
 :meth:`RICSampler.sample_indicator` serves Algorithm 6, which needs only
 ``X_g(S)``: it draws the same sample but stops as soon as the indicator
-is decided, and builds no reach sets.
+is decided, and builds no masks.
 """
 
 from __future__ import annotations
@@ -60,59 +63,84 @@ from repro.utils.math import popcount
 
 _NO_SEEDS: FrozenSet[int] = frozenset()
 
+# One shared int per single-bit mask. Most nodes of a sample reach one
+# member; pointing their masks (and so the pool's index entries) at
+# these few objects instead of a fresh int each keeps both smaller.
+_BITS = tuple(1 << i for i in range(64))
+
 
 @dataclass(frozen=True)
 class RICSample:
-    """One RIC sample ``g``.
+    """One RIC sample ``g``, stored as ``(node, member-mask)`` pairs.
 
-    ``reach_sets[i]`` is ``R_g(members[i])`` — every node that can reach
-    member ``i`` of the source community in the realised sample graph.
-    A seed set ``S`` *influences* ``g`` iff ``S`` intersects at least
-    ``threshold`` of the reach sets.
+    ``nodes[j]`` lies in ``R_g(members[i])`` — it can reach member ``i``
+    of the source community in the realised sample graph — iff bit
+    ``i`` of ``masks[j]`` is set. Each node that reaches some member
+    appears once (every member reaches itself), and no other node
+    appears. A seed set ``S`` *influences* ``g`` iff its nodes' masks
+    together carry at least ``threshold`` bits.
     """
 
     community_index: int
     threshold: int
     members: Tuple[int, ...]
-    reach_sets: Tuple[FrozenSet[int], ...]
+    nodes: Tuple[int, ...]
+    masks: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.members) != len(self.reach_sets):
-            raise SamplingError(
-                "RICSample needs one reach set per community member"
-            )
+        if len(self.nodes) != len(self.masks):
+            raise SamplingError("RICSample needs one member mask per node")
         if not (1 <= self.threshold <= len(self.members)):
             raise SamplingError(
                 f"threshold {self.threshold} outside [1, {len(self.members)}]"
             )
 
+    @property
+    def reach_sets(self) -> Tuple[FrozenSet[int], ...]:
+        """``R_g(u)`` per member, derived from the masks.
+
+        A read-only view for tests and oracles; solvers read the pairs.
+        """
+        return tuple(
+            frozenset(v for v, m in zip(self.nodes, self.masks) if m >> i & 1)
+            for i in range(len(self.members))
+        )
+
+    def reach_sizes(self) -> List[int]:
+        """``|R_g(u)|`` per member: the number of masks with its bit."""
+        sizes = [0] * len(self.members)
+        for mask in self.masks:
+            while mask:
+                low = mask & -mask
+                sizes[low.bit_length() - 1] += 1
+                mask ^= low
+        return sizes
+
     def touched_nodes(self) -> Set[int]:
-        """All nodes that *touch* the sample (appear in some reach set).
+        """All nodes that *touch* the sample (reach some member).
 
         This is the node-appearance notion MAF counts: ``v`` appears in
         ``g`` iff ``v ∈ C_g`` or ``v ∈ R_g(u)`` for some member ``u``
         (members always appear since ``u ∈ R_g(u)``).
         """
-        touched: Set[int] = set()
-        for reach in self.reach_sets:
-            touched |= reach
-        return touched
+        return set(self.nodes)
+
+    def _covered_mask(self, seeds: Iterable[int]) -> int:
+        """``I_g(S)`` as a mask: the OR of the seeds' masks."""
+        seed_set = set(seeds)
+        covered = 0
+        for node, mask in zip(self.nodes, self.masks):
+            if node in seed_set:
+                covered |= mask
+        return covered
 
     def covered_members(self, seeds: Iterable[int]) -> int:
         """``|I_g(S)|`` — members whose reach set intersects ``seeds``."""
-        seed_set = set(seeds)
-        return sum(1 for reach in self.reach_sets if reach & seed_set)
+        return popcount(self._covered_mask(seeds))
 
     def is_influenced_by(self, seeds: Iterable[int]) -> bool:
         """``X_g(S)`` — whether ``seeds`` influence this sample."""
-        seed_set = set(seeds)
-        covered = 0
-        for reach in self.reach_sets:
-            if reach & seed_set:
-                covered += 1
-                if covered >= self.threshold:
-                    return True
-        return False
+        return popcount(self._covered_mask(seeds)) >= self.threshold
 
 
 class RICSampler:
@@ -352,33 +380,37 @@ class RICSampler:
             rng, members, _NO_SEEDS, community.threshold
         )
         # Phase 2 — per-member reachability over realised edges only,
-        # marking membership with a fresh stamp per member; a member
-        # without realised in-edges reaches only itself.
+        # marking membership with a fresh stamp per member and OR-ing
+        # member i's bit into the mask of every node it reaches; a
+        # member without realised in-edges reaches only itself.
         reach = self._reach
-        reach_sets: List[FrozenSet[int]] = []
+        masks: Dict[int, int] = {}
+        get = masks.get
         stamp = self._stamp
-        for u in members:
+        for i, u in enumerate(members):
+            bit = _BITS[i] if i < 64 else 1 << i
+            prev = get(u)
+            masks[u] = bit if prev is None else prev | bit
             if not live_in[u]:
-                reach_sets.append(frozenset((u,)))
                 continue
             stamp += 1
             reach[u] = stamp
-            reached = [u]
             stack = [u]
             while stack:
                 for v in live_in[stack.pop()]:
                     if reach[v] != stamp:
                         reach[v] = stamp
-                        reached.append(v)
                         stack.append(v)
-            reach_sets.append(frozenset(reached))
+                        prev = get(v)
+                        masks[v] = bit if prev is None else prev | bit
         self._stamp = stamp
 
         return RICSample(
             community_index=community_index,
             threshold=community.threshold,
             members=tuple(members),
-            reach_sets=tuple(reach_sets),
+            nodes=tuple(masks),
+            masks=tuple(masks.values()),
         )
 
     def sample_indicator(self, seeds: AbstractSet[int]) -> Tuple[int, bool]:
@@ -386,7 +418,7 @@ class RICSampler:
 
         Equals ``(s.community_index, s.is_influenced_by(seeds))`` for
         ``s = self.sample()``, and advances the master stream by the
-        same one draw, but builds no reach sets and stops as soon as the
+        same one draw, but builds no masks and stops as soon as the
         outcome is known. Coverage only grows as more edges are
         realised, so stopping the reverse BFS once ``h`` members are
         covered is exact; the rest of the child stream is thrown away.

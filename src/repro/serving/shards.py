@@ -117,8 +117,9 @@ class WarmShard:
 
         Requires :attr:`lock`. Each round generates at most
         ``round_size`` samples (fanned across the shard's workers),
-        merges them synchronously (``add()`` grows the pool's mask
-        index), interns their reach sets and bumps :attr:`version`.
+        merges them synchronously (``add()`` files each sample's
+        ``(node, mask)`` pairs in the pool's mask index) and bumps
+        :attr:`version`.
         :attr:`bytes` is measured after the last round. Returns whether
         any growth happened.
         """
@@ -131,7 +132,6 @@ class WarmShard:
             while len(self.pool) < target:
                 room = min(self.round_size, target - len(self.pool))
                 self.pool.grow(room)
-                self.pool.compact()
                 self.version += 1
                 rounds += 1
             self.bytes = pool_memory_bytes(self.pool)

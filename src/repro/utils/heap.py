@@ -38,7 +38,7 @@ class LazyMaxHeap(Generic[T]):
         self._live: dict = {}
         self._counter = itertools.count()
 
-    def _maybe_compact(self) -> None:
+    def _maybe_rebuild(self) -> None:
         """Rebuild the heap when stale entries exceed ~2× live entries.
 
         Each live item has exactly one matching entry, so the stale
@@ -73,7 +73,7 @@ class LazyMaxHeap(Generic[T]):
         self._live[item] = count
         # heapq is a min-heap; negate priorities for max behaviour.
         heapq.heappush(self._heap, (-priority, count, item))
-        self._maybe_compact()
+        self._maybe_rebuild()
 
     def pop_max(self) -> Tuple[T, float]:
         """Remove and return ``(item, priority)`` with the largest priority.
@@ -99,7 +99,7 @@ class LazyMaxHeap(Generic[T]):
     def discard(self, item: T) -> None:
         """Remove ``item`` if present (lazily; no-op when absent)."""
         self._live.pop(item, None)
-        self._maybe_compact()
+        self._maybe_rebuild()
 
     def priority_of(self, item: T) -> Optional[float]:
         """Return the live priority of ``item`` or ``None`` when absent.

@@ -16,7 +16,9 @@ from repro.core.objective import CoverageState
 from repro.errors import SolverError
 from repro.graph.digraph import DiGraph
 from repro.sampling.pool import RICSamplePool
-from repro.sampling.ric import RICSample, RICSampler
+from repro.sampling.ric import RICSampler
+
+from tests.ric_samples import ric_sample
 
 NUM_NODES = 10
 
@@ -29,8 +31,8 @@ def _manual_pool():
         ]
     )
     pool = RICSamplePool(RICSampler(DiGraph(NUM_NODES), communities, seed=1))
-    pool.add(RICSample(0, 2, (0, 1), (frozenset({0, 4}), frozenset({1, 5}))))
-    pool.add(RICSample(1, 1, (2,), (frozenset({2, 4}),)))
+    pool.add(ric_sample(0, 2, (0, 1), (frozenset({0, 4}), frozenset({1, 5}))))
+    pool.add(ric_sample(1, 1, (2,), (frozenset({2, 4}),)))
     return pool
 
 
@@ -107,7 +109,7 @@ def random_pool_and_seed_order(draw):
             for member in community.members
         )
         pool.add(
-            RICSample(idx, community.threshold, community.members, reaches)
+            ric_sample(idx, community.threshold, community.members, reaches)
         )
     order = draw(
         st.lists(

@@ -14,7 +14,9 @@ from repro.errors import SolverError
 from repro.graph.builders import from_edge_list
 from repro.graph.digraph import DiGraph
 from repro.sampling.pool import RICSamplePool
-from repro.sampling.ric import RICSample, RICSampler
+from repro.sampling.ric import RICSampler
+
+from tests.ric_samples import ric_sample
 
 
 def _pool_with(samples, communities, num_nodes=10):
@@ -34,9 +36,9 @@ def cost_pool():
         ]
     )
     samples = [
-        RICSample(0, 1, (0,), (frozenset({0, 5}),)),
-        RICSample(1, 1, (1,), (frozenset({1, 5}),)),
-        RICSample(2, 1, (2,), (frozenset({2, 6}),)),
+        ric_sample(0, 1, (0,), (frozenset({0, 5}),)),
+        ric_sample(1, 1, (1,), (frozenset({1, 5}),)),
+        ric_sample(2, 1, (2,), (frozenset({2, 6}),)),
     ]
     return _pool_with(samples, communities)
 
@@ -91,7 +93,7 @@ def test_guard_arm_beats_ratio_greedy_trap():
     samples = []
     for i in range(6):
         samples.append(
-            RICSample(0, 1, tuple(range(6)), tuple(
+            ric_sample(0, 1, tuple(range(6)), tuple(
                 frozenset({m, 9}) if m == i else frozenset({m, 9})
                 for m in range(6)
             ))

@@ -3,9 +3,8 @@
 Each test pins one of the bugs found while putting a long-lived server
 on top of the sampling/coverage/persistence layers:
 
-- ``RICSamplePool.compact()`` under the repeated compact -> add ->
-  compact top-up cycle (interning stays canonical, re-compacts are
-  idempotent, estimates are unaffected);
+- a pool grown in top-up rounds, as a shard grows it, indexing exactly
+  what one grow of the same size does;
 - coverage engines failing *loudly* when ``resync()`` races a marginal
   evaluation instead of answering from half-built state;
 - ``read_jsonl`` racing a live ``JsonlSink`` writer (a partially
@@ -42,18 +41,17 @@ def _make_pool(seed: int, graph, blocks) -> RICSamplePool:
 
 
 # ----------------------------------------------------------------------
-# Satellite 1: compact -> add -> compact cycle
+# Satellite 1: grow in top-up rounds
 # ----------------------------------------------------------------------
 
 
-class TestCompactTopUpCycle:
-    def test_estimates_match_never_compacted_pool(self, planted_instance):
+class TestTopUpCycle:
+    def test_estimates_match_a_pool_grown_at_once(self, planted_instance):
         graph, blocks = planted_instance
         cycled = _make_pool(5, graph, blocks)
         plain = _make_pool(5, graph, blocks)
         for _ in range(4):
             cycled.grow(40)
-            cycled.compact()
         plain.grow(160)
         seeds = sorted(plain.touching_nodes())[:4]
         assert cycled.estimate_benefit(seeds) == plain.estimate_benefit(seeds)
@@ -62,49 +60,6 @@ class TestCompactTopUpCycle:
             assert list(cycled.mask_index[node].items()) == list(
                 plain.mask_index[node].items()
             )
-
-    def test_reach_sets_stay_canonical_across_reseals(self, planted_instance):
-        graph, blocks = planted_instance
-        pool = _make_pool(11, graph, blocks)
-        pool.grow(60)
-        pool.compact()
-        pool.grow(60)  # added after the first seal: interned eagerly
-        pool.compact()
-        pool.grow(60)
-        pool.compact()
-        canonical = {}
-        for sample in pool.samples:
-            for reach in sample.reach_sets:
-                # One object per distinct value, pool-wide: every equal
-                # frozenset is the *same* object after compaction.
-                assert canonical.setdefault(reach, reach) is reach
-
-    def test_recompact_is_idempotent(self, planted_instance):
-        graph, blocks = planted_instance
-        pool = _make_pool(23, graph, blocks)
-        pool.grow(80)
-        first = pool.compact()
-        again = pool.compact()
-        assert again["interned_duplicates"] == 0
-        assert again["reach_sets"] == first["reach_sets"]
-        assert again["unique_reach_sets"] == first["unique_reach_sets"]
-        assert again["coverage_entries"] == first["coverage_entries"]
-        assert first["coverage_entries"] == sum(
-            pool.touch_count(node) for node in pool.touching_nodes()
-        )
-
-    def test_stats_account_for_growth_between_seals(self, planted_instance):
-        graph, blocks = planted_instance
-        pool = _make_pool(31, graph, blocks)
-        pool.grow(50)
-        pool.compact()
-        pool.grow(50)
-        stats = pool.compact()
-        assert stats["reach_sets"] == sum(
-            len(s.reach_sets) for s in pool.samples
-        )
-        distinct = {r for s in pool.samples for r in s.reach_sets}
-        assert stats["unique_reach_sets"] == len(distinct)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,9 @@ from repro.core.bt import BT, MB, _Collection
 from repro.errors import SolverError
 from repro.graph.builders import from_edge_list
 from repro.sampling.pool import RICSamplePool
-from repro.sampling.ric import RICSample, RICSampler
+from repro.sampling.ric import RICSampler
+
+from tests.ric_samples import ric_sample
 
 
 def _pool_with(samples, communities, num_nodes=12):
@@ -34,9 +36,9 @@ def bounded_communities():
 @pytest.fixture
 def bounded_pool(bounded_communities):
     samples = [
-        RICSample(0, 2, (0, 1), (frozenset({0, 6}), frozenset({1, 7}))),
-        RICSample(0, 2, (0, 1), (frozenset({0, 6}), frozenset({1, 6}))),
-        RICSample(1, 2, (2, 3), (frozenset({2, 6}), frozenset({3, 7}))),
+        ric_sample(0, 2, (0, 1), (frozenset({0, 6}), frozenset({1, 7}))),
+        ric_sample(0, 2, (0, 1), (frozenset({0, 6}), frozenset({1, 6}))),
+        ric_sample(1, 2, (2, 3), (frozenset({2, 6}), frozenset({3, 7}))),
     ]
     return _pool_with(samples, bounded_communities)
 
@@ -103,7 +105,7 @@ def test_bt_rejects_overbound_thresholds():
         [Community(members=(0, 1, 2), threshold=3, benefit=1.0)]
     )
     samples = [
-        RICSample(
+        ric_sample(
             0,
             3,
             (0, 1, 2),
@@ -120,7 +122,7 @@ def test_bt_d3_handles_threshold_3():
         [Community(members=(0, 1, 2), threshold=3, benefit=1.0)]
     )
     samples = [
-        RICSample(
+        ric_sample(
             0,
             3,
             (0, 1, 2),
@@ -210,7 +212,7 @@ def test_paper_s2_counterexample_mb_still_guarantees():
             frozenset({m, hub}) if j == 0 else frozenset({m})
             for j, m in enumerate(members)
         )
-        samples.append(RICSample(i, 2, members, reaches))
+        samples.append(ric_sample(i, 2, members, reaches))
     pool = _pool_with(samples, communities, num_nodes=20)
     # S2 = {u, v} influences nothing:
     assert pool.influenced_count([u, v]) == 0

@@ -9,7 +9,9 @@ from repro.core.greedy import greedy_eager_nu, greedy_maxr, lazy_greedy_nu
 from repro.errors import SolverError
 from repro.graph.builders import from_edge_list
 from repro.sampling.pool import RICSamplePool
-from repro.sampling.ric import RICSample, RICSampler
+from repro.sampling.ric import RICSampler
+
+from tests.ric_samples import ric_sample
 
 
 def _pool_with(samples, num_nodes=10):
@@ -26,7 +28,7 @@ def _pool_with(samples, num_nodes=10):
 
 def test_greedy_maxr_k_zero_and_negative():
     pool = _pool_with(
-        [RICSample(0, 1, (0,), (frozenset({0}),))]
+        [ric_sample(0, 1, (0,), (frozenset({0}),))]
     )
     assert greedy_maxr(pool, 0) == []
     with pytest.raises(SolverError):
@@ -35,9 +37,9 @@ def test_greedy_maxr_k_zero_and_negative():
 
 def test_greedy_maxr_picks_best_cover():
     samples = [
-        RICSample(0, 1, (0,), (frozenset({0, 7}),)),
-        RICSample(0, 1, (0,), (frozenset({0, 7}),)),
-        RICSample(0, 1, (0,), (frozenset({8}),)),
+        ric_sample(0, 1, (0,), (frozenset({0, 7}),)),
+        ric_sample(0, 1, (0,), (frozenset({0, 7}),)),
+        ric_sample(0, 1, (0,), (frozenset({8}),)),
     ]
     pool = _pool_with(samples)
     seeds = greedy_maxr(pool, 2)
@@ -50,8 +52,8 @@ def test_greedy_maxr_tie_break_uses_fractional_progress():
     fractional tie-break should still pick the node covering the most
     members instead of node 0."""
     samples = [
-        RICSample(0, 2, (0, 1), (frozenset({0, 5}), frozenset({1, 6}))),
-        RICSample(0, 2, (0, 1), (frozenset({0, 5}), frozenset({1, 5}))),
+        ric_sample(0, 2, (0, 1), (frozenset({0, 5}), frozenset({1, 6}))),
+        ric_sample(0, 2, (0, 1), (frozenset({0, 5}), frozenset({1, 5}))),
     ]
     pool = _pool_with(samples)
     seeds = greedy_maxr(pool, 2)
@@ -60,7 +62,7 @@ def test_greedy_maxr_tie_break_uses_fractional_progress():
 
 
 def test_greedy_maxr_respects_candidate_restriction():
-    samples = [RICSample(0, 1, (0,), (frozenset({0, 5, 6}),))]
+    samples = [ric_sample(0, 1, (0,), (frozenset({0, 5, 6}),))]
     pool = _pool_with(samples)
     seeds = greedy_maxr(pool, 1, candidates=[6])
     assert seeds == [6]
@@ -69,10 +71,10 @@ def test_greedy_maxr_respects_candidate_restriction():
 def test_lazy_greedy_nu_equals_eager():
     """CELF must match eager greedy on the submodular ν objective."""
     samples = [
-        RICSample(0, 2, (0, 1), (frozenset({0, 4}), frozenset({1, 4}))),
-        RICSample(0, 2, (0, 1), (frozenset({0, 5}), frozenset({1, 6}))),
-        RICSample(0, 1, (0,), (frozenset({7}),)),
-        RICSample(0, 2, (0, 1), (frozenset({4, 5}), frozenset({6, 7}))),
+        ric_sample(0, 2, (0, 1), (frozenset({0, 4}), frozenset({1, 4}))),
+        ric_sample(0, 2, (0, 1), (frozenset({0, 5}), frozenset({1, 6}))),
+        ric_sample(0, 1, (0,), (frozenset({7}),)),
+        ric_sample(0, 2, (0, 1), (frozenset({4, 5}), frozenset({6, 7}))),
     ]
     pool = _pool_with(samples)
     for k in range(1, 6):
@@ -108,9 +110,9 @@ def test_lazy_greedy_nu_on_random_pools():
 def test_greedy_nu_matches_brute_force_on_tiny_pool():
     """Greedy ν achieves >= (1-1/e) of the exhaustive optimum."""
     samples = [
-        RICSample(0, 2, (0, 1), (frozenset({0, 4}), frozenset({1, 5}))),
-        RICSample(0, 2, (0, 1), (frozenset({0, 4}), frozenset({1, 4}))),
-        RICSample(0, 1, (0,), (frozenset({5, 6}),)),
+        ric_sample(0, 2, (0, 1), (frozenset({0, 4}), frozenset({1, 5}))),
+        ric_sample(0, 2, (0, 1), (frozenset({0, 4}), frozenset({1, 4}))),
+        ric_sample(0, 1, (0,), (frozenset({5, 6}),)),
     ]
     pool = _pool_with(samples)
     k = 2
@@ -124,13 +126,13 @@ def test_greedy_nu_matches_brute_force_on_tiny_pool():
 
 
 def test_greedy_returns_fewer_when_pool_small():
-    pool = _pool_with([RICSample(0, 1, (0,), (frozenset({0}),))])
+    pool = _pool_with([ric_sample(0, 1, (0,), (frozenset({0}),))])
     assert len(greedy_maxr(pool, 5)) <= 1
     assert len(lazy_greedy_nu(pool, 5)) <= 1
 
 
 def test_lazy_greedy_validates_k():
-    pool = _pool_with([RICSample(0, 1, (0,), (frozenset({0}),))])
+    pool = _pool_with([ric_sample(0, 1, (0,), (frozenset({0}),))])
     with pytest.raises(SolverError):
         lazy_greedy_nu(pool, -2)
     with pytest.raises(SolverError):

@@ -7,7 +7,9 @@ from repro.core.objective import CoverageState
 from repro.errors import SolverError
 from repro.graph.builders import from_edge_list
 from repro.sampling.pool import RICSamplePool
-from repro.sampling.ric import RICSample, RICSampler
+from repro.sampling.ric import RICSampler
+
+from tests.ric_samples import ric_sample
 
 
 @pytest.fixture
@@ -20,8 +22,8 @@ def manual_pool():
         ]
     )
     pool = RICSamplePool(RICSampler(graph, communities, seed=1))
-    pool.add(RICSample(0, 2, (0, 1), (frozenset({0, 4}), frozenset({1, 5}))))
-    pool.add(RICSample(1, 1, (2,), (frozenset({2, 4}),)))
+    pool.add(ric_sample(0, 2, (0, 1), (frozenset({0, 4}), frozenset({1, 5}))))
+    pool.add(ric_sample(1, 1, (2,), (frozenset({2, 4}),)))
     return pool
 
 
@@ -83,7 +85,7 @@ def test_gain_threshold_jump(manual_pool):
     """A node covering BOTH members of an h=2 sample gains 1 at once."""
     pool = manual_pool
     pool.add(
-        RICSample(0, 2, (0, 1), (frozenset({0, 3}), frozenset({1, 3})))
+        ric_sample(0, 2, (0, 1), (frozenset({0, 3}), frozenset({1, 3})))
     )
     state = CoverageState(pool)
     assert state.gain_influenced(3) == 1

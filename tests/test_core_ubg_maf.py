@@ -10,7 +10,9 @@ from repro.core.ubg import UBG, GreedyC
 from repro.errors import SolverError
 from repro.graph.builders import from_edge_list
 from repro.sampling.pool import RICSamplePool
-from repro.sampling.ric import RICSample, RICSampler
+from repro.sampling.ric import RICSampler
+
+from tests.ric_samples import ric_sample
 
 
 def _pool_with(samples, communities, num_nodes=12):
@@ -34,10 +36,10 @@ def simple_communities():
 @pytest.fixture
 def simple_pool(simple_communities):
     samples = [
-        RICSample(0, 2, (0, 1), (frozenset({0, 6}), frozenset({1, 6}))),
-        RICSample(0, 2, (0, 1), (frozenset({0, 6}), frozenset({1, 7}))),
-        RICSample(1, 1, (2, 3), (frozenset({2, 8}), frozenset({3}))),
-        RICSample(1, 1, (2, 3), (frozenset({2, 8}), frozenset({3, 6}))),
+        ric_sample(0, 2, (0, 1), (frozenset({0, 6}), frozenset({1, 6}))),
+        ric_sample(0, 2, (0, 1), (frozenset({0, 6}), frozenset({1, 7}))),
+        ric_sample(1, 1, (2, 3), (frozenset({2, 8}), frozenset({3}))),
+        ric_sample(1, 1, (2, 3), (frozenset({2, 8}), frozenset({3, 6}))),
     ]
     return _pool_with(samples, simple_communities)
 
@@ -137,10 +139,10 @@ def test_maf_result_structure(simple_pool):
 def test_maf_s1_prefers_frequent_communities(simple_communities):
     # Community 0 is the source of 3 of 4 samples.
     samples = [
-        RICSample(0, 2, (0, 1), (frozenset({0}), frozenset({1}))),
-        RICSample(0, 2, (0, 1), (frozenset({0}), frozenset({1}))),
-        RICSample(0, 2, (0, 1), (frozenset({0}), frozenset({1}))),
-        RICSample(1, 1, (2, 3), (frozenset({2}), frozenset({3}))),
+        ric_sample(0, 2, (0, 1), (frozenset({0}), frozenset({1}))),
+        ric_sample(0, 2, (0, 1), (frozenset({0}), frozenset({1}))),
+        ric_sample(0, 2, (0, 1), (frozenset({0}), frozenset({1}))),
+        ric_sample(1, 1, (2, 3), (frozenset({2}), frozenset({3}))),
     ]
     pool = _pool_with(samples, simple_communities)
     solver = MAF(seed=3)
@@ -173,9 +175,9 @@ def test_maf_theorem3_guarantee_brute_force():
         ]
     )
     samples = [
-        RICSample(0, 2, (0, 1), (frozenset({0, 4}), frozenset({1, 4}))),
-        RICSample(1, 2, (2, 3), (frozenset({2, 5}), frozenset({3}))),
-        RICSample(0, 2, (0, 1), (frozenset({0}), frozenset({1}))),
+        ric_sample(0, 2, (0, 1), (frozenset({0, 4}), frozenset({1, 4}))),
+        ric_sample(1, 2, (2, 3), (frozenset({2, 5}), frozenset({3}))),
+        ric_sample(0, 2, (0, 1), (frozenset({0}), frozenset({1}))),
     ]
     pool = _pool_with(samples, communities, num_nodes=8)
     k = 2

@@ -13,7 +13,9 @@ from repro.core.curvature import (
 from repro.errors import SolverError
 from repro.graph.digraph import DiGraph
 from repro.sampling.pool import RICSamplePool
-from repro.sampling.ric import RICSample, RICSampler
+from repro.sampling.ric import RICSampler
+
+from tests.ric_samples import ric_sample
 
 
 def _unit_threshold_pool():
@@ -22,9 +24,9 @@ def _unit_threshold_pool():
         [Community(members=(i,), threshold=1, benefit=1.0) for i in range(3)]
     )
     pool = RICSamplePool(RICSampler(DiGraph(8), communities, seed=1))
-    pool.add(RICSample(0, 1, (0,), (frozenset({0, 4, 5}),)))
-    pool.add(RICSample(1, 1, (1,), (frozenset({1, 5}),)))
-    pool.add(RICSample(2, 1, (2,), (frozenset({2, 6}),)))
+    pool.add(ric_sample(0, 1, (0,), (frozenset({0, 4, 5}),)))
+    pool.add(ric_sample(1, 1, (1,), (frozenset({1, 5}),)))
+    pool.add(ric_sample(2, 1, (2,), (frozenset({2, 6}),)))
     return pool
 
 
@@ -38,7 +40,7 @@ def _lemma2_pool():
     # helper nodes 4/5 so the probe has enough touching nodes.
     for _ in range(5):
         pool.add(
-            RICSample(0, 2, (0, 1), (frozenset({0, 4}), frozenset({1, 5})))
+            ric_sample(0, 2, (0, 1), (frozenset({0, 4}), frozenset({1, 5})))
         )
     return pool
 
@@ -102,7 +104,7 @@ def test_validation():
             seed=1,
         )
     )
-    tiny.add(RICSample(0, 1, (0,), (frozenset({0}),)))
+    tiny.add(ric_sample(0, 1, (0,), (frozenset({0}),)))
     with pytest.raises(SolverError, match="3 touching nodes"):
         probe_nonsubmodularity(tiny, trials=10)
 

@@ -1,10 +1,10 @@
-"""FlatCoverage engine and pool compaction unit tests.
+"""FlatCoverage engine and pool mask-index unit tests.
 
 The flat engine must be behaviourally indistinguishable from the
 reference ``CoverageState`` (the hypothesis suite cross-checks random
 pools; here we pin the engine-specific mechanics: the shared mask
-index, sync guards, resync after growth, the compaction contract, and
-agreement on a serving-sized pool deep into saturation).
+index, sync guards, resync after growth, and agreement on a
+serving-sized pool deep into saturation).
 """
 
 import pytest
@@ -19,8 +19,10 @@ from repro.graph.generators import planted_partition_graph
 from repro.graph.weights import assign_weighted_cascade
 from repro.sampling.parallel import ParallelRICSampler
 from repro.sampling.pool import RICSamplePool
-from repro.sampling.ric import RICSample, RICSampler
+from repro.sampling.ric import RICSampler
 from repro.serving.scenarios import ScenarioSpec, build_instance
+
+from tests.ric_samples import ric_sample
 
 
 def build_pool(samples=120, seed=3):
@@ -45,10 +47,10 @@ def tiny_pool():
     )
     pool = RICSamplePool(RICSampler(DiGraph(6), communities, seed=0))
     pool.add(
-        RICSample(0, 2, (0, 1), (frozenset({0, 4}), frozenset({1, 4})))
+        ric_sample(0, 2, (0, 1), (frozenset({0, 4}), frozenset({1, 4})))
     )
     pool.add(
-        RICSample(0, 2, (0, 1), (frozenset({0, 4}), frozenset({1, 4})))
+        ric_sample(0, 2, (0, 1), (frozenset({0, 4}), frozenset({1, 4})))
     )
     return pool
 
@@ -124,43 +126,17 @@ def test_flat_on_empty_pool():
     assert flat.gain_pair(0) == (0, 0.0)
 
 
-def test_compact_interns_duplicate_reach_sets():
+def test_add_extends_the_mask_index():
     pool = tiny_pool()
-    first, second = pool.samples
-    assert first.reach_sets[0] is not second.reach_sets[0]
-    stats = pool.compact()
-    assert stats["reach_sets"] == 4
-    assert stats["unique_reach_sets"] == 2
-    assert stats["interned_duplicates"] == 2
-    first, second = pool.samples
-    assert first.reach_sets[0] is second.reach_sets[0]
-    assert first.reach_sets[1] is second.reach_sets[1]
-    # Idempotent: a second pass finds nothing left to intern.
-    again = pool.compact()
-    assert again["interned_duplicates"] == 0
-
-
-def test_add_after_compact_extends_the_mask_index():
-    pool = tiny_pool()
-    pool.compact()
     snapshot = pool.influenced_count([0, 1])
     pool.add(
-        RICSample(0, 2, (0, 1), (frozenset({0}), frozenset({1})))
+        ric_sample(0, 2, (0, 1), (frozenset({0}), frozenset({1})))
     )
     assert pool.influenced_count([0, 1]) == snapshot + 1
     # The new sample is the last entry of each member's node.
     assert list(pool.mask_index[0].items())[-1] == (2, 0b01)
     assert list(pool.mask_index[1].items())[-1] == (2, 0b10)
     assert pool.touch_count(4) == 2
-
-
-def test_compact_preserves_objectives_and_selection():
-    pool = build_pool(samples=150)
-    seeds_before = UBG().solve(pool, 4).seeds
-    benefit_before = pool.estimate_benefit(seeds_before)
-    pool.compact()
-    assert UBG().solve(pool, 4).seeds == seeds_before
-    assert pool.estimate_benefit(seeds_before) == benefit_before
 
 
 def test_evaluate_benefit_identical_across_engines():

@@ -11,6 +11,7 @@ import pytest
 from repro.communities.louvain import louvain_communities
 from repro.communities.structure import Community, CommunityStructure
 from repro.communities.thresholds import build_structure, constant_thresholds
+from repro.core.bt import BT, MB
 from repro.core.framework import solve_imc
 from repro.core.maf import MAF
 from repro.core.ubg import UBG
@@ -66,6 +67,22 @@ def test_golden_maf_seeds(golden_instance):
     result = MAF(seed=99).solve(pool, 4)
     assert result.seeds == (4, 2, 22, 20)
     assert result.objective == pytest.approx(16.916666666, abs=1e-6)
+
+
+def test_golden_bt_seeds(golden_instance):
+    _, _, pool = golden_instance
+    result = BT().solve(pool, 4)
+    assert result.seeds == (4, 16, 10, 9)
+    assert result.objective == 18.166666666666668
+
+
+def test_golden_mb_seeds(golden_instance):
+    # MB keeps its BT arm here: BT's 18.17 beats MAF's 16.92.
+    _, _, pool = golden_instance
+    result = MB(seed=99).solve(pool, 4)
+    assert result.seeds == (4, 16, 10, 9)
+    assert result.objective == 18.166666666666668
+    assert result.metadata["arm"] == "BT"
 
 
 def test_golden_imcaf_estimate_after_a_skipped_estimate(golden_instance):

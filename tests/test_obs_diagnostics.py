@@ -435,30 +435,21 @@ def test_monitor_summary_structure(instance):
 # ---------------------------------------------------------------------
 
 
-def test_pool_composition_counts_and_ratio(small_pool):
+def test_pool_composition_counts_and_moments(small_pool):
     composition = pool_composition(small_pool)
-    total = sum(
-        len(sample.reach_sets) for sample in small_pool.samples
-    )
+    # The sizes come from the masks; the derived reach sets, pushed in
+    # the same member order, must give the very same moments.
+    reference = StreamingMoments()
+    for sample in small_pool.samples:
+        for reach in sample.reach_sets:
+            reference.push(len(reach))
     assert composition["samples"] == len(small_pool)
-    assert composition["reach_sets"] == total
-    assert 0 < composition["unique_ratio"] <= 1.0
-    assert composition["reach_size"]["count"] == total
+    assert composition["reach_size"] == reference.as_dict()
+    assert composition["reach_size"]["count"] == sum(
+        len(sample.members) for sample in small_pool.samples
+    )
     assert sum(composition["sources"].values()) == len(small_pool)
     assert composition["bytes"] > 0
-
-
-def test_compact_shrinks_footprint_but_not_composition(small_pool):
-    before = pool_composition(small_pool)
-    stats = small_pool.compact()
-    after = pool_composition(small_pool)
-    # Interning rewrites references, not values.
-    assert after["unique_ratio"] == before["unique_ratio"]
-    assert after["reach_size"] == before["reach_size"]
-    assert stats["unique_reach_sets"] == before["unique_reach_sets"]
-    # Distinct-object accounting reflects the interning win.
-    if stats["interned_duplicates"]:
-        assert pool_memory_bytes(small_pool) < before["bytes"]
 
 
 def test_footprint_counts_the_mask_index(small_pool):
@@ -480,7 +471,16 @@ def test_observe_pool_emits_gated_metrics(small_pool):
     with session() as recorder:
         assert observe_pool(small_pool) == composition
     hists = recorder.metrics["histograms"]
-    assert hists["pool.reach.histogram"]["count"] == composition["reach_sets"]
+    sizes = [
+        len(reach) for sample in small_pool.samples for reach in sample.reach_sets
+    ]
+    reach = hists["pool.reach.histogram"]
+    assert reach["count"] == len(sizes) == composition["reach_size"]["count"]
+    assert reach["sum"] == sum(sizes)
+    assert reach["counts"] == [
+        sum(1 for size in sizes if low < size <= high)
+        for low, high in zip((0,) + tuple(reach["buckets"]), reach["buckets"])
+    ] + [sum(1 for size in sizes if size > reach["buckets"][-1])]
     assert (
         hists["pool.sources.histogram"]["count"]
         == len(composition["sources"])

@@ -43,9 +43,9 @@ def test_counters_accumulate_inside_session():
 
 def test_gauges_last_write_wins():
     with session() as recorder:
-        metrics.set_gauge("pool.coverage_entries", 10)
-        metrics.set_gauge("pool.coverage_entries", 42)
-    assert recorder.metrics["gauges"] == {"pool.coverage_entries": 42}
+        metrics.set_gauge("pool.bytes", 10)
+        metrics.set_gauge("pool.bytes", 42)
+    assert recorder.metrics["gauges"] == {"pool.bytes": 42}
 
 
 def test_histogram_buckets_fixed_at_first_observation():

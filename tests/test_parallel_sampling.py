@@ -6,6 +6,8 @@ worker count and batch size, so switching engines can never change a
 solver's output.
 """
 
+import pickle
+
 import pytest
 
 from repro.communities.structure import Community, CommunityStructure
@@ -14,11 +16,7 @@ from repro.core.ubg import UBG
 from repro.errors import SamplingError
 from repro.graph.generators import planted_partition_graph
 from repro.graph.weights import assign_weighted_cascade
-from repro.sampling.parallel import (
-    ParallelRICSampler,
-    compact_sample,
-    expand_sample,
-)
+from repro.sampling.parallel import ParallelRICSampler
 from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSampler
 
@@ -41,22 +39,17 @@ def instance():
 # ------------------------------------------------------- wire format
 
 
-def test_compact_roundtrip(instance):
+def test_sample_pickle_roundtrip(instance):
+    # Workers pickle the samples as drawn: ints and int tuples only.
     graph, communities = instance
     for sample in RICSampler(graph, communities, seed=3).sample_many(20):
-        assert expand_sample(compact_sample(sample)) == sample
-
-
-def test_compact_encoding_is_canonical_tuples(instance):
-    graph, communities = instance
-    sample = RICSampler(graph, communities, seed=3).sample()
-    compact = compact_sample(sample)
-    community_index, threshold, members, reaches = compact
-    assert isinstance(community_index, int) and isinstance(threshold, int)
-    assert isinstance(members, tuple)
-    for reach in reaches:
-        assert isinstance(reach, tuple)
-        assert list(reach) == sorted(reach)
+        assert pickle.loads(pickle.dumps(sample)) == sample
+        assert isinstance(sample.community_index, int)
+        assert isinstance(sample.threshold, int)
+        for field in (sample.members, sample.nodes, sample.masks):
+            assert isinstance(field, tuple)
+            assert all(type(value) is int for value in field)
+        assert len(set(sample.nodes)) == len(sample.nodes)
 
 
 # ------------------------------------------------------- determinism

@@ -21,7 +21,9 @@ from repro.core.flat_engine import FlatCoverage
 from repro.core.objective import CoverageState
 from repro.graph.digraph import DiGraph
 from repro.sampling.pool import RICSamplePool
-from repro.sampling.ric import RICSample, RICSampler
+from repro.sampling.ric import RICSampler
+
+from tests.ric_samples import ric_sample
 
 NUM_NODES = 12
 
@@ -57,7 +59,7 @@ def _draw_samples(draw, structure, count):
             for member in community.members
         )
         samples.append(
-            RICSample(idx, community.threshold, community.members, reaches)
+            ric_sample(idx, community.threshold, community.members, reaches)
         )
     return samples
 

@@ -21,7 +21,9 @@ from repro.core.greedy import greedy_maxr
 from repro.core.objective import CoverageState
 from repro.graph.digraph import DiGraph
 from repro.sampling.pool import RICSamplePool
-from repro.sampling.ric import RICSample, RICSampler
+from repro.sampling.ric import RICSampler
+
+from tests.ric_samples import ric_sample
 
 NUM_NODES = 12
 
@@ -101,7 +103,7 @@ def greedy_cases(draw):
             for member in community.members
         )
         pool.add(
-            RICSample(idx, community.threshold, community.members, reaches)
+            ric_sample(idx, community.threshold, community.members, reaches)
         )
     candidates = draw(
         st.none()
@@ -140,8 +142,8 @@ def test_greedy_maxr_skips_marginals_that_cannot_win(monkeypatch):
     )
     pool = RICSamplePool(RICSampler(graph, communities, seed=0))
     for node in range(1, 8):
-        pool.add(RICSample(0, 1, (0,), (frozenset({0, node}),)))
-    pool.add(RICSample(0, 1, (0,), (frozenset({0}),)))
+        pool.add(ric_sample(0, 1, (0,), (frozenset({0, node}),)))
+    pool.add(ric_sample(0, 1, (0,), (frozenset({0}),)))
     candidates = sorted(pool.touching_nodes())
     k = 2
     for engine, cls in (("flat", FlatCoverage), ("reference", CoverageState)):

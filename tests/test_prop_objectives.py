@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from repro.communities.structure import Community, CommunityStructure
 from repro.graph.digraph import DiGraph
 from repro.sampling.pool import RICSamplePool
-from repro.sampling.ric import RICSample, RICSampler
+from repro.sampling.ric import RICSampler
+
+from tests.ric_samples import ric_sample
 
 NUM_NODES = 10
 
@@ -50,7 +52,7 @@ def random_pools(draw, force_unit_thresholds=False):
             )
             reach_sets.append(frozenset(extra | {member}))
         pool.add(
-            RICSample(
+            ric_sample(
                 community_index,
                 community.threshold,
                 community.members,

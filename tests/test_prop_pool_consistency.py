@@ -2,11 +2,11 @@
 
 Three independent code paths compute the MAXR objectives — the pool's
 mask-index scans, the incremental engines (the reference
-`CoverageState` builds its own pairs from the reach sets) and the
+`CoverageState` unpacks its own pairs from the sample masks) and the
 per-sample `RICSample.is_influenced_by`. For any pool and any seed set
 they must all agree exactly. The pool's one mask index must also equal
-an index rebuilt from the samples' reach sets after any interleaving
-of `add`, `grow` and `compact`, on serial and parallel pools alike.
+an index rebuilt from the samples' derived reach sets after any
+interleaving of `add` and `grow`, on serial and parallel pools alike.
 """
 
 import pytest
@@ -19,7 +19,9 @@ from repro.core.objective import CoverageState
 from repro.graph.digraph import DiGraph
 from repro.sampling.parallel import ParallelRICSampler
 from repro.sampling.pool import RICSamplePool
-from repro.sampling.ric import RICSample, RICSampler
+from repro.sampling.ric import RICSampler
+
+from tests.ric_samples import ric_sample
 
 NUM_NODES = 10
 
@@ -52,7 +54,7 @@ def pool_and_seeds(draw):
             )
             for member in community.members
         )
-        pool.add(RICSample(idx, community.threshold, community.members, reaches))
+        pool.add(ric_sample(idx, community.threshold, community.members, reaches))
     seeds = draw(
         st.lists(
             st.integers(0, NUM_NODES - 1), unique=True, min_size=0, max_size=5
@@ -115,7 +117,7 @@ def test_covered_members_matches_fractional_numerator(args):
 
 
 # ---------------------------------------------------------------------
-# The one mask index under add / grow / compact interleavings
+# The one mask index under add / grow interleavings
 # ---------------------------------------------------------------------
 
 
@@ -147,7 +149,7 @@ def _draw_sample(draw, structure):
         )
         for member in community.members
     )
-    return RICSample(idx, community.threshold, community.members, reaches)
+    return ric_sample(idx, community.threshold, community.members, reaches)
 
 
 @st.composite
@@ -170,7 +172,6 @@ def pool_recipes(draw):
             st.one_of(
                 st.builds(lambda s: ("add", s), st.just(None)),
                 st.tuples(st.just("grow"), st.integers(0, 40)),
-                st.just(("compact", None)),
             ),
             min_size=1,
             max_size=6,
@@ -255,13 +256,8 @@ def _play(pool, ops, seed_sets):
     for op, arg in ops:
         if op == "add":
             pool.add(arg)
-        elif op == "grow":
-            pool.grow(arg)
         else:
-            stats = pool.compact()
-            assert stats["coverage_entries"] == sum(
-                map(len, _rebuilt_index(pool).values())
-            )
+            pool.grow(arg)
         _assert_index_consistent(pool, seed_sets)
 
 

@@ -19,7 +19,9 @@ from repro.core.maf import MAF
 from repro.core.ubg import UBG
 from repro.graph.digraph import DiGraph
 from repro.sampling.pool import RICSamplePool
-from repro.sampling.ric import RICSample, RICSampler
+from repro.sampling.ric import RICSampler
+
+from tests.ric_samples import ric_sample
 
 # ------------------------------------------------------------ knapsack
 
@@ -103,7 +105,7 @@ def bounded_pools(draw):
             )
             for member in community.members
         )
-        pool.add(RICSample(idx, community.threshold, community.members, reaches))
+        pool.add(ric_sample(idx, community.threshold, community.members, reaches))
     k = draw(st.integers(1, 4))
     return pool, k
 

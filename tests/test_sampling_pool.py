@@ -6,8 +6,10 @@ from repro.communities.structure import Community, CommunityStructure
 from repro.errors import SamplingError
 from repro.graph.builders import from_edge_list
 from repro.sampling.pool import RICSamplePool, RRSamplePool
-from repro.sampling.ric import RICSample, RICSampler
+from repro.sampling.ric import RICSampler
 from repro.sampling.rr import RRSampler
+
+from tests.ric_samples import ric_sample
 
 
 def _manual_pool():
@@ -21,11 +23,11 @@ def _manual_pool():
     )
     pool = RICSamplePool(RICSampler(graph, communities, seed=1))
     pool.add(
-        RICSample(0, 2, (0, 1), (frozenset({0, 4}), frozenset({1, 5})))
+        ric_sample(0, 2, (0, 1), (frozenset({0, 4}), frozenset({1, 5})))
     )
-    pool.add(RICSample(1, 1, (2,), (frozenset({2, 4}),)))
+    pool.add(ric_sample(1, 1, (2,), (frozenset({2, 4}),)))
     pool.add(
-        RICSample(0, 2, (0, 1), (frozenset({0}), frozenset({1})))
+        ric_sample(0, 2, (0, 1), (frozenset({0}), frozenset({1})))
     )
     return pool
 

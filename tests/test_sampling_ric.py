@@ -9,6 +9,8 @@ from repro.graph.builders import from_edge_list
 from repro.rng import make_rng
 from repro.sampling.ric import RICSample, RICSampler
 
+from tests.ric_samples import ric_sample
+
 
 @pytest.fixture
 def small_instance():
@@ -25,13 +27,13 @@ def small_instance():
 
 def test_ric_sample_validation():
     with pytest.raises(SamplingError):
-        RICSample(0, 1, members=(1, 2), reach_sets=(frozenset({1}),))
+        RICSample(0, 1, members=(1, 2), nodes=(1, 2), masks=(1,))
     with pytest.raises(SamplingError):
-        RICSample(0, 3, members=(1, 2), reach_sets=(frozenset(), frozenset()))
+        RICSample(0, 3, members=(1, 2), nodes=(1, 2), masks=(1, 2))
 
 
 def test_ric_sample_covered_and_influenced():
-    sample = RICSample(
+    sample = ric_sample(
         community_index=0,
         threshold=2,
         members=(10, 11),
@@ -46,7 +48,7 @@ def test_ric_sample_covered_and_influenced():
 
 
 def test_ric_sample_touched_nodes():
-    sample = RICSample(
+    sample = ric_sample(
         community_index=0,
         threshold=1,
         members=(5,),

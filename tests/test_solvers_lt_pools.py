@@ -88,12 +88,12 @@ def test_bt_depth_shortcut_on_unit_thresholds():
         ]
     )
     from repro.graph.digraph import DiGraph
-    from repro.sampling.ric import RICSample
+    from tests.ric_samples import ric_sample
 
     pool = RICSamplePool(RICSampler(DiGraph(10), communities, seed=75))
     for i in range(4):
         pool.add(
-            RICSample(i, 1, (i,), (frozenset({i, 8}),))
+            ric_sample(i, 1, (i,), (frozenset({i, 8}),))
         )
     result = BT(threshold_bound=3).solve(pool, 1)
     assert result.seeds == (8,)  # covers all four samples
