@@ -20,7 +20,6 @@ inapproximability bound of Theorem 1.
 from __future__ import annotations
 
 import math
-from types import MappingProxyType
 from typing import (
     Dict,
     Iterable,
@@ -29,7 +28,6 @@ from typing import (
     Optional,
     Sequence,
     Set,
-    Tuple,
 )
 
 from repro.core.maf import MAF
@@ -38,49 +36,38 @@ from repro.errors import SolverError
 from repro.obs import trace
 from repro.rng import SeedLike
 from repro.sampling.pool import RICSamplePool
+from repro.sampling.ric import RICSample
 from repro.utils.heap import LazyMaxHeap
 from repro.utils.math import popcount
 from repro.utils.retry import Deadline, as_deadline
 from repro.utils.validation import check_candidates, check_positive
 
-_NO_MASKS: Mapping[int, int] = MappingProxyType({})
-
 
 class _Collection:
-    """A lightweight reduced RIC collection on ``(node, mask)`` pairs.
+    """A lightweight reduced RIC collection over the pool's samples.
 
-    Sample ``s`` has threshold ``thresholds[s]``, which may be 0
-    (already influenced by the implicit outer seeds), and the pairs
-    ``pairs[s] = (nodes, masks)``: bit ``i`` of a node's mask is set
-    when the node reaches the sample's ``i``-th remaining member.
-    ``index`` is the node-major ``node -> {sample: mask}`` view of the
-    live (threshold ≥ 1) samples, which greedy selection reads.
+    Sample ``s`` is the pool sample ``samples[s]`` whose members in the
+    mask ``removed[s]`` the implicit outer seeds already reach; it
+    needs ``thresholds[s]`` more (0 once they influence it). ``index``
+    maps each node to ``{sample: mask}`` over the live (threshold ≥ 1)
+    samples, each mask without the removed members; greedy selection
+    reads it.
     """
 
-    __slots__ = ("thresholds", "pairs", "index", "auto_influenced")
+    __slots__ = ("samples", "removed", "thresholds", "index", "auto_influenced")
 
     def __init__(
         self,
+        samples: Sequence[RICSample],
+        removed: List[int],
         thresholds: List[int],
-        pairs: List[Tuple[Sequence[int], Sequence[int]]],
-        index: Optional[Mapping[int, Mapping[int, int]]] = None,
+        index: Mapping[int, Mapping[int, int]],
     ) -> None:
+        self.samples = samples
+        self.removed = removed
         self.thresholds = thresholds
-        self.pairs = pairs
-        self.auto_influenced = sum(1 for h in thresholds if h <= 0)
-        if index is None:
-            built: Dict[int, Dict[int, int]] = {}
-            for sample_idx, (nodes, masks) in enumerate(pairs):
-                if thresholds[sample_idx] <= 0:
-                    continue  # already influenced; coverage is irrelevant
-                for node, mask in zip(nodes, masks):
-                    entry = built.get(node)
-                    if entry is None:
-                        built[node] = {sample_idx: mask}
-                    else:
-                        entry[sample_idx] = mask
-            index = built
         self.index = index
+        self.auto_influenced = sum(1 for h in thresholds if h <= 0)
 
     def __len__(self) -> int:
         return len(self.thresholds)
@@ -89,48 +76,55 @@ class _Collection:
     def from_pool(cls, pool: RICSamplePool) -> "_Collection":
         """The unreduced collection: the pool's samples and mask index."""
         return cls(
+            pool.samples,
+            [0] * len(pool),
             [s.threshold for s in pool.samples],
-            [(s.nodes, s.masks) for s in pool.samples],
             pool.mask_index,
         )
 
     def touched_by(self, node: int) -> List[int]:
         """Ascending indices of the live samples ``node`` touches."""
-        return list(self.index.get(node, _NO_MASKS))
+        return list(self.index.get(node, {}))
 
     def reduce_by(self, node: int) -> "_Collection":
         """The collection ``G_R(node)`` after seeding ``node``.
 
         Keeps only the live samples ``node`` touches (BT's score
         ``|D_R(K(u), u)|`` only counts those, Alg. 4 lines 2-7). In
-        each, the members ``node`` reaches leave: the threshold drops
-        by their count, ``popcount(mask_u)``, and every other node's
-        mask loses them (``mask & ~mask_u``), leaving the node out when
-        nothing remains.
+        each, the members ``node`` reaches (``mask_u``) leave: the
+        threshold drops by ``popcount(mask_u)`` and every other mask
+        becomes ``mask & ~mask_u``, dropping nodes left with none.
         """
+        samples: List[RICSample] = []
+        removed: List[int] = []
         thresholds: List[int] = []
-        pairs: List[Tuple[Sequence[int], Sequence[int]]] = []
-        for sample_idx, mask_u in self.index.get(node, _NO_MASKS).items():
-            nodes, masks = self.pairs[sample_idx]
-            keep = ~mask_u
-            kept_nodes: List[int] = []
-            kept_masks: List[int] = []
-            for v, mask in zip(nodes, masks):
+        index: Dict[int, Dict[int, int]] = {}
+        for sample_idx, mask_u in self.index[node].items():
+            reduced_idx = len(samples)
+            sample = self.samples[sample_idx]
+            gone = self.removed[sample_idx] | mask_u
+            threshold = max(0, self.thresholds[sample_idx] - popcount(mask_u))
+            samples.append(sample)
+            removed.append(gone)
+            thresholds.append(threshold)
+            if threshold <= 0:
+                continue  # influenced: no seed choice depends on it
+            keep = ~gone
+            for v, mask in zip(sample.nodes, sample.masks):
                 mask &= keep
                 if mask:
-                    kept_nodes.append(v)
-                    kept_masks.append(mask)
-            thresholds.append(
-                max(0, self.thresholds[sample_idx] - popcount(mask_u))
-            )
-            pairs.append((kept_nodes, kept_masks))
-        return _Collection(thresholds, pairs)
+                    entry = index.get(v)
+                    if entry is None:
+                        index[v] = {reduced_idx: mask}
+                    else:
+                        entry[reduced_idx] = mask
+        return _Collection(samples, removed, thresholds, index)
 
     def influenced_count(self, seeds: Sequence[int]) -> int:
         """Samples influenced by ``seeds`` (auto-influenced included)."""
         covered: Dict[int, int] = {}
         for v in set(seeds):
-            for sample_idx, mask in self.index.get(v, _NO_MASKS).items():
+            for sample_idx, mask in self.index.get(v, {}).items():
                 covered[sample_idx] = covered.get(sample_idx, 0) | mask
         live_influenced = sum(
             1
@@ -159,20 +153,17 @@ def _greedy_cover(
     is polled between CELF iterations (after at least one pick).
     """
     index = collection.index
-    sample_covered = [h <= 0 for h in collection.thresholds]
+    # The index holds live samples only, none of them covered yet, so a
+    # node's first gain is its entry count.
+    sample_covered = [False] * len(collection)
     heap: LazyMaxHeap[int] = LazyMaxHeap()
 
     def gain(node: int) -> int:
-        return sum(
-            1 for s in index.get(node, _NO_MASKS) if not sample_covered[s]
-        )
+        return sum(1 for s in index[node] if not sample_covered[s])
 
     for node in sorted(index):
-        if allowed is not None and node not in allowed:
-            continue
-        g = gain(node)
-        if g > 0:
-            heap.push(node, g)
+        if allowed is None or node in allowed:
+            heap.push(node, len(index[node]))
     chosen: List[int] = []
     while heap and len(chosen) < k:
         if deadline is not None and chosen and deadline.expired():
@@ -187,7 +178,7 @@ def _greedy_cover(
                 heap.push(node, fresh)
                 continue
         chosen.append(node)
-        for s in index.get(node, _NO_MASKS):
+        for s in index[node]:
             sample_covered[s] = True
     return chosen
 

@@ -435,7 +435,7 @@ def test_monitor_summary_structure(instance):
 # ---------------------------------------------------------------------
 
 
-def test_pool_composition_counts_and_moments(small_pool):
+def test_pool_composition_counts_and_ratio(small_pool):
     composition = pool_composition(small_pool)
     # The sizes come from the masks; the derived reach sets, pushed in
     # the same member order, must give the very same moments.
