@@ -46,6 +46,7 @@ from statistics import NormalDist
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ObservabilityError
+from repro.obs import _gate
 from repro.obs.metrics import metrics
 
 #: Bucket upper edges for the reach-size histogram
@@ -367,8 +368,8 @@ def observe_pool(pool) -> Dict[str, Any]:
     histogram (``pool.reach.histogram``), the samples-per-source
     histogram (``pool.sources.histogram``) and the footprint gauge
     (``pool.bytes``). Returns the composition dict, so callers can
-    embed it in a manifest. All emission is gated on the instrumentation session like
-    every other metric call.
+    embed it in a manifest. All emission is gated on the
+    instrumentation session like every other metric call.
     """
     composition = pool_composition(pool)
     for sample in pool.samples:
@@ -438,15 +439,17 @@ class ConvergenceMonitor:
 
         ``profile`` is the generating engine's ``last_profile()`` dict
         (the unified schema both engines share); its mode/shape is kept
-        for the summary's batch log.
+        for the summary's batch log. The reach sizes are only worked out
+        while an instrumentation session records the histogram.
         """
-        for sample in samples:
-            for size in sample.reach_sizes():
-                metrics.observe(
-                    "pool.reach.histogram",
-                    size,
-                    buckets=REACH_SIZE_BUCKETS,
-                )
+        if _gate.active:
+            for sample in samples:
+                for size in sample.reach_sizes():
+                    metrics.observe(
+                        "pool.reach.histogram",
+                        size,
+                        buckets=REACH_SIZE_BUCKETS,
+                    )
         self._samples_observed += len(samples)
         if profile is not None:
             self._batch_profiles.append(
