@@ -159,7 +159,7 @@ def estimate_benefit(
 
     Draws the influence indicator ``X_g(S)`` of independent RIC samples
     (:meth:`~repro.sampling.ric.RICSampler.sample_indicator`, which
-    decides it without building reach sets) and feeds it to the
+    decides it without building member masks) and feeds it to the
     stopping rule; on convergence returns
     ``b · Λ'/T``, an ``(ε, δ)`` multiplicative approximation of
     ``c(S) = b·E[X_g(S)]`` (Lemma 1). ``value`` is ``None`` when

@@ -21,8 +21,7 @@ quantifies how *trustworthy* those numbers are. It provides:
   sampling*;
 - pool-composition diagnostics (:func:`pool_composition`,
   :func:`pool_memory_bytes`, :func:`observe_pool`) — reach-size
-  histograms, sources-per-community, reach-set dedup ratio and a
-  memory-footprint gauge.
+  histograms, sources-per-community and a memory-footprint gauge.
 
 Monitors are **pure observers**: they draw nothing from any RNG stream
 and mutate neither pool nor sampler, so attaching one (without a

@@ -6,9 +6,8 @@ A :class:`WarmShard` is the serving unit for one scenario: a
 hash-partitioned across worker processes by batch), plus a per-version
 solve cache. Growth follows an MPC-style discipline: bounded
 ``round_size`` merge rounds — the master fans one round out to the
-workers, *synchronously* merges the returned samples into the pool,
-compacts (interning new reach sets against the persistent table) and
-bumps the shard version — so per-round memory on every worker stays
+workers, *synchronously* merges the returned samples into the pool
+and bumps the shard version — so per-round memory on every worker stays
 bounded by ``round_size / workers`` samples regardless of pool size,
 and the merged pool is byte-identical to a serial build
 (:mod:`repro.sampling.parallel`'s determinism guarantee, which holds
