@@ -54,7 +54,9 @@ class _Collection:
     reads it.
     """
 
-    __slots__ = ("samples", "removed", "thresholds", "index", "auto_influenced")
+    __slots__ = (
+        "samples", "removed", "thresholds", "index", "auto_influenced"
+    )
 
     def __init__(
         self,

@@ -71,7 +71,7 @@ SPAN_CATALOG: Dict[str, str] = {
     "serving/request": "replica-side request span (adopted trace context)",
     "serving/compute": "batch leader's shard solve (warm + solve + cache)",
     "serving/resolve": "follower re-solve after an unsatisfying coalesced width",
-    "serving/topup": "pool top-up merge rounds to a sample target (warm-up, CI width)",
+    "serving/topup": "pool growth in merge rounds: warm-up or CI-width top-up",
 }
 
 #: Process-global span-id counter (``itertools.count`` increments

@@ -472,7 +472,9 @@ def test_observe_pool_emits_gated_metrics(small_pool):
         assert observe_pool(small_pool) == composition
     hists = recorder.metrics["histograms"]
     sizes = [
-        len(reach) for sample in small_pool.samples for reach in sample.reach_sets
+        len(reach)
+        for sample in small_pool.samples
+        for reach in sample.reach_sets
     ]
     reach = hists["pool.reach.histogram"]
     assert reach["count"] == len(sizes) == composition["reach_size"]["count"]
