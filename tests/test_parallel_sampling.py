@@ -39,17 +39,28 @@ def instance():
 # ------------------------------------------------------- wire format
 
 
-def test_sample_pickle_roundtrip(instance):
-    # Workers pickle the samples as drawn: ints and int tuples only.
+def test_compact_roundtrip(instance):
+    # The (node, member-mask) pairs are the wire format: workers pickle
+    # the samples as drawn, and the round trip must be exact.
     graph, communities = instance
     for sample in RICSampler(graph, communities, seed=3).sample_many(20):
         assert pickle.loads(pickle.dumps(sample)) == sample
-        assert isinstance(sample.community_index, int)
-        assert isinstance(sample.threshold, int)
-        for field in (sample.members, sample.nodes, sample.masks):
-            assert isinstance(field, tuple)
-            assert all(type(value) is int for value in field)
-        assert len(set(sample.nodes)) == len(sample.nodes)
+
+
+def test_compact_encoding_is_canonical_tuples(instance):
+    graph, communities = instance
+    sample = RICSampler(graph, communities, seed=3).sample()
+    assert isinstance(sample.community_index, int)
+    assert isinstance(sample.threshold, int)
+    for field in (sample.members, sample.nodes, sample.masks):
+        assert isinstance(field, tuple)
+        assert all(type(value) is int for value in field)
+    assert len(set(sample.nodes)) == len(sample.nodes)
+    full = (1 << len(sample.members)) - 1
+    assert all(0 < mask <= full for mask in sample.masks)
+    by_node = dict(zip(sample.nodes, sample.masks))
+    for i, member in enumerate(sample.members):
+        assert by_node[member] >> i & 1
 
 
 # ------------------------------------------------------- determinism
