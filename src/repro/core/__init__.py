@@ -29,7 +29,7 @@ from repro.core.budgeted import (
     uniform_costs,
 )
 from repro.core.framework import EstimateResult, IMCResult, estimate_benefit, solve_imc
-from repro.core.greedy import greedy_maxr, lazy_greedy_nu
+from repro.core.greedy import RunCache, greedy_maxr, lazy_greedy_nu
 from repro.core.maf import MAF
 from repro.core.flat_engine import FlatCoverage
 from repro.core.objective import CoverageState
@@ -56,15 +56,19 @@ from repro.errors import SolverError
 SOLVERS = ("UBG", "MAF", "BT", "MB", "GreedyC")
 
 
-def make_solver(name: str, seed: Optional[int]):
+def make_solver(
+    name: str, seed: Optional[int], runs: Optional[RunCache] = None
+):
     """Build a fresh solver by name with its default settings.
 
     Solvers carry per-run state (deadlines, RNG streams), so each solve
     gets a new instance; MAF/MB randomness is derived from ``seed``.
+    ``runs`` hands UBG and GreedyC a :class:`~repro.core.greedy.RunCache`
+    to draw their greedy arms from; MAF, BT and MB have no greedy arm.
     An unknown ``name`` raises :class:`~repro.errors.SolverError`.
     """
     if name == "UBG":
-        return UBG()
+        return UBG(runs=runs)
     if name == "MAF":
         return MAF(seed=seed)
     if name == "BT":
@@ -72,7 +76,7 @@ def make_solver(name: str, seed: Optional[int]):
     if name == "MB":
         return MB(seed=seed)
     if name == "GreedyC":
-        return GreedyC()
+        return GreedyC(runs=runs)
     raise SolverError(
         f"unknown solver {name!r} (known: {', '.join(SOLVERS)})"
     )
@@ -86,6 +90,7 @@ __all__ = [
     "SeedSelection",
     "greedy_maxr",
     "lazy_greedy_nu",
+    "RunCache",
     "UBG",
     "GreedyC",
     "MAF",

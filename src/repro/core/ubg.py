@@ -7,20 +7,48 @@ reused across rounds — non-submodular — but each round skips the
 candidates whose ĉ-gain bound cannot win) and keeps whichever seed set
 scores higher on ``ĉ_R``, yielding the data-dependent ratio
 ``(ĉ_R(S_ν)/ν_R(S_ν)) · (1 - 1/e)`` (Theorem 2 + Lemma 3).
+
+No step of either greedy reads the budget, so the answer for ``k``
+depends only on the first ``k`` picks of each run. Given a
+:class:`~repro.core.greedy.RunCache` (``runs=``), both solvers draw
+their arms from it, and solves on one pool at many budgets share one
+run per arm.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Set
+from typing import Iterable, List, Optional, Set, Tuple, Type
 
-from repro.core.greedy import greedy_maxr, lazy_greedy_nu
+from repro.core.greedy import (
+    EagerNuRun,
+    GreedyMaxrRun,
+    GreedyRun,
+    LazyNuRun,
+    RunCache,
+)
 from repro.core.solution import SeedSelection
 from repro.errors import SolverError
 from repro.obs import trace
 from repro.sampling.pool import RICSamplePool
 from repro.utils.retry import Deadline, as_deadline
 from repro.utils.validation import check_candidates, check_positive
+
+
+def _take(
+    solver, arm: Type[GreedyRun], pool: RICSamplePool, k: int
+) -> Tuple[List[int], bool]:
+    """``arm``'s first ``k`` picks and whether a deadline cut them short.
+
+    The run comes from the solver's :class:`RunCache` when it has one.
+    Otherwise it is built for this call and dropped on return, so one
+    arm's engine is freed before the next arm builds its own.
+    """
+    if solver.runs is None:
+        run = arm(pool, solver.candidates, solver.engine)
+    else:
+        run = solver.runs.run(arm, pool, solver.candidates, solver.engine)
+    return run.take(k, solver.deadline), run.cut_short(k)
 
 
 class UBG:
@@ -35,6 +63,7 @@ class UBG:
         candidates: Optional[Iterable[int]] = None,
         engine: str = "flat",
         deadline: Optional[Deadline] = None,
+        runs: Optional[RunCache] = None,
     ) -> None:
         #: Use CELF for the ν arm (sound because ν is submodular).
         self.lazy = lazy
@@ -54,6 +83,8 @@ class UBG:
         #: CELF iterations; on expiry the best-so-far seed set is
         #: returned with ``truncated=True`` instead of hanging.
         self.deadline: Optional[Deadline] = as_deadline(deadline)
+        #: Greedy runs kept across solves (None: fresh runs per solve).
+        self.runs = runs
 
     def alpha(self, pool: RICSamplePool, k: int) -> float:
         """A-priori ratio used for sample bounds: ``1 - 1/e``.
@@ -67,25 +98,19 @@ class UBG:
         """Run Algorithm 2 on the pool.
 
         When a deadline is set and expires mid-run the ν arm returns its
-        best-so-far seeds, the ĉ arm is skipped entirely, and the
-        selection is flagged ``truncated``.
+        best-so-far seeds and the ĉ arm is skipped entirely. The
+        selection is flagged ``truncated`` only when an arm stopped on
+        the deadline short of ``k`` picks or the ĉ arm was skipped; a
+        deadline that passes after both arms finished flags nothing.
         """
         check_positive(k, "k", SolverError)
         check_candidates(
             self.candidates, pool.sampler.graph.num_nodes, SolverError
         )
-        from repro.core.greedy import greedy_eager_nu
-
         deadline = self.deadline
-        nu_greedy = lazy_greedy_nu if self.lazy else greedy_eager_nu
+        nu_arm = LazyNuRun if self.lazy else EagerNuRun
         with trace.span("ubg/nu_arm", k=k, num_samples=len(pool)):
-            seeds_nu = nu_greedy(
-                pool,
-                k,
-                candidates=self.candidates,
-                engine=self.engine,
-                deadline=deadline,
-            )
+            seeds_nu, truncated = _take(self, nu_arm, pool, k)
             value_nu = pool.estimate_benefit(seeds_nu)
             upper_nu = pool.estimate_upper_bound(seeds_nu)
         sandwich = value_nu / upper_nu if upper_nu > 0 else 1.0
@@ -94,16 +119,12 @@ class UBG:
             deadline is not None and deadline.expired()
         ):
             with trace.span("ubg/c_arm", k=k, num_samples=len(pool)):
-                seeds_c = greedy_maxr(
-                    pool,
-                    k,
-                    candidates=self.candidates,
-                    engine=self.engine,
-                    deadline=deadline,
-                )
+                seeds_c, cut_short = _take(self, GreedyMaxrRun, pool, k)
                 value_c = pool.estimate_benefit(seeds_c)
+            truncated = truncated or cut_short
         else:
             seeds_c, value_c = [], float("-inf")
+            truncated = truncated or self.run_c_greedy
 
         if value_c > value_nu:
             winner, value, arm = seeds_c, value_c, "c-greedy"
@@ -121,7 +142,7 @@ class UBG:
                 "value_c_arm": value_c if self.run_c_greedy else None,
                 "num_samples": len(pool),
             },
-            truncated=deadline is not None and deadline.expired(),
+            truncated=truncated,
         )
 
     def __call__(self, pool: RICSamplePool, k: int) -> SeedSelection:
@@ -142,6 +163,7 @@ class GreedyC:
         candidates: Optional[Iterable[int]] = None,
         engine: str = "flat",
         deadline: Optional[Deadline] = None,
+        runs: Optional[RunCache] = None,
     ) -> None:
         #: Optional seeding-candidate restriction (None = all nodes).
         self.candidates: Optional[Set[int]] = (
@@ -151,31 +173,31 @@ class GreedyC:
         self.engine = engine
         #: Optional time bound; best-so-far + ``truncated`` on expiry.
         self.deadline: Optional[Deadline] = as_deadline(deadline)
+        #: Greedy runs kept across solves (None: a fresh run per solve).
+        self.runs = runs
 
     def alpha(self, pool: RICSamplePool, k: int) -> float:
         """No guarantee; a tiny constant keeps sample bounds finite."""
         return 1e-6
 
     def solve(self, pool: RICSamplePool, k: int) -> SeedSelection:
-        """Greedy selection on ``ĉ_R`` (Alg. 2 line 2, standalone)."""
+        """Greedy selection on ``ĉ_R`` (Alg. 2 line 2, standalone).
+
+        Flagged ``truncated`` only when the run stopped on the deadline
+        short of ``k`` picks.
+        """
         check_positive(k, "k", SolverError)
         check_candidates(
             self.candidates, pool.sampler.graph.num_nodes, SolverError
         )
         with trace.span("greedyc/select", k=k, num_samples=len(pool)):
-            seeds = greedy_maxr(
-                pool,
-                k,
-                candidates=self.candidates,
-                engine=self.engine,
-                deadline=self.deadline,
-            )
+            seeds, truncated = _take(self, GreedyMaxrRun, pool, k)
         return SeedSelection(
             seeds=tuple(seeds),
             objective=pool.estimate_benefit(seeds),
             solver=self.name,
             metadata={"num_samples": len(pool)},
-            truncated=self.deadline is not None and self.deadline.expired(),
+            truncated=truncated,
         )
 
     def __call__(self, pool: RICSamplePool, k: int) -> SeedSelection:

@@ -3,12 +3,14 @@
 A :class:`WarmShard` is the serving unit for one scenario: a
 :class:`~repro.sampling.pool.RICSamplePool` fed by a
 :class:`~repro.sampling.parallel.ParallelRICSampler` (samples are
-hash-partitioned across worker processes by batch), plus a per-version
-solve cache. Growth follows an MPC-style discipline: bounded
-``round_size`` merge rounds — the master fans one round out to the
-workers, *synchronously* merges the returned samples into the pool
-and bumps the shard version — so per-round memory on every worker stays
-bounded by ``round_size / workers`` samples regardless of pool size,
+hash-partitioned across worker processes by batch), plus per-version
+state: the greedy runs UBG and GreedyC resume
+(:class:`~repro.core.greedy.RunCache`) and the solve cache. Growth
+follows an MPC-style discipline: bounded ``round_size`` merge rounds —
+the master fans one round out to the workers, *synchronously* merges
+the returned samples into the pool and bumps the shard version — so
+per-round memory on every worker stays bounded by
+``round_size / workers`` samples regardless of pool size,
 and the merged pool is byte-identical to a serial build
 (:mod:`repro.sampling.parallel`'s determinism guarantee, which holds
 across worker crashes too).
@@ -19,7 +21,7 @@ accounting, and LRU eviction of *cold* shards once the summed
 configurable byte budget. Shards whose lock is held (a solve in
 flight) are never evicted mid-request — the evictor skips them.
 
-Locking contract (see ``docs/serving.md``): every pool/engine/cache
+Locking contract (see ``docs/serving.md``): every pool/engine/run/cache
 access for a shard happens while holding ``shard.lock``. The pool and
 the coverage engines are *not* thread-safe — the engines fail loudly
 if a ``resync()`` races a marginal evaluation, but loud failure is a
@@ -34,6 +36,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.communities.structure import CommunityStructure
 from repro.core import SOLVERS, make_solver
+from repro.core.greedy import RunCache
 from repro.errors import ServingError, UnknownScenarioError
 from repro.obs import metrics, trace
 from repro.obs.diagnostics import (
@@ -58,7 +61,7 @@ MAX_POOL_FACTOR = 4
 
 
 class WarmShard:
-    """One scenario's warm pool, sampler, and per-version solve cache.
+    """One scenario's warm pool, sampler, and per-version runs and answers.
 
     All methods below :attr:`lock` in the docstring must be called with
     ``shard.lock`` held; the store and the HTTP app do so.
@@ -83,10 +86,10 @@ class WarmShard:
         self.graph = graph
         self.communities = communities
         self.round_size = round_size
-        #: Serialises every pool/engine/cache access for this shard.
+        #: Serialises every pool/engine/run/cache access for this shard.
         self.lock = threading.RLock()
-        #: Bumped once per completed merge round; cache entries from
-        #: older versions are stale and recomputed on next request.
+        #: Bumped once per completed merge round; the runs and answers
+        #: of older versions are dropped with it.
         self.version = 0
         #: Monotonic stamp of the last request touch (LRU eviction key).
         self.last_used = time.monotonic()
@@ -102,8 +105,10 @@ class WarmShard:
             fault_injector=fault_injector,
         )
         self.pool = RICSamplePool(self.sampler)
-        # (k, solver, ci_width) -> (version, response dict)
-        self._solve_cache: Dict[Tuple, Tuple[int, Dict]] = {}
+        # The greedy runs and the answers of the current version:
+        # (k, solver, ci_width) -> response dict.
+        self._runs = RunCache()
+        self._solve_cache: Dict[Tuple, Dict] = {}
 
     # -- lifecycle ------------------------------------------------------
 
@@ -118,9 +123,9 @@ class WarmShard:
         ``round_size`` samples (fanned across the shard's workers),
         merges them synchronously (``add()`` files each sample's
         ``(node, mask)`` pairs in the pool's mask index) and bumps
-        :attr:`version`.
-        :attr:`bytes` is measured after the last round. Returns whether
-        any growth happened.
+        :attr:`version`. Growth drops the runs and answers of older
+        versions. :attr:`bytes` is measured after the last round.
+        Returns whether any growth happened.
         """
         if len(self.pool) >= target:
             return False
@@ -133,6 +138,8 @@ class WarmShard:
                 self.pool.grow(room)
                 self.version += 1
                 rounds += 1
+            self._runs = RunCache()
+            self._solve_cache.clear()
             self.bytes = pool_memory_bytes(self.pool)
             span.set(rounds=rounds, num_samples=len(self.pool))
         return True
@@ -185,14 +192,14 @@ class WarmShard:
         self.warm()
         key = (k, solver_name, ci_width)
         cached = self._solve_cache.get(key)
-        if cached is not None and cached[0] == self.version:
-            return cached[1], True
+        if cached is not None:
+            return cached, True
         max_pool = self.spec.pool_size * MAX_POOL_FACTOR
         solver_seed = derive_seed(self.spec.seed, "solver")
         while True:
-            selection = make_solver(solver_name, solver_seed).solve(
-                self.pool, k
-            )
+            selection = make_solver(
+                solver_name, solver_seed, runs=self._runs
+            ).solve(self.pool, k)
             seeds = sorted(selection.seeds)
             n = len(self.pool)
             influenced = self.pool.influenced_count(seeds)
@@ -229,7 +236,7 @@ class WarmShard:
             "pool_capped": n >= max_pool,
             "truncated": bool(selection.truncated),
         }
-        self._solve_cache[key] = (self.version, response)
+        self._solve_cache[key] = response
         return response, False
 
     def describe(self) -> Dict[str, object]:
@@ -379,11 +386,12 @@ class ShardStore:
                     skipped.add(name)  # busy: never evict mid-request
                     continue
                 del self._shards[name]
+                # Under the lock: handler threads evict concurrently.
+                self.counters["evictions"] += 1
             try:
                 shard.close()
             finally:
                 shard.lock.release()
-            self.counters["evictions"] += 1
             evicted.append(name)
             if self.on_evict is not None:
                 self.on_evict(name)

@@ -208,9 +208,9 @@ class TestRouterApp:
     def test_routes_to_live_replica_and_passes_bytes_through(self):
         spec = _spec()
         app, server, port = _serve_replica(spec, _instance())
+        endpoint = ReplicaEndpoint("r0", "127.0.0.1", port, True)
+        router = RouterApp(lambda: [endpoint])
         try:
-            endpoint = ReplicaEndpoint("r0", "127.0.0.1", port, True)
-            router = RouterApp(lambda: [endpoint])
             status, body, _ = router.handle_solve(
                 {"scenario": "planted", "budget": 3}
             )
@@ -223,6 +223,7 @@ class TestRouterApp:
                 "failed": 0,
             }
         finally:
+            router.close_pools()
             server.shutdown()
             server.server_close()
             app.close()
@@ -230,14 +231,14 @@ class TestRouterApp:
     def test_failover_to_rendezvous_successor_is_invisible(self):
         spec = _spec()
         app, server, port = _serve_replica(spec, _instance())
+        order = rendezvous_order("planted", ["r0", "r1"])
+        # The key's home replica is dead; its successor is live.
+        endpoints = [
+            ReplicaEndpoint(order[0], "127.0.0.1", _free_port(), True),
+            ReplicaEndpoint(order[1], "127.0.0.1", port, True),
+        ]
+        router = RouterApp(lambda: endpoints)
         try:
-            order = rendezvous_order("planted", ["r0", "r1"])
-            # The key's home replica is dead; its successor is live.
-            endpoints = [
-                ReplicaEndpoint(order[0], "127.0.0.1", _free_port(), True),
-                ReplicaEndpoint(order[1], "127.0.0.1", port, True),
-            ]
-            router = RouterApp(lambda: endpoints)
             status, body, _ = router.handle_solve(
                 {"scenario": "planted", "budget": 3}
             )
@@ -245,6 +246,7 @@ class TestRouterApp:
             assert json.loads(body)["num_samples"] == spec.pool_size
             assert router.counters["failovers"] == 1
         finally:
+            router.close_pools()
             server.shutdown()
             server.server_close()
             app.close()
@@ -268,22 +270,23 @@ class TestRouterApp:
     def test_unhealthy_replicas_are_skipped(self):
         spec = _spec()
         app, server, port = _serve_replica(spec, _instance())
+        order = rendezvous_order("planted", ["r0", "r1"])
+        endpoints = [
+            # Home replica flagged unhealthy by the supervisor: the
+            # router must go straight to the successor, no failover
+            # attempt against the dead one.
+            ReplicaEndpoint(order[0], "127.0.0.1", _free_port(), False),
+            ReplicaEndpoint(order[1], "127.0.0.1", port, True),
+        ]
+        router = RouterApp(lambda: endpoints)
         try:
-            order = rendezvous_order("planted", ["r0", "r1"])
-            endpoints = [
-                # Home replica flagged unhealthy by the supervisor: the
-                # router must go straight to the successor, no failover
-                # attempt against the dead one.
-                ReplicaEndpoint(order[0], "127.0.0.1", _free_port(), False),
-                ReplicaEndpoint(order[1], "127.0.0.1", port, True),
-            ]
-            router = RouterApp(lambda: endpoints)
             status, _, _ = router.handle_solve(
                 {"scenario": "planted", "budget": 3}
             )
             assert status == 200
             assert router.counters["failovers"] == 0
         finally:
+            router.close_pools()
             server.shutdown()
             server.server_close()
             app.close()
@@ -291,12 +294,12 @@ class TestRouterApp:
     def test_injected_forward_latency_is_survivable(self):
         spec = _spec()
         app, server, port = _serve_replica(spec, _instance())
+        endpoint = ReplicaEndpoint("r0", "127.0.0.1", port, True)
+        injector = FaultInjector(
+            [Fault.delay_on(FORWARD_SITE, seconds=0.2, call=0)]
+        )
+        router = RouterApp(lambda: [endpoint], fault_injector=injector)
         try:
-            endpoint = ReplicaEndpoint("r0", "127.0.0.1", port, True)
-            injector = FaultInjector(
-                [Fault.delay_on(FORWARD_SITE, seconds=0.2, call=0)]
-            )
-            router = RouterApp(lambda: [endpoint], fault_injector=injector)
             began = time.perf_counter()
             status, _, _ = router.handle_solve(
                 {"scenario": "planted", "budget": 3}
@@ -305,6 +308,7 @@ class TestRouterApp:
             assert status == 200
             assert elapsed >= 0.2  # the chaos delay was really injected
         finally:
+            router.close_pools()
             server.shutdown()
             server.server_close()
             app.close()

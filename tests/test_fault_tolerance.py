@@ -228,6 +228,34 @@ def test_solvers_truncate_on_expired_deadline(pool, solver_factory):
     assert len(selection.seeds) <= 5
 
 
+@pytest.mark.parametrize(
+    "solver_factory, evaluations",
+    [(lambda d: UBG(deadline=d), 2), (lambda d: GreedyC(deadline=d), 1)],
+)
+def test_deadline_passing_after_the_arms_finish_is_not_truncation(
+    pool, monkeypatch, solver_factory, evaluations
+):
+    # The clock passes the deadline at the last estimate_benefit call,
+    # which scores the last arm after its greedy has finished.
+    now = [0.0]
+    deadline = Deadline(1.0, clock=lambda: now[0])
+    original = pool.estimate_benefit
+    calls = []
+
+    def evaluate(seeds):
+        calls.append(seeds)
+        if len(calls) == evaluations:
+            now[0] = 2.0
+        return original(seeds)
+
+    monkeypatch.setattr(pool, "estimate_benefit", evaluate)
+    selection = solver_factory(deadline).solve(pool, 5)
+    assert deadline.expired()
+    assert len(calls) == evaluations
+    assert len(selection.seeds) == 5
+    assert not selection.truncated
+
+
 def test_solvers_without_deadline_are_unchanged(pool):
     bounded = UBG(deadline=Deadline.never()).solve(pool, 5)
     unbounded = UBG().solve(pool, 5)

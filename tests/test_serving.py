@@ -1,7 +1,8 @@
 """Shard-server tests: scenarios, batching, shards, eviction, HTTP.
 
 Synthetic instances are injected through ``ShardStore(instances=...)``
-so no dataset building happens; pools are kept small. The crash test
+so little dataset building happens (the run-count test builds the
+benchmark's small ``fb0`` scenario); pools are kept small. The crash test
 (``fault`` marker) kills a real shard worker mid-request and proves the
 answer is byte-identical to a fault-free run; the 200-client load floor
 lives under the ``slow`` marker.
@@ -11,13 +12,19 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import random
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.communities.structure import Community, CommunityStructure
+from repro.core.flat_engine import FlatCoverage
+from repro.core.ubg import UBG
 from repro.errors import ServingError
 from repro.graph.generators import planted_partition_graph
 from repro.graph.weights import assign_weighted_cascade
@@ -31,6 +38,7 @@ from repro.serving import (
     ShardApp,
     ShardStore,
     WarmShard,
+    build_instance,
     start_http_server,
 )
 from repro.utils.faults import Fault, FaultInjector
@@ -56,6 +64,31 @@ def _spec(name: str = "planted", **kwargs) -> ScenarioSpec:
     defaults = dict(dataset="facebook", seed=99, pool_size=120)
     defaults.update(kwargs)
     return ScenarioSpec(name=name, **defaults)
+
+
+#: More threads than cores, for the stress tests.
+STRESS_THREADS = max(4, 2 * (os.cpu_count() or 1))
+
+
+def _count_engine_calls(monkeypatch):
+    """Count outermost ``gain_*`` calls on the flat engine."""
+    calls = [0]
+    inside = [False]
+    for name in ("gain_pair", "gain_influenced", "gain_fractional"):
+        original = getattr(FlatCoverage, name)
+
+        def counted(self, node, original=original):
+            if inside[0]:
+                return original(self, node)
+            calls[0] += 1
+            inside[0] = True
+            try:
+                return original(self, node)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(FlatCoverage, name, counted)
+    return calls
 
 
 def _store(**kwargs) -> ShardStore:
@@ -224,6 +257,96 @@ class TestWarmShard:
             assert third["pool_version"] > first["pool_version"]
         shard.close()
 
+    def test_growth_drops_older_answers(self):
+        graph, communities = _instance()
+        shard = WarmShard(
+            _spec(), graph, communities, workers=1, round_size=60
+        )
+        with shard.lock:
+            shard.warm()
+            _, hit_first = shard.solve(4)
+            shard.ensure_target(len(shard.pool) + 30)
+            fifth, hit_fifth = shard.solve(5)
+            assert not hit_first and not hit_fifth
+            # Budget 4's answer belonged to the older version.
+            assert shard.describe()["cached_solves"] == 1
+            again, hit_again = shard.solve(5)
+            assert hit_again and again == fifth
+        shard.close()
+
+    def test_budgets_on_one_version_cost_one_run(self, monkeypatch):
+        """Budgets 1..40 in any order make the engine calls of one fresh
+        UBG at budget 40 (3,332 on fb0; solving every budget from the
+        empty seed set made 72,021)."""
+        spec = ScenarioSpec(
+            name="fb0", dataset="facebook", scale=0.2, seed=100,
+            pool_size=600,
+        )
+        graph, communities = build_instance(spec)
+        shard = WarmShard(spec, graph, communities, workers=1)
+        budgets = list(range(1, 41))
+        random.Random(5).shuffle(budgets)
+        with shard.lock:
+            shard.warm()
+            calls = _count_engine_calls(monkeypatch)
+            for k in budgets:
+                shard.solve(k)
+        served = calls[0]
+        calls[0] = 0
+        UBG().solve(shard.pool, 40)
+        shard.close()
+        assert served == calls[0] > 0
+
+    def test_concurrent_budgets_answer_like_fresh_shards(self):
+        budgets = list(range(1, 9)) + [2, 3, 5, 5]
+        graph, communities = _instance()
+        expected = {}
+        for k in set(budgets):
+            fresh = WarmShard(
+                _spec(), graph, communities, workers=1, round_size=60
+            )
+            with fresh.lock:
+                expected[k], _ = fresh.solve(k)
+            fresh.close()
+        app = ShardApp(_store())
+        answers, errors = [], []
+        stop_at = time.monotonic() + 20.0
+
+        def client(index):
+            order = list(budgets)
+            random.Random(index).shuffle(order)
+            for k in order:
+                if time.monotonic() > stop_at:
+                    return
+                try:
+                    answer = app.solve({"scenario": "planted", "budget": k})
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+                else:
+                    answers.append((k, answer))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(i,))
+                for i in range(STRESS_THREADS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+            app.close()
+        assert not errors
+        assert answers
+        for k, answer in answers:
+            answer = dict(answer)
+            del answer["batched"], answer["cache_hit"]
+            assert answer == expected[k]
+
     def test_solve_matches_offline_pipeline(self):
         from repro.core.ubg import UBG
         from repro.sampling.parallel import ParallelRICSampler
@@ -371,6 +494,48 @@ class TestShardStore:
             assert evicted == ["b"]  # "a" was mid-request: skipped
         finally:
             store.close()
+
+    def test_concurrent_evictions_count_every_eviction(self):
+        names = [f"s{i}" for i in range(40)]
+        instance = _instance()
+        store = ShardStore(
+            {name: _spec(name) for name in names},
+            instances={name: instance for name in names},
+            workers=1,
+            memory_budget_bytes=1,
+        )
+        evicted = []
+        stop_at = time.monotonic() + 5.0
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                if time.monotonic() > stop_at:
+                    break
+                # The evictor reads only a shard's bytes, stamp and
+                # lock, so the shards need no pool.
+                for name in names:
+                    store.get(name).bytes = 1
+                barrier = threading.Barrier(STRESS_THREADS)
+
+                def evict():
+                    barrier.wait(timeout=10)
+                    evicted.extend(store.evict_to_budget())
+
+                threads = [
+                    threading.Thread(target=evict)
+                    for _ in range(STRESS_THREADS)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+            store.close()
+        assert evicted
+        assert store.counters["evictions"] == len(evicted)
 
     def test_closed_store_refuses_requests(self):
         store = _store()
