@@ -84,24 +84,33 @@ def _make_state(pool: RICSamplePool, engine: str):
 class GreedyRun:
     """A resumable greedy run: its coverage engine, heap and picks so far.
 
-    Subclasses build their heap in ``__init__``, step in ``_extend``
-    and say when no pick is left in :attr:`exhausted`. Like its engine,
-    a run belongs to the pool size it was built at; once the pool has
-    grown, build a new one.
+    Subclasses hold the candidates still open in ``_left`` (built by
+    ``_start``) and step in ``_extend``. Like its engine, a run belongs
+    to the pool size it was built at; once the pool has grown, build a
+    new one.
     """
 
-    def __init__(self, pool: RICSamplePool, engine: str) -> None:
+    def __init__(
+        self,
+        pool: RICSamplePool,
+        candidates: Optional[Iterable[int]] = None,
+        engine: str = "flat",
+    ) -> None:
         self.state = _make_state(pool, engine)
         #: The seeds picked so far, in pick order.
         self.picks: List[int] = []
+        self._left = self._start(_candidates(pool, candidates))
 
-    @property
-    def exhausted(self) -> bool:
-        """Whether the run can make no further pick."""
+    def _start(self, candidates: List[int]):
         raise NotImplementedError
 
     def _extend(self, k: int, deadline: Optional[Deadline]) -> None:
         raise NotImplementedError
+
+    @property
+    def exhausted(self) -> bool:
+        """Whether the run can make no further pick."""
+        return not self._left
 
     def take(self, k: int, deadline: Optional[Deadline] = None) -> List[int]:
         """The run's first ``k`` picks.
@@ -128,31 +137,17 @@ class GreedyRun:
 class GreedyMaxrRun(GreedyRun):
     """The bound-pruned ĉ greedy of :func:`greedy_maxr`, resumable."""
 
-    def __init__(
-        self,
-        pool: RICSamplePool,
-        candidates: Optional[Iterable[int]] = None,
-        engine: str = "flat",
-    ) -> None:
-        super().__init__(pool, engine)
-        state = self.state
+    def _start(self, candidates: List[int]):
         # One (-bound, node) entry per unchosen candidate. A round
         # re-pushes only the nodes it evaluated; the others keep older,
         # larger bounds, which still hold.
-        self._heap = [
-            (-state.gain_bound(node), node)
-            for node in _candidates(pool, candidates)
-        ]
-        heapq.heapify(self._heap)
-
-    @property
-    def exhausted(self) -> bool:
-        """Whether every candidate is picked."""
-        return not self._heap
+        heap = [(-self.state.gain_bound(node), node) for node in candidates]
+        heapq.heapify(heap)
+        return heap
 
     def _extend(self, k: int, deadline: Optional[Deadline]) -> None:
         state = self.state
-        heap = self._heap
+        heap = self._left
         chosen = self.picks
         while len(chosen) < k and heap:
             if _out_of_time(deadline, chosen):
@@ -177,32 +172,21 @@ class GreedyMaxrRun(GreedyRun):
 class LazyNuRun(GreedyRun):
     """The CELF ν greedy of :func:`lazy_greedy_nu`, resumable."""
 
-    def __init__(
-        self,
-        pool: RICSamplePool,
-        candidates: Optional[Iterable[int]] = None,
-        engine: str = "flat",
-    ) -> None:
-        super().__init__(pool, engine)
-        state = self.state
-        self._heap: LazyMaxHeap[int] = LazyMaxHeap()
-        for node in _candidates(pool, candidates):
-            gain = state.gain_fractional(node)
+    def _start(self, candidates: List[int]):
+        heap: LazyMaxHeap[int] = LazyMaxHeap()
+        for node in candidates:
+            gain = self.state.gain_fractional(node)
             if gain > 0.0:
                 # Negative id as secondary key is encoded by pushing in
                 # id order: LazyMaxHeap is stable for equal priorities
                 # because the entry counter favours earlier pushes on
                 # ties.
-                self._heap.push(node, gain)
-
-    @property
-    def exhausted(self) -> bool:
-        """Whether no candidate with a positive ν gain is left."""
-        return not self._heap
+                heap.push(node, gain)
+        return heap
 
     def _extend(self, k: int, deadline: Optional[Deadline]) -> None:
         state = self.state
-        heap = self._heap
+        heap = self._left
         chosen = self.picks
         while heap and len(chosen) < k:
             if _out_of_time(deadline, chosen):
@@ -223,23 +207,12 @@ class LazyNuRun(GreedyRun):
 class EagerNuRun(GreedyRun):
     """The eager ν greedy of :func:`greedy_eager_nu`, resumable."""
 
-    def __init__(
-        self,
-        pool: RICSamplePool,
-        candidates: Optional[Iterable[int]] = None,
-        engine: str = "reference",
-    ) -> None:
-        super().__init__(pool, engine)
-        self._remaining = set(_candidates(pool, candidates))
-
-    @property
-    def exhausted(self) -> bool:
-        """Whether no candidate with a positive ν gain is left."""
-        return not self._remaining
+    def _start(self, candidates: List[int]):
+        return set(candidates)
 
     def _extend(self, k: int, deadline: Optional[Deadline]) -> None:
         state = self.state
-        remaining = self._remaining
+        remaining = self._left
         chosen = self.picks
         while len(chosen) < k and remaining:
             if _out_of_time(deadline, chosen):
