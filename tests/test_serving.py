@@ -23,7 +23,6 @@ import urllib.request
 import pytest
 
 from repro.communities.structure import Community, CommunityStructure
-from repro.core.flat_engine import FlatCoverage
 from repro.core.ubg import UBG
 from repro.errors import ServingError
 from repro.graph.generators import planted_partition_graph
@@ -42,6 +41,8 @@ from repro.serving import (
     start_http_server,
 )
 from repro.utils.faults import Fault, FaultInjector
+
+from tests.test_prop_greedy_runs import counting_engine_calls
 
 pytestmark = pytest.mark.serve
 
@@ -68,27 +69,6 @@ def _spec(name: str = "planted", **kwargs) -> ScenarioSpec:
 
 #: More threads than cores, for the stress tests.
 STRESS_THREADS = max(4, 2 * (os.cpu_count() or 1))
-
-
-def _count_engine_calls(monkeypatch):
-    """Count outermost ``gain_*`` calls on the flat engine."""
-    calls = [0]
-    inside = [False]
-    for name in ("gain_pair", "gain_influenced", "gain_fractional"):
-        original = getattr(FlatCoverage, name)
-
-        def counted(self, node, original=original):
-            if inside[0]:
-                return original(self, node)
-            calls[0] += 1
-            inside[0] = True
-            try:
-                return original(self, node)
-            finally:
-                inside[0] = False
-
-        monkeypatch.setattr(FlatCoverage, name, counted)
-    return calls
 
 
 def _store(**kwargs) -> ShardStore:
@@ -274,7 +254,7 @@ class TestWarmShard:
             assert hit_again and again == fifth
         shard.close()
 
-    def test_budgets_on_one_version_cost_one_run(self, monkeypatch):
+    def test_budgets_on_one_version_cost_one_run(self):
         """Budgets 1..40 in any order make the engine calls of one fresh
         UBG at budget 40 (3,332 on fb0; solving every budget from the
         empty seed set made 72,021)."""
@@ -288,14 +268,13 @@ class TestWarmShard:
         random.Random(5).shuffle(budgets)
         with shard.lock:
             shard.warm()
-            calls = _count_engine_calls(monkeypatch)
-            for k in budgets:
-                shard.solve(k)
-        served = calls[0]
-        calls[0] = 0
-        UBG().solve(shard.pool, 40)
+            with counting_engine_calls() as served:
+                for k in budgets:
+                    shard.solve(k)
+        with counting_engine_calls() as fresh:
+            UBG().solve(shard.pool, 40)
         shard.close()
-        assert served == calls[0] > 0
+        assert served[0] == fresh[0] > 0
 
     def test_concurrent_budgets_answer_like_fresh_shards(self):
         budgets = list(range(1, 9)) + [2, 3, 5, 5]
