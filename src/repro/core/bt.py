@@ -28,6 +28,7 @@ from typing import (
     Optional,
     Sequence,
     Set,
+    Tuple,
 )
 
 from repro.core.maf import MAF
@@ -145,7 +146,7 @@ def _greedy_cover(
     k: int,
     allowed: Optional[Set[int]] = None,
     deadline: Optional[Deadline] = None,
-) -> List[int]:
+) -> Tuple[List[int], bool]:
     """CELF greedy for a collection whose thresholds are all ≤ 1.
 
     With ``h ≤ 1`` a sample is influenced as soon as *any* member is
@@ -153,6 +154,8 @@ def _greedy_cover(
     sound and the result carries the ``1 - 1/e`` guarantee. A node's
     gain is the number of its live samples not yet covered. ``deadline``
     is polled between CELF iterations (after at least one pick).
+    Returns the picks and whether the deadline stopped the loop short
+    of ``k`` picks with candidates left.
     """
     index = collection.index
     # The index holds live samples only, none of them covered yet, so a
@@ -169,7 +172,7 @@ def _greedy_cover(
     chosen: List[int] = []
     while heap and len(chosen) < k:
         if deadline is not None and chosen and deadline.expired():
-            break
+            return chosen, True
         node, _ = heap.pop_max()
         fresh = gain(node)
         if fresh <= 0:
@@ -182,7 +185,7 @@ def _greedy_cover(
         chosen.append(node)
         for s in index[node]:
             sample_covered[s] = True
-    return chosen
+    return chosen, False
 
 
 def _bt_solve(
@@ -192,18 +195,21 @@ def _bt_solve(
     candidate_limit: Optional[int],
     allowed: Optional[Set[int]] = None,
     deadline: Optional[Deadline] = None,
-) -> List[int]:
-    """Recursive core of BT^(d): returns up to ``k`` seeds.
+) -> Tuple[List[int], bool]:
+    """Recursive core of BT^(d): up to ``k`` seeds, and whether a
+    deadline cut the work short.
 
     ``depth`` is the threshold bound ``d`` of the *current* collection;
     at ``depth <= 1`` the problem is max coverage and plain greedy
     finishes the recursion. The outer loop over candidate nodes ``u``
     is BT's dominant cost; a ``deadline`` is polled per candidate and
     the best companion set found so far is returned on expiry (the
-    first candidate is always evaluated in full).
+    first candidate is always evaluated, though its own recursion may
+    stop early too). The flag is set when this loop stopped with
+    candidates left, or when a recursion or greedy under it was cut.
     """
     if k <= 0 or len(collection) == 0:
-        return []
+        return [], False
     if depth <= 1 or collection.max_threshold() <= 1:
         return _greedy_cover(collection, k, allowed=allowed, deadline=deadline)
     candidates = list(collection.index)
@@ -217,11 +223,12 @@ def _bt_solve(
         candidates = candidates[:candidate_limit]
     best_seeds: List[int] = []
     best_score = -1
+    cut = False
     for u in candidates:
         if deadline is not None and best_seeds and deadline.expired():
-            break
+            return best_seeds, True
         reduced = collection.reduce_by(u)
-        companions = _bt_solve(
+        companions, companions_cut = _bt_solve(
             reduced,
             k - 1,
             depth - 1,
@@ -229,12 +236,13 @@ def _bt_solve(
             allowed=allowed,
             deadline=deadline,
         )
+        cut = cut or companions_cut
         companions = [v for v in companions if v != u][: k - 1]
         score = reduced.influenced_count(companions)
         if score > best_score:
             best_score = score
             best_seeds = [u] + companions
-    return best_seeds
+    return best_seeds, cut
 
 
 class BT:
@@ -267,8 +275,8 @@ class BT:
             set(candidates) if candidates is not None else None
         )
         #: Optional time bound (Deadline or seconds): polled per outer
-        #: candidate and per CELF pick; best-so-far + ``truncated`` on
-        #: expiry.
+        #: candidate and per CELF pick; best-so-far on expiry, flagged
+        #: ``truncated`` only when a loop stopped with work left.
         self.deadline: Optional[Deadline] = as_deadline(deadline)
 
     def alpha(self, pool: RICSamplePool, k: int) -> float:
@@ -295,7 +303,7 @@ class BT:
         deadline = self.deadline
         with trace.span("bt/select", k=k, num_samples=len(pool)):
             collection = _Collection.from_pool(pool)
-            seeds = _bt_solve(
+            seeds, truncated = _bt_solve(
                 collection,
                 k,
                 self.threshold_bound,
@@ -312,7 +320,7 @@ class BT:
                 "candidate_limit": self.candidate_limit,
                 "num_samples": len(pool),
             },
-            truncated=deadline is not None and deadline.expired(),
+            truncated=truncated,
         )
 
     def __call__(self, pool: RICSamplePool, k: int) -> SeedSelection:
@@ -365,7 +373,9 @@ class MB:
         """Run both arms and keep the better seed set.
 
         With an expired deadline after the MAF arm, the (much slower)
-        BT arm is skipped and MAF's seeds are returned as-is."""
+        BT arm is skipped and MAF's seeds are returned as-is. Flagged
+        ``truncated`` only when the BT arm was skipped or an arm that
+        ran was flagged."""
         deadline = self.deadline
         # A deadline installed on MB after construction (e.g. by
         # solve_imc) must reach the arms too; install transiently so a
@@ -386,6 +396,7 @@ class MB:
             ):
                 bt_result = None
                 winner = maf_result
+                truncated = True
             else:
                 with trace.span("mb/bt_arm", k=k, num_samples=len(pool)):
                     bt_result = self._bt.solve(pool, k)
@@ -394,6 +405,7 @@ class MB:
                     if maf_result.objective >= bt_result.objective
                     else bt_result
                 )
+                truncated = maf_result.truncated or bt_result.truncated
         finally:
             if lend_maf:
                 self._maf.deadline = None
@@ -409,7 +421,7 @@ class MB:
                 "value_bt": bt_result.objective if bt_result else None,
                 "num_samples": len(pool),
             },
-            truncated=deadline is not None and deadline.expired(),
+            truncated=truncated,
         )
 
     def __call__(self, pool: RICSamplePool, k: int) -> SeedSelection:

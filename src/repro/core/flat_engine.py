@@ -42,7 +42,6 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.errors import SolverError
-from repro.obs import metrics
 from repro.sampling.pool import RICSamplePool
 from repro.utils.math import popcount
 
@@ -52,27 +51,18 @@ class FlatCoverage:
 
     The public surface mirrors :class:`~repro.core.objective.CoverageState`:
     ``add_seed``, ``gain_influenced``, ``gain_fractional``, ``gain_pair``,
-    ``gain_bound``, ``resync`` and the two estimate accessors. Like the
-    reference engine, it snapshots the pool's sample count at
-    construction and fails fast (``SolverError``) when the pool has
-    grown, until :meth:`resync` reloads its state.
+    ``gain_bound`` and the two estimate accessors. Like the reference
+    engine, it snapshots the pool's sample count at construction and
+    fails fast (``SolverError``) once the pool has grown; a grown pool
+    takes a fresh engine.
     """
 
     def __init__(self, pool: RICSamplePool) -> None:
         self.pool = pool
         self.seeds: List[int] = []
         self._seed_set = set()
-        self._resyncing = False
         self._index = pool.mask_index
-        self._load()
-
-    def _load(self) -> None:
-        """Reset this engine's state to the pool's current samples.
-
-        Replays the current seed set, so it doubles as the
-        :meth:`resync` body.
-        """
-        self._thresholds = [s.threshold for s in self.pool.samples]
+        self._thresholds = [s.threshold for s in pool.samples]
         num_samples = len(self._thresholds)
         # Per node: the (sample, mask) entries that survived its last
         # marginal call; absent until the node is first evaluated.
@@ -85,51 +75,15 @@ class FlatCoverage:
         self._influenced = 0
         self._fractional = 0.0
         self._synced_samples = num_samples
-        for node in self.seeds:
-            self._apply_seed(node)
 
     def _check_sync(self) -> None:
-        """Fail fast when the pool grew since this engine last synced."""
-        if self._resyncing:
-            raise SolverError(
-                "flat engine is mid-resync() (another thread is "
-                "reloading it); concurrent marginal/accessor calls "
-                "would read half-built state — serialize engine access "
-                "(see the locking contract in docs/serving.md)"
-            )
+        """Fail fast when the pool grew since this engine was built."""
         if len(self.pool.samples) != self._synced_samples:
             raise SolverError(
                 f"pool grew from {self._synced_samples} to "
                 f"{len(self.pool.samples)} samples since this flat "
-                "engine was loaded; call resync() or rebuild the engine"
+                "engine was built; build a fresh engine on the grown pool"
             )
-
-    def resync(self) -> None:
-        """Incorporate samples added to the pool since the last sync.
-
-        The pool's index already holds the new samples; this resets the
-        per-sample state and the pruned entry lists and replays the
-        current seed set, O(samples + the seeds' entries).
-
-        Not thread-safe: a concurrent :meth:`resync` (or any marginal /
-        accessor call while one is in progress) raises ``SolverError``
-        instead of returning answers from half-built state — callers
-        must serialize engine access (see docs/serving.md).
-        """
-        if self._resyncing:
-            raise SolverError(
-                "FlatCoverage.resync() re-entered while another "
-                "resync() is in progress; serialize engine access "
-                "(see the locking contract in docs/serving.md)"
-            )
-        if len(self.pool.samples) == self._synced_samples:
-            return
-        metrics.inc("coverage.resyncs")
-        self._resyncing = True
-        try:
-            self._load()
-        finally:
-            self._resyncing = False
 
     # -- accessors ------------------------------------------------------
 
@@ -173,8 +127,13 @@ class FlatCoverage:
             entries = masks.items()
         return entries
 
-    def _apply_seed(self, node: int) -> None:
-        """Merge ``node``'s member masks into the covered state."""
+    def add_seed(self, node: int) -> None:
+        """Add ``node`` and merge its member masks into the covered state."""
+        self._check_sync()
+        if node in self._seed_set:
+            raise SolverError(f"node {node} is already a seed")
+        self.seeds.append(node)
+        self._seed_set.add(node)
         entries = self._entries(node)
         if entries is None:
             return
@@ -197,15 +156,6 @@ class FlatCoverage:
                 needs[sample_idx] = need - added
         # A seed's marginal is 0 from now on; its list is never read.
         self._live.pop(node, None)
-
-    def add_seed(self, node: int) -> None:
-        """Add ``node`` and update the flat covered state."""
-        self._check_sync()
-        if node in self._seed_set:
-            raise SolverError(f"node {node} is already a seed")
-        self.seeds.append(node)
-        self._seed_set.add(node)
-        self._apply_seed(node)
 
     # -- marginals ------------------------------------------------------
 

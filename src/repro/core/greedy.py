@@ -240,7 +240,7 @@ class RunCache:
     is bound to one pool object and its size: asked about another pool,
     or about its pool once it has grown, it drops every run and binds
     anew. Growth changes every marginal under an old heap, so a run is
-    rebuilt, never resynced.
+    rebuilt on the grown pool.
 
     Not thread-safe; callers serialize access (``shard.lock`` in
     serving).

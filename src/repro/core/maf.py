@@ -87,7 +87,11 @@ class MAF:
         return nodes[:k]
 
     def solve(self, pool: RICSamplePool, k: int) -> SeedSelection:
-        """Run Algorithm 3 on the pool."""
+        """Run Algorithm 3 on the pool.
+
+        Flagged ``truncated`` only when the deadline made it skip the S2
+        arm; a deadline that passes after both arms ran flags nothing.
+        """
         check_positive(k, "k", SolverError)
         check_candidates(
             self.candidates, pool.sampler.graph.num_nodes, SolverError
@@ -95,7 +99,8 @@ class MAF:
         deadline = self.deadline
         with trace.span("maf/s1_communities", k=k, num_samples=len(pool)):
             s1 = self._build_s1(pool, k)
-        if deadline is not None and s1 and deadline.expired():
+        skipped = deadline is not None and bool(s1) and deadline.expired()
+        if skipped:
             s2: List[int] = []
         else:
             with trace.span("maf/s2_nodes", k=k, num_samples=len(pool)):
@@ -116,7 +121,7 @@ class MAF:
                 "value_s2": value_2,
                 "num_samples": len(pool),
             },
-            truncated=deadline is not None and deadline.expired(),
+            truncated=skipped,
         )
 
     def __call__(self, pool: RICSamplePool, k: int) -> SeedSelection:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.errors import SolverError
-from repro.obs import metrics
 from repro.sampling.pool import RICSamplePool
 
 
@@ -31,8 +30,8 @@ class CoverageState:
     pool later grows (IMCAF's doubling loop), a stale state would either
     IndexError on new sample indices or silently ignore the new samples
     in gains — so every accessor fails fast with :class:`SolverError`
-    until :meth:`resync` incorporates the growth (or a fresh state is
-    built, which is what IMCAF's per-stage ``solver.solve`` call does).
+    and a grown pool takes a fresh state, which is what IMCAF's
+    per-stage ``solver.solve`` call builds.
     """
 
     def __init__(self, pool: RICSamplePool) -> None:
@@ -42,93 +41,33 @@ class CoverageState:
         # node -> (sample_idx, member_idx) pairs it covers, built here
         # from the samples' member masks.
         self._pairs: Dict[int, List[Tuple[int, int]]] = {}
-        self._index_samples(0)
-        # covered[g] = set of member indices of sample g hit by the seeds.
-        self._covered: List[Set[int]] = [set() for _ in pool.samples]
-        self._influenced = 0
-        self._fractional = 0.0
-        self._synced_samples = len(pool.samples)
-        self._resyncing = False
-
-    def _index_samples(self, start: int) -> None:
-        """Append the pairs of the pool's samples from ``start`` on."""
-        pairs = self._pairs
-        for sample_idx in range(start, len(self.pool.samples)):
-            sample = self.pool.samples[sample_idx]
+        for sample_idx, sample in enumerate(pool.samples):
             for node, mask in zip(sample.nodes, sample.masks):
-                covered = pairs.setdefault(node, [])
+                covered = self._pairs.setdefault(node, [])
                 member_idx = 0
                 while mask:
                     if mask & 1:
                         covered.append((sample_idx, member_idx))
                     mask >>= 1
                     member_idx += 1
+        # covered[g] = set of member indices of sample g hit by the seeds.
+        self._covered: List[Set[int]] = [set() for _ in pool.samples]
+        self._influenced = 0
+        self._fractional = 0.0
+        self._synced_samples = len(pool.samples)
 
     def _coverage_of(self, node: int) -> Sequence[Tuple[int, int]]:
         """``(sample_idx, member_idx)`` pairs covered by ``node``."""
         return self._pairs.get(node, ())
 
     def _check_sync(self) -> None:
-        """Fail fast when the pool grew since this state last synced."""
-        if self._resyncing:
-            raise SolverError(
-                "coverage state is mid-resync() (another thread is "
-                "rebuilding it); concurrent marginal/accessor calls "
-                "would read half-built state — serialize engine access "
-                "(see the locking contract in docs/serving.md)"
-            )
+        """Fail fast when the pool grew since this state was built."""
         if len(self.pool.samples) != self._synced_samples:
             raise SolverError(
                 f"pool grew from {self._synced_samples} to "
                 f"{len(self.pool.samples)} samples since this coverage "
-                "state was built; call resync() or rebuild the state"
+                "state was built; build a fresh state on the grown pool"
             )
-
-    def resync(self) -> None:
-        """Incorporate samples added to the pool since the last sync.
-
-        Indexes the new samples' pairs, extends the per-sample
-        bookkeeping for the new indices and replays the current seed
-        set's coverage of the *new* samples only — O(size of the new
-        suffix + the seeds' pairs).
-
-        Not thread-safe: a concurrent :meth:`resync` (or any marginal /
-        accessor call while one is in progress) raises ``SolverError``
-        instead of corrupting state silently — callers must serialize
-        engine access (see docs/serving.md).
-        """
-        if self._resyncing:
-            raise SolverError(
-                "CoverageState.resync() re-entered while another "
-                "resync() is in progress; serialize engine access "
-                "(see the locking contract in docs/serving.md)"
-            )
-        samples = self.pool.samples
-        old = self._synced_samples
-        if len(samples) == old:
-            return
-        metrics.inc("coverage.resyncs")
-        self._resyncing = True
-        try:
-            self._index_samples(old)
-            self._covered.extend(set() for _ in range(len(samples) - old))
-            for node in self.seeds:
-                for sample_idx, member_idx in self._coverage_of(node):
-                    if sample_idx < old:
-                        continue
-                    covered = self._covered[sample_idx]
-                    if member_idx in covered:
-                        continue
-                    threshold = samples[sample_idx].threshold
-                    before = len(covered)
-                    covered.add(member_idx)
-                    if before < threshold:
-                        self._fractional += 1.0 / threshold
-                        if before + 1 == threshold:
-                            self._influenced += 1
-            self._synced_samples = len(samples)
-        finally:
-            self._resyncing = False
 
     # ------------------------------------------------------------------
     # Current objective values

@@ -9,8 +9,8 @@ record of the run:
 - **Spans** (:data:`trace`): nested, timed phases — sampling, solver
   arms, evaluation — streamed to JSONL as they finish.
 - **Metrics** (:data:`metrics`): counters, gauges and fixed-bucket
-  histograms for discrete events (samples generated, coverage resyncs,
-  adaptive stops, request latencies).
+  histograms for discrete events (samples generated, adaptive stops,
+  request latencies).
 - **Manifests** (:func:`build_manifest`): one JSON document per run
   binding git SHA, platform, RNG seeds, a config hash, phase timings
   and the metrics snapshot — written atomically alongside checkpoint /

@@ -2,7 +2,7 @@
 
 Names are dotted paths grouped by subsystem (see
 ``docs/observability.md`` for the registry of names this package
-emits), e.g. ``ric.samples.generated``, ``coverage.resyncs``,
+emits), e.g. ``ric.samples.generated``, ``estimator.adaptive.stops``,
 ``estimator.samples.used``, ``serving.request.seconds``.
 
 All mutators are no-ops while instrumentation is disabled (the
@@ -39,7 +39,6 @@ DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
 CATALOG: Dict[str, str] = {
     # counters
     "ric.samples.generated": "RIC samples generated (both engines)",
-    "coverage.resyncs": "coverage-engine rebuilds after pool growth",
     "estimator.adaptive.stops": "adaptive early stops (CI criterion met)",
     "serving.requests.total": "solve requests answered by the shard server",
     "serving.requests.failed": "solve requests answered with an error",

@@ -2,9 +2,9 @@
 
 A :class:`WarmShard` is the serving unit for one scenario: a
 :class:`~repro.sampling.pool.RICSamplePool` fed by a
-:class:`~repro.sampling.parallel.ParallelRICSampler` (samples are
-hash-partitioned across worker processes by batch), plus per-version
-state: the greedy runs UBG and GreedyC resume
+:class:`~repro.sampling.parallel.ParallelRICSampler` (which ships
+contiguous batches of pre-drawn child seeds to its worker processes),
+plus per-version state: the greedy runs UBG and GreedyC resume
 (:class:`~repro.core.greedy.RunCache`) and the solve cache. Growth
 follows an MPC-style discipline: bounded ``round_size`` merge rounds —
 the master fans one round out to the workers, *synchronously* merges
@@ -20,12 +20,17 @@ accounting, and LRU eviction of *cold* shards once the summed
 :func:`~repro.obs.diagnostics.pool_memory_bytes` footprint exceeds a
 configurable byte budget. Shards whose lock is held (a solve in
 flight) are never evicted mid-request — the evictor skips them.
+Eviction drops what the budget charges: the pool, its greedy runs and
+its answers. The store keeps each scenario's spec and built instance
+(graph and communities), which the budget does not charge, so a miss
+after an eviction only regrows the pool. For the benchmark's facebook
+scenarios the kept instance is about 0.5 MB, against 1.1-1.2 MB for a
+600-sample pool.
 
 Locking contract (see ``docs/serving.md``): every pool/engine/run/cache
 access for a shard happens while holding ``shard.lock``. The pool and
-the coverage engines are *not* thread-safe — the engines fail loudly
-if a ``resync()`` races a marginal evaluation, but loud failure is a
-backstop, not a substitute for the lock.
+the coverage engines are *not* thread-safe, and nothing in them
+detects a race.
 """
 
 from __future__ import annotations
@@ -257,8 +262,11 @@ class ShardStore:
     ``instances`` optionally pre-supplies ``(graph, communities)``
     pairs keyed by scenario name, bypassing
     :func:`~repro.serving.scenarios.build_instance` — how tests and the
-    load benchmark serve synthetic instances. ``memory_budget_bytes``
-    bounds the summed shard footprint; ``None`` disables eviction.
+    load benchmark serve synthetic instances. Every instance the store
+    builds joins the same per-scenario dict and stays for the store's
+    lifetime. ``memory_budget_bytes`` bounds the summed shard
+    footprint (the pools, :attr:`WarmShard.bytes`); the kept instances
+    are not charged to it. ``None`` disables eviction.
     """
 
     def __init__(
@@ -307,8 +315,12 @@ class ShardStore:
         """The warm shard for scenario ``name``, building it if cold.
 
         Counts a hit when the shard is already resident, a miss when it
-        has to be (re)built — an evicted shard rebuilt here regenerates
-        the byte-identical pool, since the spec pins every seed.
+        has to be (re)built. The scenario's instance is built on its
+        first miss only and kept: an evicted shard rebuilt here gets a
+        new :class:`WarmShard` over the same graph and communities and
+        regenerates the byte-identical pool, since the spec pins every
+        seed. A build that raises keeps nothing, so the next request
+        builds again.
         """
         with self._lock:
             if self._closed:
@@ -334,7 +346,7 @@ class ShardStore:
                 self.counters["misses"] += 1
             instance = self._instances.get(name)
             if instance is None:
-                instance = build_instance(spec)
+                instance = self._instances[name] = build_instance(spec)
             graph, communities = instance
             shard = WarmShard(
                 spec,

@@ -5,8 +5,6 @@ on top of the sampling/coverage/persistence layers:
 
 - a pool grown in top-up rounds, as a shard grows it, indexing exactly
   what one grow of the same size does;
-- coverage engines failing *loudly* when ``resync()`` races a marginal
-  evaluation instead of answering from half-built state;
 - ``read_jsonl`` racing a live ``JsonlSink`` writer (a partially
   flushed last line must be skipped, never mis-parsed);
 - ``Deadline`` re-anchoring its monotonic expiry when pickled to a
@@ -21,9 +19,6 @@ import pickle
 import pytest
 
 from repro.communities.structure import Community, CommunityStructure
-from repro.core.flat_engine import FlatCoverage
-from repro.core.objective import CoverageState
-from repro.errors import SolverError
 from repro.obs.sinks import JsonlSink, read_jsonl
 from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSampler
@@ -63,55 +58,7 @@ class TestTopUpCycle:
 
 
 # ----------------------------------------------------------------------
-# Satellite 2: resync() vs marginal() must fail loudly
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "engine_factory",
-    [CoverageState, FlatCoverage],
-    ids=["reference", "flat"],
-)
-class TestResyncGuard:
-    def test_marginals_raise_mid_resync(self, planted_pool, engine_factory):
-        engine = engine_factory(planted_pool)
-        node = planted_pool.touching_nodes()[0]
-        engine._resyncing = True  # what a concurrent resync() sets
-        try:
-            with pytest.raises(SolverError, match="mid-resync"):
-                engine.gain_pair(node)
-            with pytest.raises(SolverError, match="mid-resync"):
-                engine.estimate_benefit()
-            with pytest.raises(SolverError, match="mid-resync"):
-                engine.add_seed(node)
-        finally:
-            engine._resyncing = False
-        # Loud failure, not corruption: the engine still works after.
-        assert engine.gain_pair(node) is not None
-
-    def test_reentrant_resync_raises(self, planted_pool, engine_factory):
-        engine = engine_factory(planted_pool)
-        engine._resyncing = True
-        try:
-            with pytest.raises(SolverError, match="resync"):
-                engine.resync()
-        finally:
-            engine._resyncing = False
-
-    def test_serialized_resync_still_works(self, planted_pool, engine_factory):
-        engine = engine_factory(planted_pool)
-        node = planted_pool.touching_nodes()[0]
-        engine.add_seed(node)
-        before = engine.influenced_count
-        planted_pool.grow(25)
-        engine.resync()
-        assert engine._resyncing is False
-        assert engine.influenced_count >= before
-        assert engine._synced_samples == len(planted_pool.samples)
-
-
-# ----------------------------------------------------------------------
-# Satellite 3: read_jsonl racing a live JsonlSink writer
+# Satellite 2: read_jsonl racing a live JsonlSink writer
 # ----------------------------------------------------------------------
 
 
@@ -155,7 +102,7 @@ class TestReadJsonlLiveTail:
 
 
 # ----------------------------------------------------------------------
-# Satellite 4: Deadline must re-anchor across pickling
+# Satellite 3: Deadline must re-anchor across pickling
 # ----------------------------------------------------------------------
 
 

@@ -8,10 +8,12 @@ run — the library's central robustness contract: recovery never changes
 results.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.communities.structure import Community, CommunityStructure
-from repro.core.bt import MB
+from repro.core.bt import BT, MB
 from repro.core.framework import solve_imc
 from repro.core.greedy import greedy_maxr, lazy_greedy_nu
 from repro.core.maf import MAF
@@ -219,6 +221,9 @@ def test_expired_deadline_still_selects_one_seed(pool):
         lambda d: MAF(seed=1, deadline=d),
         lambda d: MB(seed=1, deadline=d),
         lambda d: GreedyC(deadline=d),
+        lambda d: BT(deadline=d),
+        # One outer candidate: only the CELF cover under it is cut.
+        lambda d: BT(candidate_limit=1, deadline=d),
     ],
 )
 def test_solvers_truncate_on_expired_deadline(pool, solver_factory):
@@ -254,6 +259,49 @@ def test_deadline_passing_after_the_arms_finish_is_not_truncation(
     assert len(calls) == evaluations
     assert len(selection.seeds) == 5
     assert not selection.truncated
+
+
+@pytest.mark.parametrize(
+    "solver_factory, evaluations",
+    [
+        (lambda d: MAF(seed=1, deadline=d), 2),
+        (lambda d: BT(deadline=d), 1),
+        (lambda d: MB(seed=1, deadline=d), 3),
+    ],
+    ids=["MAF", "BT", "MB"],
+)
+def test_maf_bt_mb_flag_only_work_the_deadline_cut(
+    pool, monkeypatch, solver_factory, evaluations
+):
+    # MAF scores S1 and S2, BT its seeds, MB both arms: the clock passes
+    # the deadline at the last score, after every arm has run in full.
+    undisturbed = solver_factory(None).solve(pool, 5)
+    now = [0.0]
+    deadline = Deadline(1.0, clock=lambda: now[0])
+    original = pool.estimate_benefit
+    calls = []
+
+    def evaluate(seeds):
+        calls.append(seeds)
+        if len(calls) == evaluations:
+            now[0] = 2.0
+        return original(seeds)
+
+    monkeypatch.setattr(pool, "estimate_benefit", evaluate)
+    selection = solver_factory(deadline).solve(pool, 5)
+    assert deadline.expired()
+    assert len(calls) == evaluations
+    assert selection.seeds == undisturbed.seeds
+    assert not selection.truncated
+
+
+@pytest.mark.parametrize("arm", ["_maf", "_bt"])
+def test_mb_flags_an_arm_the_deadline_cut(pool, monkeypatch, arm):
+    mb = MB(seed=1, deadline=Deadline.never())
+    solver = getattr(mb, arm)
+    cut = dataclasses.replace(solver.solve(pool, 5), truncated=True)
+    monkeypatch.setattr(solver, "solve", lambda pool, k: cut)
+    assert mb.solve(pool, 5).truncated
 
 
 def test_solvers_without_deadline_are_unchanged(pool):

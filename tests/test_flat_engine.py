@@ -3,8 +3,8 @@
 The flat engine must be behaviourally indistinguishable from the
 reference ``CoverageState`` (the hypothesis suite cross-checks random
 pools; here we pin the engine-specific mechanics: the shared mask
-index, sync guards, resync after growth, and agreement on a
-serving-sized pool deep into saturation).
+index, the grown-pool guard, fresh engines after growth, and agreement
+on a serving-sized pool deep into saturation).
 """
 
 import pytest
@@ -104,15 +104,16 @@ def test_flat_stale_pool_guard_and_resync():
     pool.grow(40)
     with pytest.raises(SolverError):
         flat.gain_pair(node)
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="build a fresh engine"):
         flat.estimate_benefit()
-    flat.resync()
-    fresh = CoverageState(pool)
-    fresh.add_seed(node)
-    assert flat.influenced_count == fresh.influenced_count
+    # A grown pool takes a fresh engine, which agrees with the oracle.
+    flat = FlatCoverage(pool)
+    flat.add_seed(node)
+    reference = CoverageState(pool)
+    reference.add_seed(node)
+    assert flat.influenced_count == reference.influenced_count
     for v in pool.touching_nodes():
-        assert flat.gain_pair(v) == fresh.gain_pair(v)
-    flat.resync()  # no-op when already synced
+        assert flat.gain_pair(v) == reference.gain_pair(v)
 
 
 def test_flat_on_empty_pool():
@@ -166,20 +167,24 @@ def test_solvers_accept_flat_engine():
 
 def test_reference_and_flat_agree_after_interleaved_growth():
     pool = build_pool(samples=80)
-    reference = CoverageState(pool)
-    flat = FlatCoverage(pool)
+    seeds = []
     for round_idx in range(3):
         pool.grow(30)
-        reference.resync()
-        flat.resync()
+        # Fresh engines on the grown pool, replaying the seeds so far.
+        reference = CoverageState(pool)
+        flat = FlatCoverage(pool)
+        for seed in seeds:
+            reference.add_seed(seed)
+            flat.add_seed(seed)
         nodes = sorted(pool.touching_nodes())
         for v in nodes:
             assert flat.gain_pair(v) == reference.gain_pair(v)
         seed = nodes[round_idx * 3]
-        if seed not in flat.seeds:
+        if seed not in seeds:
+            seeds.append(seed)
             reference.add_seed(seed)
             flat.add_seed(seed)
-    assert flat.influenced_count == reference.influenced_count
+        assert flat.influenced_count == reference.influenced_count
 
 
 def test_flat_engines_share_the_pool_mask_index():
@@ -197,12 +202,13 @@ def test_flat_engines_share_the_pool_mask_index():
     node_masks = index[node]
     pool.grow(10)  # add() extends the same per-node dicts in place
     assert pool.mask_index[node] is node_masks
-    first.resync()
-    second.resync()
+    # A fresh engine on the grown pool reads the same, extended index.
+    fresh = FlatCoverage(pool)
+    fresh.add_seed(node)
     reference = CoverageState(pool)
     reference.add_seed(node)
     for v in pool.touching_nodes():
-        assert first.gain_pair(v) == reference.gain_pair(v)
+        assert fresh.gain_pair(v) == reference.gain_pair(v)
 
 
 def test_flat_matches_reference_on_a_saturated_serving_pool():

@@ -31,11 +31,11 @@ def test_counters_accumulate_inside_session():
     with session() as recorder:
         metrics.inc("ric.samples.generated", 100)
         metrics.inc("ric.samples.generated", 50)
-        metrics.inc("coverage.resyncs")
+        metrics.inc("estimator.adaptive.stops")
         assert metrics.get_counter("ric.samples.generated") == 150
     assert recorder.metrics["counters"] == {
         "ric.samples.generated": 150,
-        "coverage.resyncs": 1,
+        "estimator.adaptive.stops": 1,
     }
     # Session close reset the registry for the next run.
     assert metrics.snapshot()["counters"] == {}

@@ -3,8 +3,11 @@
 Both engines (reference and flat) snapshot the pool at construction.
 Before the fix, growing the pool afterwards made a reused engine either
 IndexError on new sample indices or silently ignore the new samples in
-gains — corrupting the very doubling loop IMCAF relies on. Now every accessor fails fast with
-SolverError and ``resync()`` reconciles the engine with the grown pool.
+gains — corrupting the very doubling loop IMCAF relies on. Now every
+accessor fails fast with SolverError, and a grown pool takes a fresh
+engine: the tests below check that a fresh engine answers what the
+grown pool does. (The engines had a ``resync()`` once; the ids that
+name it are kept.)
 """
 
 import pytest
@@ -59,70 +62,87 @@ def test_stale_engine_fails_fast_after_growth(pool, engine_cls):
         state.estimate_upper_bound()
 
 
+def _assert_matches_pool(state, pool, seeds):
+    """``state`` (holding ``seeds``) agrees with the pool's own counts,
+    and every node's marginal pair with the pool's count differences."""
+    assert state.influenced_count == pool.influenced_count(seeds)
+    assert state.fractional_count == pytest.approx(
+        pool.fractional_count(seeds)
+    )
+    assert state.estimate_benefit() == pytest.approx(
+        pool.estimate_benefit(seeds)
+    )
+    assert state.estimate_upper_bound() == pytest.approx(
+        pool.estimate_upper_bound(seeds)
+    )
+    base_c = pool.influenced_count(seeds)
+    base_nu = pool.fractional_count(seeds)
+    for node in sorted(pool.touching_nodes()):
+        if node in seeds:
+            continue
+        gain_c, gain_nu = state.gain_pair(node)
+        assert gain_c == pool.influenced_count(seeds + [node]) - base_c
+        assert gain_nu == pytest.approx(
+            pool.fractional_count(seeds + [node]) - base_nu
+        )
+
+
 @pytest.mark.parametrize("engine_cls", ENGINES)
 def test_resync_matches_fresh_engine(pool, engine_cls):
-    """After resync, counters and every marginal equal those of an
-    engine built from scratch on the grown pool with the same seeds."""
+    """After growth the old engine refuses, and a fresh engine given
+    the same seeds matches the grown pool: counters and every
+    marginal."""
     seeds = sorted(pool.touching_nodes())[:3]
     state = engine_cls(pool)
     for node in seeds:
         state.add_seed(node)
     pool.grow(80)
-    state.resync()
+    with pytest.raises(SolverError, match="build a fresh"):
+        state.gain_pair(seeds[0])
 
     fresh = engine_cls(pool)
     for node in seeds:
         fresh.add_seed(node)
-
-    assert state.influenced_count == fresh.influenced_count
-    assert state.fractional_count == pytest.approx(fresh.fractional_count)
-    assert state.estimate_benefit() == pytest.approx(fresh.estimate_benefit())
-    assert state.estimate_upper_bound() == pytest.approx(
-        fresh.estimate_upper_bound()
-    )
-    for node in sorted(pool.touching_nodes()):
-        assert state.gain_pair(node)[0] == fresh.gain_pair(node)[0]
-        assert state.gain_pair(node)[1] == pytest.approx(
-            fresh.gain_pair(node)[1]
-        )
+    _assert_matches_pool(fresh, pool, seeds)
 
 
 @pytest.mark.parametrize("engine_cls", ENGINES)
 def test_resync_without_growth_is_noop(pool, engine_cls):
+    """Without growth an engine needs no rebuild: it keeps answering
+    and equals a fresh engine with the same seeds."""
     state = engine_cls(pool)
     node = pool.touching_nodes()[0]
     state.add_seed(node)
-    before = (state.influenced_count, state.fractional_count)
-    state.resync()
-    assert (state.influenced_count, state.fractional_count) == before
+    fresh = engine_cls(pool)
+    fresh.add_seed(node)
+    assert (state.influenced_count, state.fractional_count) == (
+        fresh.influenced_count,
+        fresh.fractional_count,
+    )
+    _assert_matches_pool(state, pool, [node])
 
 
 @pytest.mark.parametrize("engine_cls", ENGINES)
 def test_resynced_engine_keeps_working_incrementally(pool, engine_cls):
-    state = engine_cls(pool)
+    """A fresh engine on the grown pool keeps adding seeds correctly."""
     nodes = sorted(pool.touching_nodes())
-    state.add_seed(nodes[0])
     pool.grow(40)
-    state.resync()
-    state.add_seed(nodes[1])
-
     fresh = engine_cls(pool)
     fresh.add_seed(nodes[0])
+    _assert_matches_pool(fresh, pool, nodes[:1])
     fresh.add_seed(nodes[1])
-    assert state.influenced_count == fresh.influenced_count
-    assert state.fractional_count == pytest.approx(fresh.fractional_count)
+    _assert_matches_pool(fresh, pool, nodes[:2])
 
 
 def test_cross_engine_agreement_after_resync(pool):
+    """Fresh reference and flat engines on the grown pool agree."""
     seeds = sorted(pool.touching_nodes())[:2]
+    pool.grow(60)
     reference = CoverageState(pool)
     flat = FlatCoverage(pool)
     for node in seeds:
         reference.add_seed(node)
         flat.add_seed(node)
-    pool.grow(60)
-    reference.resync()
-    flat.resync()
     assert reference.influenced_count == flat.influenced_count
     assert reference.fractional_count == pytest.approx(
         flat.fractional_count

@@ -6,8 +6,8 @@ mask index, read in place with pruned entry lists) implement the same
 incremental ĉ/ν state with completely different storage. Because the
 reference never reads the mask index, agreeing with it checks the
 index too. On any random pool and seed sequence both must agree — on
-every marginal, every running count, and after resyncing past pool
-growth. The strategies here deliberately generate degenerate shapes
+every marginal, every running count, and on fresh engines after the
+pool grows. The strategies here deliberately generate degenerate shapes
 (empty reaches, duplicate reach sets, saturated samples) because
 pruning is the kind of code where stale state hides.
 """
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.communities.structure import Community, CommunityStructure
 from repro.core.flat_engine import FlatCoverage
 from repro.core.objective import CoverageState
+from repro.errors import SolverError
 from repro.graph.digraph import DiGraph
 from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSampler
@@ -127,12 +128,19 @@ def test_engines_agree_after_resync_growth(args):
     for v in seeds:
         reference.add_seed(v)
         flat.add_seed(v)
-    # Evaluate every node before the pool grows, so pruned entry lists
-    # exist that resync() must not carry over.
+    # Evaluate every node before the pool grows, so the old flat engine
+    # has pruned entry lists that a fresh engine must not inherit.
     _assert_marginals_agree(reference, flat)
     pool.add_many(growth)
-    reference.resync()
-    flat.resync()
+    if growth:
+        with pytest.raises(SolverError, match="grew"):
+            flat.gain_pair(0)
+    # A grown pool takes fresh engines, replaying the seeds so far.
+    reference = CoverageState(pool)
+    flat = FlatCoverage(pool)
+    for v in seeds:
+        reference.add_seed(v)
+        flat.add_seed(v)
     _assert_marginals_agree(reference, flat)
     for v in late_seeds:
         if v in flat.seeds:
@@ -145,13 +153,6 @@ def test_engines_agree_after_resync_growth(args):
     assert flat.estimate_benefit() == pytest.approx(
         reference.estimate_benefit()
     )
-    # A fresh engine on the final pool+seeds agrees with the resynced
-    # one — resync is not a distinct state machine.
-    fresh = FlatCoverage(pool)
-    for v in flat.seeds:
-        fresh.add_seed(v)
-    assert fresh.influenced_count == flat.influenced_count
-    assert fresh.fractional_count == pytest.approx(flat.fractional_count)
 
 
 @given(pool_seeds_growth())

@@ -522,6 +522,104 @@ class TestShardStore:
         with pytest.raises(ServingError, match="closed"):
             store.get("planted")
 
+    def test_evicted_scenario_keeps_its_instance(self, monkeypatch):
+        builds = []
+
+        def build(spec):
+            builds.append(spec.name)
+            return _instance()
+
+        monkeypatch.setattr("repro.serving.shards.build_instance", build)
+        specs = {name: _spec(name, pool_size=60) for name in ("a", "b")}
+        store = ShardStore(
+            specs, workers=1, round_size=60, memory_budget_bytes=1
+        )
+        try:
+            first = store.get("a")
+            with first.lock:
+                answer, _ = first.solve(3)
+            store.get("b")
+            assert store.evict_to_budget(protect="b") == ["a"]
+            again = store.get("a")
+            assert again is not first
+            # Eviction dropped the pool; the instance was kept.
+            assert again.graph is first.graph
+            assert again.communities is first.communities
+            with again.lock:
+                rebuilt, cache_hit = again.solve(3)
+            assert not cache_hit
+            assert rebuilt == answer
+            assert builds == ["a", "b"]
+            assert store.counters["misses"] == 3
+        finally:
+            store.close()
+
+    def test_concurrent_misses_build_each_instance_once(self, monkeypatch):
+        builds = []
+
+        def build(spec):
+            builds.append(spec.name)
+            return _instance()
+
+        monkeypatch.setattr("repro.serving.shards.build_instance", build)
+        names = [f"s{i}" for i in range(8)]
+        store = ShardStore(
+            {name: _spec(name) for name in names},
+            workers=1,
+            memory_budget_bytes=1,
+        )
+        barrier = threading.Barrier(STRESS_THREADS)
+
+        def client(index):
+            rng = random.Random(index)
+            barrier.wait(timeout=10)
+            for _ in range(50):
+                # The evictor reads only a shard's bytes, stamp and
+                # lock, so the shards need no pool.
+                store.get(rng.choice(names)).bytes = 1
+                store.evict_to_budget()
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(index,))
+                for index in range(STRESS_THREADS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+            store.close()
+        assert store.counters["evictions"] > 0
+        assert store.counters["misses"] > len(set(builds))
+        assert sorted(builds) == sorted(set(builds))
+
+    def test_failed_build_is_not_kept(self, monkeypatch):
+        builds = []
+
+        def build(spec):
+            builds.append(spec.name)
+            if len(builds) == 1:
+                raise ServingError("build failed")
+            return _instance()
+
+        monkeypatch.setattr("repro.serving.shards.build_instance", build)
+        spec = _spec()
+        store = ShardStore({spec.name: spec}, workers=1, round_size=60)
+        try:
+            with pytest.raises(ServingError, match="build failed"):
+                store.get(spec.name)
+            shard = store.get(spec.name)
+            assert builds == [spec.name, spec.name]
+            assert store.get(spec.name) is shard
+            assert builds == [spec.name, spec.name]
+        finally:
+            store.close()
+
 
 # ----------------------------------------------------------------------
 # HTTP round trips
