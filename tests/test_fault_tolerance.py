@@ -235,13 +235,20 @@ def test_solvers_truncate_on_expired_deadline(pool, solver_factory):
 
 @pytest.mark.parametrize(
     "solver_factory, evaluations",
-    [(lambda d: UBG(deadline=d), 2), (lambda d: GreedyC(deadline=d), 1)],
+    [
+        (lambda d: UBG(deadline=d), 2),
+        (lambda d: GreedyC(deadline=d), 1),
+        # MAF scores S1 and S2, BT its seeds, MB both arms.
+        pytest.param(lambda d: MAF(seed=1, deadline=d), 2, id="MAF"),
+        pytest.param(lambda d: BT(deadline=d), 1, id="BT"),
+        pytest.param(lambda d: MB(seed=1, deadline=d), 3, id="MB"),
+    ],
 )
 def test_deadline_passing_after_the_arms_finish_is_not_truncation(
     pool, monkeypatch, solver_factory, evaluations
 ):
     # The clock passes the deadline at the last estimate_benefit call,
-    # which scores the last arm after its greedy has finished.
+    # which scores the last arm after its greedy or loop has finished.
     now = [0.0]
     deadline = Deadline(1.0, clock=lambda: now[0])
     original = pool.estimate_benefit
@@ -258,40 +265,6 @@ def test_deadline_passing_after_the_arms_finish_is_not_truncation(
     assert deadline.expired()
     assert len(calls) == evaluations
     assert len(selection.seeds) == 5
-    assert not selection.truncated
-
-
-@pytest.mark.parametrize(
-    "solver_factory, evaluations",
-    [
-        (lambda d: MAF(seed=1, deadline=d), 2),
-        (lambda d: BT(deadline=d), 1),
-        (lambda d: MB(seed=1, deadline=d), 3),
-    ],
-    ids=["MAF", "BT", "MB"],
-)
-def test_maf_bt_mb_flag_only_work_the_deadline_cut(
-    pool, monkeypatch, solver_factory, evaluations
-):
-    # MAF scores S1 and S2, BT its seeds, MB both arms: the clock passes
-    # the deadline at the last score, after every arm has run in full.
-    undisturbed = solver_factory(None).solve(pool, 5)
-    now = [0.0]
-    deadline = Deadline(1.0, clock=lambda: now[0])
-    original = pool.estimate_benefit
-    calls = []
-
-    def evaluate(seeds):
-        calls.append(seeds)
-        if len(calls) == evaluations:
-            now[0] = 2.0
-        return original(seeds)
-
-    monkeypatch.setattr(pool, "estimate_benefit", evaluate)
-    selection = solver_factory(deadline).solve(pool, 5)
-    assert deadline.expired()
-    assert len(calls) == evaluations
-    assert selection.seeds == undisturbed.seeds
     assert not selection.truncated
 
 

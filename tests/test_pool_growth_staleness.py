@@ -109,16 +109,10 @@ def test_resync_matches_fresh_engine(pool, engine_cls):
 @pytest.mark.parametrize("engine_cls", ENGINES)
 def test_resync_without_growth_is_noop(pool, engine_cls):
     """Without growth an engine needs no rebuild: it keeps answering
-    and equals a fresh engine with the same seeds."""
+    what the pool does."""
     state = engine_cls(pool)
     node = pool.touching_nodes()[0]
     state.add_seed(node)
-    fresh = engine_cls(pool)
-    fresh.add_seed(node)
-    assert (state.influenced_count, state.fractional_count) == (
-        fresh.influenced_count,
-        fresh.fractional_count,
-    )
     _assert_matches_pool(state, pool, [node])
 
 
