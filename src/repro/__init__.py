@@ -103,7 +103,7 @@ from repro.graph import (
     watts_strogatz_graph,
     write_edge_list,
 )
-from repro.im import celf_im, ris_im
+from repro.im import ris_im
 from repro.sampling import (
     ParallelRICSampler,
     RICSample,
@@ -180,7 +180,6 @@ __all__ = [
     "induced_edge_count",
     # im + baselines
     "ris_im",
-    "celf_im",
     "hbc_seeds",
     "ks_seeds",
     "im_seeds",

@@ -76,16 +76,11 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--max-samples", type=int, default=20_000)
     solve.add_argument("--model", default="ic", choices=["ic", "lt"])
     solve.add_argument(
-        "--engine",
-        default="serial",
-        choices=["serial", "parallel"],
-        help="RIC sampling engine (parallel fans batches out to workers)",
-    )
-    solve.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="worker processes for --engine parallel (default: all cores)",
+        help="fan RIC sampling out to this many worker processes "
+        "(default: sample serially)",
     )
     solve.add_argument(
         "--eval-trials",
@@ -540,7 +535,6 @@ def _cmd_solve(args, extras: Optional[dict] = None) -> int:
         seed=args.seed,
         max_samples=args.max_samples,
         model=args.model,
-        engine=args.engine,
         workers=args.workers,
         progress=_collect_profile,
         deadline=args.deadline,

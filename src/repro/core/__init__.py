@@ -61,8 +61,8 @@ def make_solver(
 ):
     """Build a fresh solver by name with its default settings.
 
-    Solvers carry per-run state (deadlines, RNG streams), so each solve
-    gets a new instance; MAF/MB randomness is derived from ``seed``.
+    MAF and MB carry an RNG stream derived from ``seed``, so each solve
+    gets a new instance.
     ``runs`` hands UBG and GreedyC a :class:`~repro.core.greedy.RunCache`
     to draw their greedy arms from; MAF, BT and MB have no greedy arm.
     An unknown ``name`` raises :class:`~repro.errors.SolverError`.

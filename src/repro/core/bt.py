@@ -40,7 +40,7 @@ from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSample
 from repro.utils.heap import LazyMaxHeap
 from repro.utils.math import popcount
-from repro.utils.retry import Deadline, as_deadline
+from repro.utils.retry import Deadline
 from repro.utils.validation import check_candidates, check_positive
 
 
@@ -262,7 +262,6 @@ class BT:
         threshold_bound: int = 2,
         candidate_limit: Optional[int] = None,
         candidates: Optional[Iterable[int]] = None,
-        deadline: Optional[Deadline] = None,
     ) -> None:
         if threshold_bound < 1:
             raise SolverError(
@@ -274,10 +273,6 @@ class BT:
         self.candidates: Optional[Set[int]] = (
             set(candidates) if candidates is not None else None
         )
-        #: Optional time bound (Deadline or seconds): polled per outer
-        #: candidate and per CELF pick; best-so-far on expiry, flagged
-        #: ``truncated`` only when a loop stopped with work left.
-        self.deadline: Optional[Deadline] = as_deadline(deadline)
 
     def alpha(self, pool: RICSamplePool, k: int) -> float:
         """``(1 - 1/e) / k^{d-1}`` (Theorem 4 + induction)."""
@@ -293,14 +288,23 @@ class BT:
                 "UBG/MAF"
             )
 
-    def solve(self, pool: RICSamplePool, k: int) -> SeedSelection:
-        """Run BT^(d) on the pool."""
+    def solve(
+        self,
+        pool: RICSamplePool,
+        k: int,
+        deadline: Optional[Deadline] = None,
+    ) -> SeedSelection:
+        """Run BT^(d) on the pool.
+
+        ``deadline`` is polled per outer candidate and per CELF pick;
+        on expiry the best seeds so far are returned, flagged
+        ``truncated`` only when a loop stopped with work left.
+        """
         check_positive(k, "k", SolverError)
         check_candidates(
             self.candidates, pool.sampler.graph.num_nodes, SolverError
         )
         self._check_bound(pool)
-        deadline = self.deadline
         with trace.span("bt/select", k=k, num_samples=len(pool)):
             collection = _Collection.from_pool(pool)
             seeds, truncated = _bt_solve(
@@ -323,9 +327,6 @@ class BT:
             truncated=truncated,
         )
 
-    def __call__(self, pool: RICSamplePool, k: int) -> SeedSelection:
-        return self.solve(pool, k)
-
 
 class MB:
     """MAF + BT: return the better of the two under ``ĉ_R``.
@@ -343,22 +344,12 @@ class MB:
         candidate_limit: Optional[int] = None,
         seed: SeedLike = None,
         candidates: Optional[Iterable[int]] = None,
-        deadline: Optional[Deadline] = None,
     ) -> None:
-        #: Optional time bound shared by both arms. MAF (fast) runs
-        #: first; if the deadline has expired by then the BT arm is
-        #: skipped and the MAF result returned flagged ``truncated``.
-        self.deadline: Optional[Deadline] = as_deadline(deadline)
-        self._maf = MAF(
-            seed=seed,
-            candidates=candidates,
-            deadline=self.deadline,
-        )
+        self._maf = MAF(seed=seed, candidates=candidates)
         self._bt = BT(
             threshold_bound=threshold_bound,
             candidate_limit=candidate_limit,
             candidates=candidates,
-            deadline=self.deadline,
         )
 
     def alpha(self, pool: RICSamplePool, k: int) -> float:
@@ -369,48 +360,34 @@ class MB:
             return self._bt.alpha(pool, k)
         return min(1.0, math.sqrt((1.0 - 1.0 / math.e) * (k // 2) / (k * r)))
 
-    def solve(self, pool: RICSamplePool, k: int) -> SeedSelection:
+    def solve(
+        self,
+        pool: RICSamplePool,
+        k: int,
+        deadline: Optional[Deadline] = None,
+    ) -> SeedSelection:
         """Run both arms and keep the better seed set.
 
-        With an expired deadline after the MAF arm, the (much slower)
-        BT arm is skipped and MAF's seeds are returned as-is. Flagged
+        ``deadline`` bounds both arms. MAF (fast) runs first; if the
+        deadline has expired by then, the (much slower) BT arm is
+        skipped and MAF's seeds are returned as-is. Flagged
         ``truncated`` only when the BT arm was skipped or an arm that
         ran was flagged."""
-        deadline = self.deadline
-        # A deadline installed on MB after construction (e.g. by
-        # solve_imc) must reach the arms too; install transiently so a
-        # later deadline-free reuse of this instance is unaffected.
-        lend_maf = deadline is not None and self._maf.deadline is None
-        lend_bt = deadline is not None and self._bt.deadline is None
-        if lend_maf:
-            self._maf.deadline = deadline
-        if lend_bt:
-            self._bt.deadline = deadline
-        try:
-            with trace.span("mb/maf_arm", k=k, num_samples=len(pool)):
-                maf_result = self._maf.solve(pool, k)
-            if (
-                deadline is not None
-                and maf_result.seeds
-                and deadline.expired()
-            ):
-                bt_result = None
-                winner = maf_result
-                truncated = True
-            else:
-                with trace.span("mb/bt_arm", k=k, num_samples=len(pool)):
-                    bt_result = self._bt.solve(pool, k)
-                winner = (
-                    maf_result
-                    if maf_result.objective >= bt_result.objective
-                    else bt_result
-                )
-                truncated = maf_result.truncated or bt_result.truncated
-        finally:
-            if lend_maf:
-                self._maf.deadline = None
-            if lend_bt:
-                self._bt.deadline = None
+        with trace.span("mb/maf_arm", k=k, num_samples=len(pool)):
+            maf_result = self._maf.solve(pool, k, deadline)
+        if deadline is not None and maf_result.seeds and deadline.expired():
+            bt_result = None
+            winner = maf_result
+            truncated = True
+        else:
+            with trace.span("mb/bt_arm", k=k, num_samples=len(pool)):
+                bt_result = self._bt.solve(pool, k, deadline)
+            winner = (
+                maf_result
+                if maf_result.objective >= bt_result.objective
+                else bt_result
+            )
+            truncated = maf_result.truncated or bt_result.truncated
         return SeedSelection(
             seeds=winner.seeds,
             objective=winner.objective,
@@ -423,6 +400,3 @@ class MB:
             },
             truncated=truncated,
         )
-
-    def __call__(self, pool: RICSamplePool, k: int) -> SeedSelection:
-        return self.solve(pool, k)

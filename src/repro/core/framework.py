@@ -57,8 +57,17 @@ class MAXRSolver(Protocol):
     def alpha(self, pool: RICSamplePool, k: int) -> float:
         """A-priori approximation ratio used in the Ψ bound."""
 
-    def solve(self, pool: RICSamplePool, k: int) -> SeedSelection:
-        """Select up to ``k`` seeds maximizing influenced samples."""
+    def solve(
+        self,
+        pool: RICSamplePool,
+        k: int,
+        deadline: Optional[Deadline] = None,
+    ) -> SeedSelection:
+        """Select up to ``k`` seeds maximizing influenced samples.
+
+        An expired ``deadline`` cuts the selection short: the best
+        seeds found so far come back flagged ``truncated``.
+        """
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +265,6 @@ def solve_imc(
     pool: Optional[RICSamplePool] = None,
     model: str = "ic",
     progress: Optional[Callable[[Dict[str, Any]], None]] = None,
-    engine: str = "serial",
     workers: Optional[int] = None,
     deadline: Union[None, float, Deadline] = None,
     convergence: Union[None, ConvergenceCriterion, ConvergenceMonitor] = None,
@@ -272,16 +280,17 @@ def solve_imc(
 
     A pre-built ``pool`` may be supplied to share samples across calls
     (e.g. sweeping ``k`` on one dataset); it must wrap the same graph
-    and communities (and then ``engine``/``workers`` are ignored — the
-    pool's own sampler is used). ``model`` selects the diffusion model
-    the RIC samples realise: ``"ic"`` (the paper's) or ``"lt"`` (the
-    extension it sketches in Section II-A).
+    and communities (and then ``workers`` is ignored — the pool's own
+    sampler is used). ``model`` selects the diffusion model the RIC
+    samples realise: ``"ic"`` (the paper's) or ``"lt"`` (the extension
+    it sketches in Section II-A).
 
-    ``engine`` selects the sampling engine: ``"serial"`` (one BFS at a
-    time) or ``"parallel"`` (process-pool fan-out over ``workers``
-    processes, default ``os.cpu_count()``). Both engines produce the
-    *identical* pool for a fixed ``seed``, so results are reproducible
-    across engines and worker counts.
+    ``workers`` selects the sampling engine: ``None`` samples serially
+    (one BFS at a time), and ``n >= 1`` fans batches out to ``n``
+    worker processes (:class:`~repro.sampling.parallel.ParallelRICSampler`;
+    ``0`` or less raises :class:`~repro.errors.SamplingError`). Both
+    engines produce the *identical* pool for a fixed ``seed``, so
+    results are reproducible across engines and worker counts.
 
     ``progress``, when given, is called once per stop stage with a dict
     ``{stage, num_samples, coverage, objective, lambda, psi,
@@ -308,30 +317,16 @@ def solve_imc(
 
     ``deadline`` bounds wall-clock time: seconds (float) or a
     :class:`~repro.utils.retry.Deadline`. It is checked between stop
-    stages and handed down to the solver when the solver exposes an
-    unset ``deadline`` attribute (UBG/MAF/BT/MB/GreedyC all do). On
-    expiry the best seed set found so far is returned with
-    ``stopped_by="deadline"`` and ``selection.truncated=True``;
+    stages and passed to every stage's ``solver.solve``, so a solve
+    truncates within a stage too. On expiry the best seed set found so
+    far is returned with ``stopped_by="deadline"`` and
+    ``selection.truncated=True``;
     :class:`~repro.errors.DeadlineExceededError` is raised only when
     the budget expires before *any* candidate was selected.
     """
     check_seed_budget(k, graph.num_nodes, SolverError)
     communities.validate_against(graph.num_nodes)
-    if engine not in ("serial", "parallel"):
-        raise SolverError(
-            f"engine must be 'serial' or 'parallel', got {engine!r}"
-        )
     deadline = as_deadline(deadline)
-    # Hand the deadline down to the solver so it truncates *within* a
-    # stage too, not only between stages — but never clobber a deadline
-    # the caller installed on the solver directly.
-    solver_owns_deadline = (
-        deadline is not None
-        and hasattr(solver, "deadline")
-        and getattr(solver, "deadline") is None
-    )
-    if solver_owns_deadline:
-        solver.deadline = deadline  # type: ignore[attr-defined]
     monitor: Optional[ConvergenceMonitor] = None
     if convergence is not None:
         monitor = (
@@ -342,7 +337,7 @@ def solve_imc(
     rng = make_rng(seed)
     owns_sampler = pool is None
     if pool is None:
-        if engine == "parallel":
+        if workers is not None:
             sampler = ParallelRICSampler(
                 graph,
                 communities,
@@ -404,7 +399,7 @@ def solve_imc(
     try:
         grow_pool(target=math.ceil(lam))
         with trace.span("imc/select", stage=1, num_samples=len(pool)):
-            selection = solver.solve(pool, k)
+            selection = solver.solve(pool, k, deadline)
 
         while True:
             iterations += 1
@@ -417,7 +412,7 @@ def solve_imc(
                 with trace.span(
                     "imc/select", stage=iterations, num_samples=len(pool)
                 ):
-                    selection = solver.solve(pool, k)
+                    selection = solver.solve(pool, k, deadline)
             if out_of_time():
                 if not selection.seeds:
                     raise DeadlineExceededError(
@@ -491,8 +486,6 @@ def solve_imc(
         # Release worker processes when this call created the sampler.
         if owns_sampler and hasattr(sampler, "close"):
             sampler.close()
-        if solver_owns_deadline:
-            solver.deadline = None  # type: ignore[attr-defined]
 
     metadata: Dict[str, Any] = {"epsilon": epsilon, "delta": delta, "k": k}
     if monitor is not None:

@@ -20,7 +20,7 @@ from repro.errors import SolverError
 from repro.obs import trace
 from repro.rng import SeedLike, make_rng
 from repro.sampling.pool import RICSamplePool
-from repro.utils.retry import Deadline, as_deadline
+from repro.utils.retry import Deadline
 from repro.utils.validation import check_candidates, check_positive
 
 
@@ -33,7 +33,6 @@ class MAF:
         self,
         seed: SeedLike = None,
         candidates: Optional[Iterable[int]] = None,
-        deadline: Optional[Deadline] = None,
     ) -> None:
         #: RNG for the "randomly picks h nodes in C" step of Alg. 3.
         self._rng = make_rng(seed)
@@ -43,11 +42,6 @@ class MAF:
         self.candidates: Optional[Set[int]] = (
             set(candidates) if candidates is not None else None
         )
-        #: Optional time bound (Deadline or seconds). MAF is the
-        #: package's fastest solver, so the poll points are coarse: on
-        #: expiry after the S1 arm, the S2 arm is skipped and the
-        #: selection flagged ``truncated``.
-        self.deadline: Optional[Deadline] = as_deadline(deadline)
 
     def alpha(self, pool: RICSamplePool, k: int) -> float:
         """Theorem 3 ratio ``⌊k/h⌋ / r``, capped at 1 (0 when ``k < h``)."""
@@ -86,17 +80,23 @@ class MAF:
         nodes.sort(key=lambda v: (-pool.touch_count(v), v))
         return nodes[:k]
 
-    def solve(self, pool: RICSamplePool, k: int) -> SeedSelection:
+    def solve(
+        self,
+        pool: RICSamplePool,
+        k: int,
+        deadline: Optional[Deadline] = None,
+    ) -> SeedSelection:
         """Run Algorithm 3 on the pool.
 
-        Flagged ``truncated`` only when the deadline made it skip the S2
-        arm; a deadline that passes after both arms ran flags nothing.
+        MAF is the package's fastest solver, so ``deadline`` is polled
+        once, after the S1 arm: on expiry the S2 arm is skipped and the
+        selection flagged ``truncated``. A deadline that passes after
+        both arms ran flags nothing.
         """
         check_positive(k, "k", SolverError)
         check_candidates(
             self.candidates, pool.sampler.graph.num_nodes, SolverError
         )
-        deadline = self.deadline
         with trace.span("maf/s1_communities", k=k, num_samples=len(pool)):
             s1 = self._build_s1(pool, k)
         skipped = deadline is not None and bool(s1) and deadline.expired()
@@ -123,6 +123,3 @@ class MAF:
             },
             truncated=skipped,
         )
-
-    def __call__(self, pool: RICSamplePool, k: int) -> SeedSelection:
-        return self.solve(pool, k)

@@ -31,12 +31,16 @@ from repro.core.solution import SeedSelection
 from repro.errors import SolverError
 from repro.obs import trace
 from repro.sampling.pool import RICSamplePool
-from repro.utils.retry import Deadline, as_deadline
+from repro.utils.retry import Deadline
 from repro.utils.validation import check_candidates, check_positive
 
 
 def _take(
-    solver, arm: Type[GreedyRun], pool: RICSamplePool, k: int
+    solver,
+    arm: Type[GreedyRun],
+    pool: RICSamplePool,
+    k: int,
+    deadline: Optional[Deadline],
 ) -> Tuple[List[int], bool]:
     """``arm``'s first ``k`` picks and whether a deadline cut them short.
 
@@ -48,7 +52,7 @@ def _take(
         run = arm(pool, solver.candidates, solver.engine)
     else:
         run = solver.runs.run(arm, pool, solver.candidates, solver.engine)
-    return run.take(k, solver.deadline), run.cut_short(k)
+    return run.take(k, deadline), run.cut_short(k)
 
 
 class UBG:
@@ -62,7 +66,6 @@ class UBG:
         run_c_greedy: bool = True,
         candidates: Optional[Iterable[int]] = None,
         engine: str = "flat",
-        deadline: Optional[Deadline] = None,
         runs: Optional[RunCache] = None,
     ) -> None:
         #: Use CELF for the ν arm (sound because ν is submodular).
@@ -79,10 +82,6 @@ class UBG:
         self.candidates: Optional[Set[int]] = (
             set(candidates) if candidates is not None else None
         )
-        #: Optional time bound (Deadline or seconds): polled between
-        #: CELF iterations; on expiry the best-so-far seed set is
-        #: returned with ``truncated=True`` instead of hanging.
-        self.deadline: Optional[Deadline] = as_deadline(deadline)
         #: Greedy runs kept across solves (None: fresh runs per solve).
         self.runs = runs
 
@@ -94,23 +93,28 @@ class UBG:
         """
         return 1.0 - 1.0 / math.e
 
-    def solve(self, pool: RICSamplePool, k: int) -> SeedSelection:
+    def solve(
+        self,
+        pool: RICSamplePool,
+        k: int,
+        deadline: Optional[Deadline] = None,
+    ) -> SeedSelection:
         """Run Algorithm 2 on the pool.
 
-        When a deadline is set and expires mid-run the ν arm returns its
-        best-so-far seeds and the ĉ arm is skipped entirely. The
-        selection is flagged ``truncated`` only when an arm stopped on
-        the deadline short of ``k`` picks or the ĉ arm was skipped; a
-        deadline that passes after both arms finished flags nothing.
+        ``deadline`` is polled between greedy picks. When it expires
+        mid-run the ν arm returns its best-so-far seeds and the ĉ arm is
+        skipped entirely. The selection is flagged ``truncated`` only
+        when an arm stopped on the deadline short of ``k`` picks or the
+        ĉ arm was skipped; a deadline that passes after both arms
+        finished flags nothing.
         """
         check_positive(k, "k", SolverError)
         check_candidates(
             self.candidates, pool.sampler.graph.num_nodes, SolverError
         )
-        deadline = self.deadline
         nu_arm = LazyNuRun if self.lazy else EagerNuRun
         with trace.span("ubg/nu_arm", k=k, num_samples=len(pool)):
-            seeds_nu, truncated = _take(self, nu_arm, pool, k)
+            seeds_nu, truncated = _take(self, nu_arm, pool, k, deadline)
             value_nu = pool.estimate_benefit(seeds_nu)
             upper_nu = pool.estimate_upper_bound(seeds_nu)
         sandwich = value_nu / upper_nu if upper_nu > 0 else 1.0
@@ -119,7 +123,9 @@ class UBG:
             deadline is not None and deadline.expired()
         ):
             with trace.span("ubg/c_arm", k=k, num_samples=len(pool)):
-                seeds_c, cut_short = _take(self, GreedyMaxrRun, pool, k)
+                seeds_c, cut_short = _take(
+                    self, GreedyMaxrRun, pool, k, deadline
+                )
                 value_c = pool.estimate_benefit(seeds_c)
             truncated = truncated or cut_short
         else:
@@ -145,9 +151,6 @@ class UBG:
             truncated=truncated,
         )
 
-    def __call__(self, pool: RICSamplePool, k: int) -> SeedSelection:
-        return self.solve(pool, k)
-
 
 class GreedyC:
     """Plain greedy on ``ĉ_R`` — the second arm of UBG as a standalone.
@@ -162,7 +165,6 @@ class GreedyC:
         self,
         candidates: Optional[Iterable[int]] = None,
         engine: str = "flat",
-        deadline: Optional[Deadline] = None,
         runs: Optional[RunCache] = None,
     ) -> None:
         #: Optional seeding-candidate restriction (None = all nodes).
@@ -171,8 +173,6 @@ class GreedyC:
         )
         #: Coverage engine for the greedy ("flat" or "reference").
         self.engine = engine
-        #: Optional time bound; best-so-far + ``truncated`` on expiry.
-        self.deadline: Optional[Deadline] = as_deadline(deadline)
         #: Greedy runs kept across solves (None: a fresh run per solve).
         self.runs = runs
 
@@ -180,18 +180,26 @@ class GreedyC:
         """No guarantee; a tiny constant keeps sample bounds finite."""
         return 1e-6
 
-    def solve(self, pool: RICSamplePool, k: int) -> SeedSelection:
+    def solve(
+        self,
+        pool: RICSamplePool,
+        k: int,
+        deadline: Optional[Deadline] = None,
+    ) -> SeedSelection:
         """Greedy selection on ``ĉ_R`` (Alg. 2 line 2, standalone).
 
-        Flagged ``truncated`` only when the run stopped on the deadline
-        short of ``k`` picks.
+        ``deadline`` is polled between greedy picks. Flagged
+        ``truncated`` only when the run stopped on the deadline short of
+        ``k`` picks.
         """
         check_positive(k, "k", SolverError)
         check_candidates(
             self.candidates, pool.sampler.graph.num_nodes, SolverError
         )
         with trace.span("greedyc/select", k=k, num_samples=len(pool)):
-            seeds, truncated = _take(self, GreedyMaxrRun, pool, k)
+            seeds, truncated = _take(
+                self, GreedyMaxrRun, pool, k, deadline
+            )
         return SeedSelection(
             seeds=tuple(seeds),
             objective=pool.estimate_benefit(seeds),
@@ -199,6 +207,3 @@ class GreedyC:
             metadata={"num_samples": len(pool)},
             truncated=truncated,
         )
-
-    def __call__(self, pool: RICSamplePool, k: int) -> SeedSelection:
-        return self.solve(pool, k)

@@ -53,10 +53,9 @@ class ExperimentConfig:
     pool_size: int = 2_000
     #: Monte-Carlo trials when evaluating ``c(S)`` for a returned seed set.
     eval_trials: int = 300
-    #: RIC sampling engine: "serial" or "parallel" (process-pool fan-out;
-    #: identical samples for a fixed seed, so results don't change).
-    engine: str = "serial"
-    #: Worker processes for the parallel engine (``None`` -> all cores).
+    #: RIC sampling worker processes: ``None`` samples serially, ``n``
+    #: fans out to ``n`` processes (identical samples for a fixed seed,
+    #: so results don't change).
     workers: Optional[int] = None
     epsilon: float = 0.2
     delta: float = 0.2
@@ -89,10 +88,6 @@ class ExperimentConfig:
         if self.pool_size < 1:
             raise ExperimentError(
                 f"pool_size must be >= 1, got {self.pool_size}"
-            )
-        if self.engine not in ("serial", "parallel"):
-            raise ExperimentError(
-                f"engine must be 'serial' or 'parallel', got {self.engine!r}"
             )
         if self.workers is not None and self.workers < 1:
             raise ExperimentError(

@@ -119,11 +119,13 @@ def make_pool(
 ) -> RICSamplePool:
     """A RIC pool of ``size`` (default ``config.pool_size``) samples.
 
-    ``config.engine`` selects serial or parallel generation; either way
-    the pool contents are identical for a fixed ``config.seed``.
+    ``config.workers`` selects serial (``None``) or parallel generation;
+    either way the pool contents are identical for a fixed
+    ``config.seed``.
     """
     seed = derive_seed(config.seed, "ric-pool")
-    if config.engine == "parallel":
+    parallel = config.workers is not None
+    if parallel:
         sampler = ParallelRICSampler(
             graph, communities, seed=seed, workers=config.workers
         )
@@ -131,7 +133,7 @@ def make_pool(
         sampler = RICSampler(graph, communities, seed=seed)
     pool = RICSamplePool(sampler)
     pool.grow(size if size is not None else config.pool_size)
-    if config.engine == "parallel":
+    if parallel:
         sampler.close()
     if obs_enabled():
         # Instrumented suites get the pool-composition diagnostics

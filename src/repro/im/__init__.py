@@ -2,12 +2,10 @@
 
 IM is the special case of IMC with singleton communities and unit
 thresholds. The paper compares against an RIS-based IM solver
-(Section VI-A's ``IM`` baseline); both an RR-set solver and a CELF
-Monte-Carlo greedy are provided.
+(Section VI-A's ``IM`` baseline), provided here as an RR-set greedy
+solver.
 """
 
-from repro.im.celf import celf_im
-from repro.im.imm import IMMResult, imm
 from repro.im.ris_im import ris_im, rr_greedy_cover
 
-__all__ = ["ris_im", "rr_greedy_cover", "celf_im", "imm", "IMMResult"]
+__all__ = ["ris_im", "rr_greedy_cover"]

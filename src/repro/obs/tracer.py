@@ -51,7 +51,7 @@ SPAN_CATALOG: Dict[str, str] = {
     "ric/worker_batch": "one parallel-sampling worker's slice of a batch",
     "imc/select": "IMC seed selection (solver dispatch)",
     "imc/evaluate": "IMC objective evaluation of a fixed seed set",
-    "imc/estimate": "sample-average objective estimate",
+    "imc/estimate": "Estimate (Alg. 6) Dagum stopping-rule cross-check",
     "ubg/nu_arm": "UBG sandwich arm: greedy on the upper bound ν",
     "ubg/c_arm": "UBG sandwich arm: greedy on ĉ itself",
     "greedyc/select": "plain ĉ-greedy selection",
@@ -62,7 +62,7 @@ SPAN_CATALOG: Dict[str, str] = {
     "mb/bt_arm": "MB arm running BT",
     "experiment/run_algorithm": "one algorithm run inside an experiment",
     "experiment/evaluate": "common-pool evaluation of one algorithm's seeds",
-    "campaign/cell": "one (dataset, scale, algorithm) campaign cell",
+    "campaign/cell": "one (dataset, threshold, formation) campaign cell",
     "checkpoint/record": "campaign checkpoint write",
     "bench/sampling": "sampling benchmark lane",
     "bench/engine": "engine benchmark lane",
@@ -70,7 +70,6 @@ SPAN_CATALOG: Dict[str, str] = {
     "router/forward": "one forward attempt to a replica (failover = siblings)",
     "serving/request": "replica-side request span (adopted trace context)",
     "serving/compute": "batch leader's shard solve (warm + solve + cache)",
-    "serving/resolve": "follower re-solve after an unsatisfying coalesced width",
     "serving/topup": "pool growth in merge rounds: warm-up or CI-width top-up",
 }
 

@@ -11,8 +11,7 @@ over HTTP without re-sampling from scratch on every request:
   + solve cache behind a lock) and :class:`ShardStore` (registry with
   hit/miss accounting and LRU eviction under a byte budget);
 - :mod:`repro.serving.batching` — :class:`RequestBatcher`, which
-  coalesces concurrent identical requests onto one solve (and
-  cross-``ci_width`` requests onto one shared pool top-up);
+  coalesces concurrent identical requests onto one solve;
 - :mod:`repro.serving.server` — the :class:`ShardApp` request logic and
   the stdlib ``ThreadingHTTPServer`` front end
   (:func:`start_http_server` / :func:`run_server`), whose one HTTP

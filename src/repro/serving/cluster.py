@@ -49,7 +49,6 @@ from repro.serving.router import ReplicaEndpoint, RouterApp
 from repro.serving.scenarios import ScenarioSpec
 from repro.serving.server import ShardApp, ShardHTTPServer, start_http_server
 from repro.serving.shards import ShardStore
-from repro.utils.faults import FaultInjector
 from repro.utils.retry import RetryPolicy
 
 #: Default restart pacing: first respawn after ~0.25 s, doubling to a
@@ -70,9 +69,7 @@ class ClusterConfig:
     tests and benchmarks skip per-replica dataset builds.
     ``replica_ports`` pins replica ports explicitly (length must equal
     ``replicas``); left ``None``, the supervisor reserves ephemeral
-    ports itself. ``fault_injector`` rides to the replicas (shard-level
-    chaos); ``router_fault_injector`` stays in the router process
-    (forwarding latency chaos).
+    ports itself.
     """
 
     scenarios: Dict[str, ScenarioSpec]
@@ -94,10 +91,6 @@ class ClusterConfig:
     drain_timeout: float = 10.0
     breaker_threshold: int = 3
     breaker_reset_seconds: float = 1.0
-    forward_timeout: float = 300.0
-    sampler_retry: Optional[RetryPolicy] = None
-    fault_injector: Optional[FaultInjector] = None
-    router_fault_injector: Optional[FaultInjector] = None
     #: When set, the cluster persists its observability artifacts here:
     #: ``events.jsonl`` (cluster/supervisor lifecycle), per-replica
     #: event and trace/metrics files, ``cluster.manifest.json`` and the
@@ -184,8 +177,6 @@ def _replica_main(config: ClusterConfig, replica_id: str, port: int) -> None:
         workers=config.workers,
         round_size=config.round_size,
         memory_budget_bytes=config.memory_budget_bytes,
-        retry=config.sampler_retry,
-        fault_injector=config.fault_injector,
         on_evict=on_evict,
     )
     app = ShardApp(store, default_solver=config.default_solver)
@@ -610,8 +601,6 @@ class ServingCluster:
             self.supervisor.endpoints,
             breaker_threshold=config.breaker_threshold,
             breaker_reset_seconds=config.breaker_reset_seconds,
-            forward_timeout=config.forward_timeout,
-            fault_injector=config.router_fault_injector,
             pool_connections=config.pool_connections,
             supervisor_status=self.supervisor.status,
         )

@@ -13,11 +13,12 @@ histograms merged bucket-wise — and derives ``cluster.slo.*`` gauges
 histograms. The router serves the result in both formats, so one scrape
 of the front door sees the whole fleet.
 
-Scrapes are synchronous but cached (``cache_seconds``), so a dashboard
-polling ``/metrics`` every second costs one fleet sweep per second, not
-one per poll. A replica that fails to answer is skipped and reported in
-the aggregation document's ``scrape_failures`` — aggregation degrades,
-it never throws because one replica is mid-restart.
+Scrapes are synchronous but cached for :data:`CACHE_SECONDS`, so a
+dashboard polling ``/metrics`` every second costs one fleet sweep per
+second, not one per poll. A replica that fails to answer is skipped
+and reported in the aggregation document's ``scrape_failures`` —
+aggregation degrades, it never throws because one replica is
+mid-restart.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs import metrics
 from repro.obs.metrics import MetricsRegistry, histogram_quantile
+
+#: Socket timeout (seconds) of one replica ``/metrics.json`` scrape.
+SCRAPE_TIMEOUT = 2.0
+
+#: How long (seconds) :meth:`FleetMetricsAggregator.aggregate` serves
+#: its last fleet sweep from cache.
+CACHE_SECONDS = 1.0
 
 
 def derive_slo_gauges(snapshot: Dict[str, Any]) -> Dict[str, float]:
@@ -98,12 +106,8 @@ class FleetMetricsAggregator:
         replicas: Callable[[], List[Any]],
         *,
         local_registry: Optional[MetricsRegistry] = None,
-        scrape_timeout: float = 2.0,
-        cache_seconds: float = 1.0,
     ) -> None:
         self.replicas = replicas
-        self.scrape_timeout = scrape_timeout
-        self.cache_seconds = cache_seconds
         self._local = local_registry if local_registry is not None else metrics
         self._lock = threading.Lock()
         self._last_scrape: Dict[str, float] = {}
@@ -113,7 +117,7 @@ class FleetMetricsAggregator:
     def scrape(self, endpoint: Any) -> Optional[Dict[str, Any]]:
         """One replica's ``/metrics.json`` snapshot, or ``None``."""
         conn = http.client.HTTPConnection(
-            endpoint.host, endpoint.port, timeout=self.scrape_timeout
+            endpoint.host, endpoint.port, timeout=SCRAPE_TIMEOUT
         )
         try:
             conn.request("GET", "/metrics.json")
@@ -139,12 +143,12 @@ class FleetMetricsAggregator:
         ``{"snapshot": merged, "slo": derived, "replicas": {id:
         snapshot}, "scrape_failures": [ids], "scraped_at": wall}``.
         Served from cache when the last sweep is fresher than
-        ``cache_seconds`` (``force=True`` bypasses).
+        :data:`CACHE_SECONDS` (``force=True`` bypasses).
         """
         with self._lock:
             fresh = (
                 self._cached is not None
-                and time.monotonic() - self._cached_at < self.cache_seconds
+                and time.monotonic() - self._cached_at < CACHE_SECONDS
             )
             if fresh and not force:
                 return self._cached

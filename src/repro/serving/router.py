@@ -49,6 +49,10 @@ from repro.utils.faults import FaultInjector
 #: inject latency (or errors) into the router's data path here.
 FORWARD_SITE = "router_forward"
 
+#: Socket timeout (seconds) of one router -> replica forward. A cold
+#: solve can take minutes; a hung replica still fails over eventually.
+FORWARD_TIMEOUT = 300.0
+
 
 def _weight(key: str, replica_id: str) -> int:
     """Deterministic rendezvous weight of ``replica_id`` for ``key``."""
@@ -279,26 +283,21 @@ class RouterApp:
         *,
         breaker_threshold: int = 3,
         breaker_reset_seconds: float = 1.0,
-        forward_timeout: float = 300.0,
         fault_injector: Optional[FaultInjector] = None,
         pool_connections: bool = True,
         pool_size: int = 8,
         journal: Optional[EventJournal] = None,
         supervisor_status: Optional[Callable[[], Dict]] = None,
-        scrape_cache_seconds: float = 1.0,
     ) -> None:
         self.replicas = replicas
         self.breaker_threshold = breaker_threshold
         self.breaker_reset_seconds = breaker_reset_seconds
-        self.forward_timeout = forward_timeout
         self.faults = fault_injector
         self.pool_connections = pool_connections
         self.pool_size = pool_size
         self.journal = journal
         self.supervisor_status = supervisor_status
-        self.fleet = FleetMetricsAggregator(
-            replicas, cache_seconds=scrape_cache_seconds
-        )
+        self.fleet = FleetMetricsAggregator(replicas)
         self.started = time.monotonic()
         self._lock = threading.Lock()
         self._breakers: Dict[str, CircuitBreaker] = {}
@@ -548,7 +547,7 @@ class RouterApp:
 
     def _connect(self, endpoint: ReplicaEndpoint) -> http.client.HTTPConnection:
         return http.client.HTTPConnection(
-            endpoint.host, endpoint.port, timeout=self.forward_timeout
+            endpoint.host, endpoint.port, timeout=FORWARD_TIMEOUT
         )
 
     def _roundtrip(

@@ -50,7 +50,7 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from repro.errors import ReproError, ServingError, UnknownScenarioError
 from repro.obs import metrics, trace
@@ -229,20 +229,16 @@ class ShardApp:
     ) -> Dict:
         """Answer one ``/solve`` request, batching concurrent twins.
 
-        Concurrent requests coalesce on ``(scenario, budget, solver,
-        has_ci_width)`` — so requests for *different* ``ci_width``
-        targets on the same shard share one pool top-up, driven by the
-        tightest width registered on the flight (plain queries never
-        coalesce with ``ci_width`` ones, keeping their ``num_samples``
-        a pure function of the spec). A follower whose own width the
-        shared solve did not reach re-solves directly — the pool was
-        already grown, so that re-solve is one cheap extra round at
-        most — and every follower is answered at its own precision.
+        Only identical requests coalesce: the batcher key is
+        ``(scenario, budget, solver, ci_width)``, so every follower
+        shares an answer computed at its own precision. Requests with
+        other widths still share the shard's pool, which a top-up grows
+        for all of them.
 
         ``trace_id``/``parent_span`` adopt a cross-process trace
         context for the duration (see :meth:`handle_solve`); ``timings``
         — when a dict is passed — receives per-phase wall durations
-        (``parse``, ``batch``, ``resolve`` when taken, ``total``).
+        (``parse``, ``batch``, ``total``).
         """
         began = time.perf_counter()
         t = timings if timings is not None else {}
@@ -255,33 +251,12 @@ class ShardApp:
                     )
                     t["parse"] = time.perf_counter() - mark
                     root.set(scenario=scenario, budget=k, solver=solver)
-                    group = (scenario, k, solver, ci_width is not None)
                     mark = time.perf_counter()
                     result, leader = self.batcher.run(
-                        group,
-                        lambda: self._compute(
-                            scenario,
-                            k,
-                            solver,
-                            ci_width,
-                            width_provider=lambda: (
-                                self.batcher.tightest_width(group)
-                            ),
-                        ),
-                        width=ci_width,
+                        (scenario, k, solver, ci_width),
+                        lambda: self._compute(scenario, k, solver, ci_width),
                     )
                     t["batch"] = time.perf_counter() - mark
-                    if not leader and not self._width_satisfied(
-                        result, ci_width
-                    ):
-                        mark = time.perf_counter()
-                        with trace.span(
-                            "serving/resolve", scenario=scenario
-                        ):
-                            result = self._compute(
-                                scenario, k, solver, ci_width
-                            )
-                        t["resolve"] = time.perf_counter() - mark
                 except BaseException:
                     self._count("failed")
                     metrics.inc("serving.requests.failed")
@@ -297,21 +272,6 @@ class ShardApp:
         response = dict(result)
         response["batched"] = not leader
         return response
-
-    @staticmethod
-    def _width_satisfied(result: Dict, ci_width: Optional[float]) -> bool:
-        """Whether a shared flight's answer meets this request's width.
-
-        ``True`` for plain queries, for answers whose relative CI width
-        reached the target, and for pools already grown to the adaptive
-        ceiling (where a direct solve could do no better either).
-        """
-        if ci_width is None:
-            return True
-        relative = result.get("ci_relative_width")
-        if relative is not None and relative <= ci_width:
-            return True
-        return bool(result.get("pool_capped"))
 
     def _parse_solve(
         self, payload: Dict
@@ -353,17 +313,13 @@ class ShardApp:
         k: int,
         solver: str,
         ci_width: Optional[float],
-        width_provider: Optional[Callable[[], Optional[float]]] = None,
     ) -> Dict:
         with trace.span("serving/compute", scenario=scenario, solver=solver):
             shard = self.store.get(scenario)
             with shard.lock:
                 shard.touch()
                 response, cache_hit = shard.solve(
-                    k,
-                    solver_name=solver,
-                    ci_width=ci_width,
-                    width_provider=width_provider,
+                    k, solver_name=solver, ci_width=ci_width
                 )
             # Evict *after* releasing the shard lock; the just-used shard
             # is protected so a tight budget cannot thrash it.

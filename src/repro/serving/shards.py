@@ -164,7 +164,6 @@ class WarmShard:
         k: int,
         solver_name: str = "UBG",
         ci_width: Optional[float] = None,
-        width_provider: Optional[Callable[[], Optional[float]]] = None,
     ) -> Tuple[Dict, bool]:
         """Answer one ``(budget, solver, ci_width)`` query.
 
@@ -182,11 +181,7 @@ class WarmShard:
         With ``ci_width`` set, the pool is topped up (doubling, in
         bounded merge rounds) until the relative CI width of ĉ(S) is
         at most the target or the pool reaches ``pool_size *
-        MAX_POOL_FACTOR``. ``width_provider`` makes the target dynamic:
-        it is re-read between rounds (the request batcher's
-        ``tightest_width``), so followers coalesced onto this solve can
-        tighten one shared top-up instead of queuing their own; when it
-        returns ``None`` the request's own ``ci_width`` applies.
+        MAX_POOL_FACTOR``.
         """
         if solver_name not in SOLVERS:
             raise ServingError(
@@ -213,18 +208,11 @@ class WarmShard:
             )
             objective = self.pool.total_benefit * influenced / n
             relative = halfwidth / objective if objective > 0 else None
-            target = ci_width
-            if width_provider is not None:
-                dynamic = width_provider()
-                if dynamic is not None:
-                    target = (
-                        dynamic if target is None else min(target, dynamic)
-                    )
             if (
-                target is None
+                ci_width is None
                 or n >= max_pool
                 or relative is None
-                or relative <= target
+                or relative <= ci_width
             ):
                 break
             self.ensure_target(min(max_pool, max(n * 2, n + 1)))

@@ -249,7 +249,7 @@ def test_solve_command_parallel_engine_matches_default(capsys):
     ]
     assert main(base_args) == 0
     default_out = capsys.readouterr().out
-    assert main(base_args + ["--engine", "parallel", "--workers", "2"]) == 0
+    assert main(base_args + ["--workers", "2"]) == 0
     parallel_out = capsys.readouterr().out
 
     # Workers receive the pickled mutable graph (without its pair

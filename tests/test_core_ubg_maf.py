@@ -94,10 +94,6 @@ def test_ubg_validates_k(simple_pool):
         UBG().solve(simple_pool, 0)
 
 
-def test_ubg_callable(simple_pool):
-    assert UBG()(simple_pool, 1).solver == "UBG"
-
-
 def test_ubg_sandwich_guarantee_on_sampled_instance():
     """UBG's data-dependent guarantee holds against brute force:
     ĉ(S_UBG) >= ratio * (1-1/e) * ĉ(OPT)."""

@@ -217,17 +217,17 @@ def test_expired_deadline_still_selects_one_seed(pool):
 @pytest.mark.parametrize(
     "solver_factory",
     [
-        lambda d: UBG(deadline=d),
-        lambda d: MAF(seed=1, deadline=d),
-        lambda d: MB(seed=1, deadline=d),
-        lambda d: GreedyC(deadline=d),
-        lambda d: BT(deadline=d),
+        lambda: UBG(),
+        lambda: MAF(seed=1),
+        lambda: MB(seed=1),
+        lambda: GreedyC(),
+        lambda: BT(),
         # One outer candidate: only the CELF cover under it is cut.
-        lambda d: BT(candidate_limit=1, deadline=d),
+        lambda: BT(candidate_limit=1),
     ],
 )
 def test_solvers_truncate_on_expired_deadline(pool, solver_factory):
-    selection = solver_factory(Deadline(0.0)).solve(pool, 5)
+    selection = solver_factory().solve(pool, 5, Deadline(0.0))
     assert selection.truncated
     assert selection.seeds  # degraded, not empty-handed
     assert len(selection.seeds) <= 5
@@ -236,12 +236,12 @@ def test_solvers_truncate_on_expired_deadline(pool, solver_factory):
 @pytest.mark.parametrize(
     "solver_factory, evaluations",
     [
-        (lambda d: UBG(deadline=d), 2),
-        (lambda d: GreedyC(deadline=d), 1),
+        (lambda: UBG(), 2),
+        (lambda: GreedyC(), 1),
         # MAF scores S1 and S2, BT its seeds, MB both arms.
-        pytest.param(lambda d: MAF(seed=1, deadline=d), 2, id="MAF"),
-        pytest.param(lambda d: BT(deadline=d), 1, id="BT"),
-        pytest.param(lambda d: MB(seed=1, deadline=d), 3, id="MB"),
+        pytest.param(lambda: MAF(seed=1), 2, id="MAF"),
+        pytest.param(lambda: BT(), 1, id="BT"),
+        pytest.param(lambda: MB(seed=1), 3, id="MB"),
     ],
 )
 def test_deadline_passing_after_the_arms_finish_is_not_truncation(
@@ -261,7 +261,7 @@ def test_deadline_passing_after_the_arms_finish_is_not_truncation(
         return original(seeds)
 
     monkeypatch.setattr(pool, "estimate_benefit", evaluate)
-    selection = solver_factory(deadline).solve(pool, 5)
+    selection = solver_factory().solve(pool, 5, deadline)
     assert deadline.expired()
     assert len(calls) == evaluations
     assert len(selection.seeds) == 5
@@ -270,15 +270,15 @@ def test_deadline_passing_after_the_arms_finish_is_not_truncation(
 
 @pytest.mark.parametrize("arm", ["_maf", "_bt"])
 def test_mb_flags_an_arm_the_deadline_cut(pool, monkeypatch, arm):
-    mb = MB(seed=1, deadline=Deadline.never())
+    mb = MB(seed=1)
     solver = getattr(mb, arm)
     cut = dataclasses.replace(solver.solve(pool, 5), truncated=True)
-    monkeypatch.setattr(solver, "solve", lambda pool, k: cut)
-    assert mb.solve(pool, 5).truncated
+    monkeypatch.setattr(solver, "solve", lambda pool, k, deadline: cut)
+    assert mb.solve(pool, 5, Deadline.never()).truncated
 
 
 def test_solvers_without_deadline_are_unchanged(pool):
-    bounded = UBG(deadline=Deadline.never()).solve(pool, 5)
+    bounded = UBG().solve(pool, 5, Deadline.never())
     unbounded = UBG().solve(pool, 5)
     assert bounded.seeds == unbounded.seeds
     assert not unbounded.truncated and not bounded.truncated
@@ -297,8 +297,32 @@ def test_solve_imc_deadline_returns_truncated_best_so_far(instance):
     assert not unbounded.selection.truncated
 
 
-def test_solve_imc_restores_solver_deadline(instance):
+def test_solve_imc_passes_its_deadline_to_every_stage(instance):
     graph, communities = instance
-    solver = UBG()
-    solve_imc(graph, communities, k=4, solver=solver, seed=7, deadline=0.0)
-    assert solver.deadline is None  # lent for the call, then returned
+    deadline = Deadline(3600.0)
+    received = []
+
+    class Recording:
+        """UBG behind a solve that records the deadline it is given
+        (and, with an hour to spare, need not honour it)."""
+
+        name = "recording"
+
+        def __init__(self):
+            self.inner = UBG()
+
+        def alpha(self, pool, k):
+            return self.inner.alpha(pool, k)
+
+        def solve(self, pool, k, deadline=None):
+            received.append(deadline)
+            return self.inner.solve(pool, k)
+
+    solver = Recording()
+    before = dict(vars(solver))
+    result = solve_imc(
+        graph, communities, k=4, solver=solver, seed=7, deadline=deadline
+    )
+    assert vars(solver) == before  # nothing lent, nothing to restore
+    assert len(received) == result.iterations >= 2
+    assert all(given is deadline for given in received)

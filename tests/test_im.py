@@ -1,4 +1,4 @@
-"""Classic IM solver tests (RIS and CELF Monte-Carlo)."""
+"""Classic IM solver tests (RIS)."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.errors import SolverError
 from repro.graph.builders import from_edge_list
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.weights import assign_weighted_cascade
-from repro.im.celf import celf_im
 from repro.im.ris_im import ris_im, rr_greedy_cover
 from repro.sampling.pool import RRSamplePool
 from repro.sampling.rr import RRSampler
@@ -62,19 +61,3 @@ def test_ris_im_near_optimal_on_scale_free():
     )
     assert ours >= 0.9 * hd
 
-
-def test_celf_im_matches_ris_on_small_graph(star_graph):
-    celf_seeds = celf_im(star_graph, 1, num_trials=300, seed=7)
-    assert celf_seeds == [0]
-
-
-def test_celf_im_k_seeds_distinct(star_graph):
-    seeds = celf_im(star_graph, 3, num_trials=100, seed=8)
-    assert len(seeds) == len(set(seeds)) == 3
-
-
-def test_celf_im_validates(star_graph):
-    with pytest.raises(SolverError):
-        celf_im(star_graph, 0)
-    with pytest.raises(SolverError):
-        celf_im(star_graph, 1, num_trials=0)

@@ -295,7 +295,6 @@ def test_monitor_is_byte_identical_parallel(instance):
         solver=UBG(),
         seed=11,
         max_samples=600,
-        engine="parallel",
         workers=2,
     )
     plain = solve_imc(graph, communities, **kwargs)
@@ -320,7 +319,6 @@ def test_parallel_and_serial_monitored_runs_agree(instance):
         graph,
         communities,
         convergence=ConvergenceMonitor(),
-        engine="parallel",
         workers=2,
         **kwargs,
     )

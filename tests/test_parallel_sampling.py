@@ -199,23 +199,17 @@ def test_validation_errors(instance):
 def test_solve_imc_engine_parallel_matches_serial(instance):
     graph, communities = instance
     kwargs = dict(k=3, solver=UBG(), seed=33, max_samples=600)
-    serial = solve_imc(graph, communities, engine="serial", **kwargs)
-    parallel = solve_imc(
-        graph, communities, engine="parallel", workers=2, **kwargs
-    )
+    serial = solve_imc(graph, communities, **kwargs)
+    parallel = solve_imc(graph, communities, workers=2, **kwargs)
     assert parallel.selection.seeds == serial.selection.seeds
     assert parallel.num_samples == serial.num_samples
     assert parallel.selection.objective == serial.selection.objective
 
 
-def test_solve_imc_rejects_unknown_engine(instance):
+def test_solve_imc_rejects_zero_workers(instance):
     graph, communities = instance
-    from repro.errors import SolverError
-
-    with pytest.raises(SolverError):
-        solve_imc(
-            graph, communities, k=2, solver=UBG(), seed=1, engine="threads"
-        )
+    with pytest.raises(SamplingError):
+        solve_imc(graph, communities, k=2, solver=UBG(), seed=1, workers=0)
 
 
 def test_solve_imc_progress_carries_sampling_profile(instance):
@@ -228,7 +222,6 @@ def test_solve_imc_progress_carries_sampling_profile(instance):
         solver=UBG(),
         seed=3,
         max_samples=400,
-        engine="parallel",
         workers=2,
         progress=events.append,
     )
@@ -236,3 +229,5 @@ def test_solve_imc_progress_carries_sampling_profile(instance):
     profiles = [e["sampling_profile"] for e in events if e["sampling_profile"]]
     assert profiles, "parallel engine never reported a sampling profile"
     assert all("samples_per_sec" in p for p in profiles)
+    # workers= alone selects the parallel engine.
+    assert profiles[0]["mode"] == "parallel"

@@ -916,117 +916,39 @@ def test_load_floor_200_concurrent_clients():
 
 
 # ----------------------------------------------------------------------
-# Cross-width coalescing
+# Batching by exact ci_width
 # ----------------------------------------------------------------------
 
 
 class TestWidthCoalescing:
-    def test_tightest_width_tracks_the_in_flight_minimum(self):
-        batcher = RequestBatcher()
-        gate = threading.Event()
-        observed = []
-
-        def leader_compute():
-            gate.wait(timeout=10)
-            observed.append(batcher.tightest_width("key"))
-            return "done"
-
-        def client(width):
-            batcher.run("key", leader_compute, width=width)
-
-        threads = [
-            threading.Thread(target=client, args=(w,))
-            for w in (0.2, 0.05, None, 0.1)
-        ]
-        for t in threads:
-            t.start()
-        for _ in range(200):
-            if batcher.in_flight() == 1:
-                break
-            threading.Event().wait(0.01)
-        # Give followers a beat to register their widths on the flight.
-        for _ in range(200):
-            with batcher._lock:
-                registered = len(batcher._flights["key"].widths)
-            if registered == 4:
-                break
-            threading.Event().wait(0.01)
-        gate.set()
-        for t in threads:
-            t.join(timeout=10)
-        assert observed == [0.05]  # min of registered, None ignored
-        assert batcher.tightest_width("key") is None  # flight done
-
-    def test_width_provider_tightens_the_top_up(self):
-        graph, communities = _instance()
-        shard = WarmShard(
-            _spec(pool_size=40), graph, communities, workers=1, round_size=40
-        )
-        with shard.lock:
-            shard.warm()
-            loose, _ = shard.solve(3, ci_width=0.5)
-            # Same loose request, but a follower registered 0.04 on the
-            # flight: the provider must drive the shared top-up.
-            tight, _ = shard.solve(
-                3, ci_width=0.45, width_provider=lambda: 0.04
-            )
-        shard.close()
-        assert loose["num_samples"] == 40  # 0.5 already satisfied warm
-        assert tight["num_samples"] > 40
-        if tight["ci_relative_width"] is not None:
-            assert (
-                tight["ci_relative_width"] <= 0.04 or tight["pool_capped"]
-            )
-
-    def test_width_provider_none_falls_back_to_own_width(self):
-        graph, communities = _instance()
-        shard = WarmShard(
-            _spec(pool_size=40), graph, communities, workers=1, round_size=40
-        )
-        with shard.lock:
-            shard.warm()
-            via_provider, _ = shard.solve(
-                5, ci_width=0.04, width_provider=lambda: None
-            )
-            shard_b = WarmShard(
-                _spec(pool_size=40),
-                graph,
-                communities,
-                workers=1,
-                round_size=40,
-            )
-        with shard_b.lock:
-            shard_b.warm()
-            direct, _ = shard_b.solve(5, ci_width=0.04)
-        shard.close()
-        shard_b.close()
-        for field in ("seeds", "objective", "num_samples"):
-            assert via_provider[field] == direct[field]
-
     def test_plain_and_ci_width_requests_use_separate_flights(self):
         store = _store()
         app = ShardApp(store)
         keys = []
         original = app.batcher.run
 
-        def spy(key, compute, **kwargs):
+        def spy(key, compute):
             keys.append(key)
-            return original(key, compute, **kwargs)
+            return original(key, compute)
 
         app.batcher.run = spy
         try:
-            app.solve({"scenario": "planted", "budget": 4})
-            app.solve(
-                {"scenario": "planted", "budget": 4, "ci_width": 0.3}
-            )
+            for width in (None, 0.3, 0.3, 0.05):
+                payload = {"scenario": "planted", "budget": 4}
+                if width is not None:
+                    payload["ci_width"] = width
+                app.solve(payload)
         finally:
             app.close()
-        # Same query shape, but the group key splits on "has a width"
-        # — a plain query can never be stretched by a ci_width flight.
+        # The group key is the exact width: only identical requests
+        # share a flight, so no request is stretched by another's.
         assert keys == [
-            ("planted", 4, "UBG", False),
-            ("planted", 4, "UBG", True),
+            ("planted", 4, "UBG", None),
+            ("planted", 4, "UBG", 0.3),
+            ("planted", 4, "UBG", 0.3),
+            ("planted", 4, "UBG", 0.05),
         ]
+        assert len(set(keys)) == 3
 
     def test_concurrent_mixed_widths_each_answered_at_own_precision(self):
         store = _store()
