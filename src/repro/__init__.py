@@ -112,7 +112,7 @@ from repro.sampling import (
     RRSampler,
 )
 from repro.utils.faults import Fault, FaultInjected, FaultInjector
-from repro.utils.retry import Deadline, RetryPolicy, TimeBudget
+from repro.utils.retry import Deadline, RetryPolicy
 
 __version__ = "1.0.0"
 
@@ -202,7 +202,6 @@ __all__ = [
     # robustness
     "RetryPolicy",
     "Deadline",
-    "TimeBudget",
     "Fault",
     "FaultInjected",
     "FaultInjector",

@@ -25,13 +25,14 @@ ASCII tables (the same renderer the benchmark harness uses).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional, Sequence
 
 from repro.core import SOLVERS, make_solver, solve_imc
 from repro.datasets.registry import DATASETS
 from repro.diffusion.simulator import BenefitEvaluator
-from repro.errors import ReproError
+from repro.errors import ReproError, ServingError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import (
     fig4_community_structure,
@@ -705,9 +706,21 @@ def _cmd_report(args) -> int:
 
 
 def _scenarios_and_budget(args):
-    """The scenario specs and memory budget (bytes) the flags name."""
+    """The scenario specs and memory budget (bytes) the flags name.
+
+    A ``--memory-budget-mb`` that is not a positive finite number raises
+    :class:`~repro.errors.ServingError`.
+    """
     from repro.serving import default_scenarios
 
+    budget = None
+    if args.memory_budget_mb is not None:
+        if not 0 < args.memory_budget_mb < math.inf:
+            raise ServingError(
+                f"--memory-budget-mb must be a positive finite number, "
+                f"got {args.memory_budget_mb}"
+            )
+        budget = int(args.memory_budget_mb * 1024 * 1024)
     names = [d.strip() for d in args.datasets.split(",") if d.strip()]
     scenarios = default_scenarios(
         names,
@@ -717,11 +730,6 @@ def _scenarios_and_budget(args):
         model=args.model,
         seed=args.seed,
         pool_size=args.pool_size,
-    )
-    budget = (
-        int(args.memory_budget_mb * 1024 * 1024)
-        if args.memory_budget_mb
-        else None
     )
     return scenarios, budget
 

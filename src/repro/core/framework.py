@@ -389,12 +389,7 @@ def solve_imc(
         else:
             pool.grow(amount or 0)
         if monitor is not None and len(pool) > before:
-            monitor.observe_batch(
-                pool.samples[before:],
-                sampler.last_profile()
-                if hasattr(sampler, "last_profile")
-                else None,
-            )
+            monitor.observe_batch(pool.samples[before:])
 
     try:
         grow_pool(target=math.ceil(lam))

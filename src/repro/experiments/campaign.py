@@ -15,6 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.errors import ExperimentError
 from repro.experiments.checkpoint import CheckpointStore, as_checkpoint
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.persistence import records_to_runs, runs_to_records
 from repro.experiments.runner import AlgorithmRun, run_suite
 from repro.obs import (
     build_manifest,
@@ -40,24 +41,16 @@ def cell_key(dataset: str, threshold: str, formation: str) -> str:
     return f"{dataset}|{threshold}|{formation}"
 
 
-def _cell_payload(runs: Dict[str, List[AlgorithmRun]]) -> dict:
-    from repro.experiments.persistence import runs_to_records
-
-    return {"records": runs_to_records(runs)}
-
-
 def _cell_from_payload(
     payload: dict, path: str
 ) -> Dict[str, List[AlgorithmRun]]:
-    from repro.experiments.persistence import records_to_runs
-
     try:
         records = payload["records"]
     except (KeyError, TypeError) as exc:
         raise ExperimentError(
             f"malformed cell payload in checkpoint {path!r}"
         ) from exc
-    return records_to_runs(records)
+    return records_to_runs(records, f"checkpoint {path!r}")
 
 
 def run_campaign(
@@ -134,7 +127,7 @@ def run_campaign(
                 candidate_limit=candidate_limit,
             )
         if store is not None:
-            store.record(key, _cell_payload(runs))
+            store.record(key, {"records": runs_to_records(runs)})
         cells.append(
             CampaignCell(
                 dataset=dataset,
@@ -162,23 +155,16 @@ def run_campaign(
 def campaign_records(cells: Iterable[CampaignCell]) -> List[dict]:
     """Flatten campaign cells into JSON-ready records (one per
     algorithm × k × cell)."""
-    records = []
-    for cell in cells:
-        for algorithm, runs in cell.runs.items():
-            for run in runs:
-                records.append(
-                    {
-                        "dataset": cell.dataset,
-                        "threshold": cell.threshold,
-                        "formation": cell.formation,
-                        "algorithm": algorithm,
-                        "k": run.k,
-                        "benefit": run.benefit,
-                        "runtime_seconds": run.runtime_seconds,
-                        "seeds": list(run.seeds),
-                    }
-                )
-    return records
+    return [
+        {
+            "dataset": cell.dataset,
+            "threshold": cell.threshold,
+            "formation": cell.formation,
+            **record,
+        }
+        for cell in cells
+        for record in runs_to_records(cell.runs)
+    ]
 
 
 def best_algorithm_per_cell(

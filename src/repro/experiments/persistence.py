@@ -2,8 +2,9 @@
 
 ``run_suite`` and the figure drivers return nested structures of
 :class:`~repro.experiments.runner.AlgorithmRun`; these helpers flatten
-them into a stable record format so sweeps can be archived and
-re-plotted without re-running.
+them into the record format of
+:func:`~repro.experiments.runner.run_to_record` (the one checkpoints
+use too) so sweeps can be archived and re-plotted without re-running.
 """
 
 from __future__ import annotations
@@ -13,7 +14,11 @@ import os
 from typing import Dict, List, Sequence, Union
 
 from repro.errors import ExperimentError
-from repro.experiments.runner import AlgorithmRun
+from repro.experiments.runner import (
+    AlgorithmRun,
+    run_from_record,
+    run_to_record,
+)
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -22,35 +27,22 @@ _SCHEMA_VERSION = 1
 
 def runs_to_records(results: Dict[str, Sequence[AlgorithmRun]]) -> List[dict]:
     """Flatten ``{algorithm: [AlgorithmRun]}`` into JSON records."""
-    records = []
-    for algorithm, runs in results.items():
-        for run in runs:
-            records.append(
-                {
-                    "algorithm": algorithm,
-                    "k": run.k,
-                    "seeds": list(run.seeds),
-                    "benefit": run.benefit,
-                    "runtime_seconds": run.runtime_seconds,
-                }
-            )
-    return records
+    return [run_to_record(run) for runs in results.values() for run in runs]
 
 
-def records_to_runs(records: Sequence[dict]) -> Dict[str, List[AlgorithmRun]]:
-    """Rebuild ``{algorithm: [AlgorithmRun]}`` from flat records."""
+def records_to_runs(
+    records: Sequence[dict], source: str = "results"
+) -> Dict[str, List[AlgorithmRun]]:
+    """Rebuild ``{algorithm: [AlgorithmRun]}`` from flat records.
+
+    ``records`` that are not a list, or a malformed record, raise
+    :class:`~repro.errors.ExperimentError` naming ``source``.
+    """
+    if not isinstance(records, (list, tuple)):
+        raise ExperimentError(f"{source} holds no list of run records")
     results: Dict[str, List[AlgorithmRun]] = {}
     for record in records:
-        try:
-            run = AlgorithmRun(
-                algorithm=record["algorithm"],
-                k=int(record["k"]),
-                seeds=tuple(record["seeds"]),
-                benefit=float(record["benefit"]),
-                runtime_seconds=float(record["runtime_seconds"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ExperimentError(f"malformed run record {record!r}") from exc
+        run = run_from_record(record, source)
         results.setdefault(run.algorithm, []).append(run)
     for runs in results.values():
         runs.sort(key=lambda r: r.k)
@@ -114,4 +106,4 @@ def load_runs(path: PathLike) -> Dict[str, List[AlgorithmRun]]:
         raise ExperimentError(
             f"results file {path!r} is missing the 'records' key"
         ) from exc
-    return records_to_runs(records)
+    return records_to_runs(records, f"results file {path!r}")

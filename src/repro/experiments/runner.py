@@ -61,6 +61,38 @@ class AlgorithmRun:
     runtime_seconds: float
 
 
+def run_to_record(run: AlgorithmRun) -> dict:
+    """The JSON record of one run, as checkpoints and archives store it."""
+    return {
+        "algorithm": run.algorithm,
+        "k": run.k,
+        "seeds": list(run.seeds),
+        "benefit": run.benefit,
+        "runtime_seconds": run.runtime_seconds,
+    }
+
+
+def run_from_record(record: dict, source: str) -> AlgorithmRun:
+    """Rebuild a run from its :func:`run_to_record` form.
+
+    A missing field or a value of the wrong type raises
+    :class:`~repro.errors.ExperimentError` naming ``source`` (the file
+    the record came from).
+    """
+    try:
+        return AlgorithmRun(
+            algorithm=record["algorithm"],
+            k=int(record["k"]),
+            seeds=tuple(record["seeds"]),
+            benefit=float(record["benefit"]),
+            runtime_seconds=float(record["runtime_seconds"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ExperimentError(
+            f"malformed run record in {source}: {record!r}"
+        ) from exc
+
+
 def build_instance(
     config: ExperimentConfig,
 ) -> Tuple[DiGraph, CommunityStructure]:
@@ -137,9 +169,9 @@ def make_pool(
         sampler.close()
     if obs_enabled():
         # Instrumented suites get the pool-composition diagnostics
-        # (reach-size/source histograms, dedup ratio, footprint gauge)
-        # for free; computing them only under an active session keeps
-        # the uninstrumented path untouched.
+        # (reach-size/source histograms, footprint gauge) for free;
+        # computing them only under an active session keeps the
+        # uninstrumented path untouched.
         observe_pool(pool)
     return pool
 
@@ -241,31 +273,6 @@ def _run_key(algorithm: str, k: int) -> str:
     return f"{algorithm}|k={k}"
 
 
-def _run_to_payload(run: AlgorithmRun) -> dict:
-    return {
-        "algorithm": run.algorithm,
-        "k": run.k,
-        "seeds": list(run.seeds),
-        "benefit": run.benefit,
-        "runtime_seconds": run.runtime_seconds,
-    }
-
-
-def _run_from_payload(payload: dict, path: str) -> AlgorithmRun:
-    try:
-        return AlgorithmRun(
-            algorithm=payload["algorithm"],
-            k=int(payload["k"]),
-            seeds=tuple(payload["seeds"]),
-            benefit=float(payload["benefit"]),
-            runtime_seconds=float(payload["runtime_seconds"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ExperimentError(
-            f"malformed run payload in checkpoint {path!r}: {payload!r}"
-        ) from exc
-
-
 def run_suite(
     config: ExperimentConfig,
     algorithms: Sequence[str],
@@ -322,7 +329,9 @@ def run_suite(
         for name in algorithms:
             key = _run_key(name, k)
             if store is not None and key in store:
-                run = _run_from_payload(store.get(key), store.path)
+                run = run_from_record(
+                    store.get(key), f"checkpoint {store.path!r}"
+                )
                 if evaluator is not None and run.seeds:
                     # The evaluator hands each evaluation the next child
                     # RNG stream; burn the restored run's stream so the
@@ -342,7 +351,7 @@ def run_suite(
                 candidate_limit=candidate_limit,
             )
             if store is not None:
-                store.record(key, _run_to_payload(run))
+                store.record(key, run_to_record(run))
             results[name].append(run)
     if store is not None and obs_enabled():
         # Bind the suite's provenance to its checkpoint: a manifest

@@ -38,9 +38,8 @@ from repro.obs.diagnostics import (
     ActivationTracker,
     ConvergenceCriterion,
     ConvergenceMonitor,
-    StreamingMoments,
     bernoulli_sample_variance,
-    empirical_bernstein_halfwidth,
+    benefit_interval,
     normal_halfwidth,
     observe_pool,
     pool_composition,
@@ -101,12 +100,11 @@ __all__ = [
     "read_events",
     "merge_event_logs",
     # estimator-quality diagnostics
-    "StreamingMoments",
     "ActivationTracker",
     "ConvergenceCriterion",
     "ConvergenceMonitor",
+    "benefit_interval",
     "normal_halfwidth",
-    "empirical_bernstein_halfwidth",
     "bernoulli_sample_variance",
     "pool_composition",
     "pool_memory_bytes",

@@ -1,15 +1,14 @@
-"""Estimator-quality diagnostics: convergence, confidence, composition.
+"""Estimator-quality diagnostics: the ĉ(S) interval, convergence, composition.
 
 Everything the library reports ultimately rests on the RIC Monte-Carlo
 estimate of the non-submodular objective ``c(S)``; this module
 quantifies how *trustworthy* those numbers are. It provides:
 
-- :class:`StreamingMoments` — a Welford (mean/variance) accumulator
-  that never stores its observations, with a Chan-style :meth:`merge`
-  so per-batch accumulators combine exactly;
-- :func:`normal_halfwidth` and :func:`empirical_bernstein_halfwidth` —
-  confidence-interval half-widths (normal approximation and the
-  variance-adaptive Maurer–Pontil empirical-Bernstein bound);
+- :func:`benefit_interval` — the pool estimate ĉ(S) with its
+  ``1 - CI_DELTA`` normal confidence interval, the one interval both a
+  serving shard's ``ci_width`` top-up and IMCAF's adaptive stop read;
+  :func:`normal_halfwidth` and :func:`bernoulli_sample_variance` are
+  its parts;
 - :class:`ActivationTracker` — per-community activation-probability
   counts (how often samples sourced at each community were influenced
   by the seed set under evaluation);
@@ -42,7 +41,7 @@ import math
 import sys
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ObservabilityError
 from repro.obs import _gate
@@ -58,100 +57,8 @@ REACH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096)
 SOURCE_COUNT_BUCKETS = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 5000)
 
 
-class StreamingMoments:
-    """Welford's online mean/variance accumulator.
-
-    Numerically stable, O(1) memory, exact merge: ``push`` each
-    observation as it arrives; ``mean`` / ``variance`` (the unbiased
-    sample variance) are available at any point. :meth:`merge` combines
-    two accumulators as if their streams had been interleaved (Chan et
-    al.'s pairwise update), which is what lets per-batch accumulators
-    from parallel sampling be folded into one.
-    """
-
-    __slots__ = ("count", "_mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        #: Smallest / largest observation seen (``None`` when empty).
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def push(self, value: float) -> None:
-        """Fold one observation into the running moments."""
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-    def push_many(self, values: Iterable[float]) -> None:
-        """Fold a batch of observations."""
-        for value in values:
-            self.push(value)
-
-    def merge(self, other: "StreamingMoments") -> None:
-        """Fold another accumulator's stream into this one (exactly)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self.min = other.min
-            self.max = other.max
-            return
-        total = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self._mean += delta * other.count / total
-        self.count = total
-        if other.min is not None and other.min < self.min:  # type: ignore[operator]
-            self.min = other.min
-        if other.max is not None and other.max > self.max:  # type: ignore[operator]
-            self.max = other.max
-
-    @property
-    def mean(self) -> float:
-        """Running mean (0.0 when empty)."""
-        return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (0.0 with fewer than 2 points)."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def std(self) -> float:
-        """Sample standard deviation."""
-        return math.sqrt(self.variance)
-
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-ready summary: count, mean, variance, std, min, max."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "variance": self.variance,
-            "std": self.std,
-            "min": self.min,
-            "max": self.max,
-        }
-
-
-def _check_ci_inputs(n: int, delta: float) -> None:
-    if n < 1:
-        raise ObservabilityError(f"confidence interval needs n >= 1, got {n}")
-    if not (0.0 < delta < 1.0):
-        raise ObservabilityError(
-            f"delta must be in (0, 1), got {delta}"
-        )
+#: Confidence level of the reported ĉ(S) interval (``1 - CI_DELTA``).
+CI_DELTA = 0.05
 
 
 def normal_halfwidth(variance: float, n: int, delta: float) -> float:
@@ -159,49 +66,24 @@ def normal_halfwidth(variance: float, n: int, delta: float) -> float:
 
     ``z_{1-δ/2} · sqrt(V / n)`` with ``V`` the sample variance — the
     classic CLT interval. Cheap and tight for large ``n``; anti-
-    conservative for tiny ``n`` or means near the support boundary
-    (use :func:`empirical_bernstein_halfwidth` there).
+    conservative for tiny ``n`` or means near the support boundary.
     """
-    _check_ci_inputs(n, delta)
+    if n < 1:
+        raise ObservabilityError(f"confidence interval needs n >= 1, got {n}")
+    if not (0.0 < delta < 1.0):
+        raise ObservabilityError(f"delta must be in (0, 1), got {delta}")
     if variance < 0:
         raise ObservabilityError(f"variance must be >= 0, got {variance}")
     z = NormalDist().inv_cdf(1.0 - delta / 2.0)
     return z * math.sqrt(variance / n)
 
 
-def empirical_bernstein_halfwidth(
-    variance: float, value_range: float, n: int, delta: float
-) -> float:
-    """Maurer–Pontil empirical-Bernstein ``1 - delta`` half-width.
-
-    ``sqrt(2·V·ln(2/δ)/n) + 7·R·ln(2/δ)/(3·(n-1))`` for observations in
-    an interval of width ``R`` with sample variance ``V``. Unlike
-    Hoeffding it adapts to the *observed* variance, and unlike the
-    normal approximation it is a true finite-sample concentration bound
-    — the right tool near thresholds where estimator noise decides seed
-    quality. Returns ``inf`` for ``n = 1`` (the bound needs ``n >= 2``).
-    """
-    _check_ci_inputs(n, delta)
-    if variance < 0:
-        raise ObservabilityError(f"variance must be >= 0, got {variance}")
-    if value_range <= 0:
-        raise ObservabilityError(
-            f"value_range must be positive, got {value_range}"
-        )
-    if n < 2:
-        return float("inf")
-    log_term = math.log(2.0 / delta)
-    return math.sqrt(2.0 * variance * log_term / n) + (
-        7.0 * value_range * log_term / (3.0 * (n - 1))
-    )
-
-
 def bernoulli_sample_variance(successes: float, n: int) -> float:
     """Unbiased sample variance of ``n`` Bernoulli trials.
 
     ``(n / (n-1)) · p̂ · (1 - p̂)`` with ``p̂ = successes / n`` — the
-    closed form of pushing ``n`` indicator values through
-    :class:`StreamingMoments`; 0.0 for ``n < 2``.
+    closed form of the sample variance of ``n`` 0/1 indicators; 0.0
+    for ``n < 2``.
     """
     if n < 1:
         raise ObservabilityError(f"need n >= 1 Bernoulli trials, got {n}")
@@ -215,19 +97,36 @@ def bernoulli_sample_variance(successes: float, n: int) -> float:
     return n / (n - 1) * p * (1.0 - p)
 
 
+def benefit_interval(
+    total_benefit: float, influenced: int, n: int
+) -> Tuple[float, float, Optional[float]]:
+    """The pool estimate ĉ(S) and its ``1 - CI_DELTA`` normal interval.
+
+    ``influenced`` is the pool coverage ``Σ_g X_g(S)`` over ``n``
+    samples and ``total_benefit`` is ``b``. Returns ``(estimate,
+    halfwidth, relative_width)``: ``ĉ = b · influenced / n`` (eq. 3),
+    ``b`` times the :func:`normal_halfwidth` of the ``n`` indicators'
+    :func:`bernoulli_sample_variance`, and ``halfwidth / ĉ`` — ``None``
+    for a zero estimate, whose relative width is unbounded.
+    """
+    halfwidth = total_benefit * normal_halfwidth(
+        bernoulli_sample_variance(influenced, n), n, CI_DELTA
+    )
+    estimate = total_benefit * influenced / n
+    relative = halfwidth / estimate if estimate > 0 else None
+    return estimate, halfwidth, relative
+
+
 @dataclass(frozen=True)
 class ConvergenceCriterion:
     """Relative-CI-width stopping rule for adaptive sampling.
 
-    Sampling may stop once the ``1 - delta`` confidence half-width of
+    Sampling may stop once the :func:`benefit_interval` half-width of
     the running ĉ(S) estimate drops to at most ``ci_width`` of the
     estimate itself (``halfwidth / ĉ <= ci_width``) *and* at least
-    ``min_samples`` samples back the estimate. ``method`` picks the
-    interval: ``"normal"`` (CLT) or ``"bernstein"``
-    (:func:`empirical_bernstein_halfwidth`; conservative, finite-
-    sample). A zero estimate never satisfies the rule — its relative
-    width is unbounded — so adaptive runs cannot stop on "no influence
-    observed yet".
+    ``min_samples`` samples back the estimate. A zero estimate never
+    satisfies the rule — its relative width is unbounded — so adaptive
+    runs cannot stop on "no influence observed yet".
 
     Passing a criterion to ``solve_imc(..., convergence=...)`` is the
     one diagnostics feature that **changes results**: the pool stops
@@ -238,8 +137,6 @@ class ConvergenceCriterion:
 
     ci_width: float
     min_samples: int = 100
-    delta: float = 0.05
-    method: str = "normal"
 
     def __post_init__(self) -> None:
         if not 0 < self.ci_width < math.inf:
@@ -251,23 +148,10 @@ class ConvergenceCriterion:
             raise ObservabilityError(
                 f"min_samples must be >= 1, got {self.min_samples}"
             )
-        if not (0.0 < self.delta < 1.0):
-            raise ObservabilityError(
-                f"delta must be in (0, 1), got {self.delta}"
-            )
-        if self.method not in ("normal", "bernstein"):
-            raise ObservabilityError(
-                f"method must be 'normal' or 'bernstein', got {self.method!r}"
-            )
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready form for manifests."""
-        return {
-            "ci_width": self.ci_width,
-            "min_samples": self.min_samples,
-            "delta": self.delta,
-            "method": self.method,
-        }
+        return {"ci_width": self.ci_width, "min_samples": self.min_samples}
 
 
 class ActivationTracker:
@@ -339,19 +223,14 @@ def pool_memory_bytes(pool) -> int:
 def pool_composition(pool) -> Dict[str, Any]:
     """Composition diagnostics of a RIC sample pool.
 
-    Returns the sample count, reach-size moments (one size per member
-    of each sample), samples per source community, and the
+    Returns the sample count, samples per source community, and the
     :func:`pool_memory_bytes` footprint. One full pass over the pool —
     call it at end of run (the monitor does so in
-    :meth:`ConvergenceMonitor.finalize`), not per batch.
+    :meth:`ConvergenceMonitor.finalize`), not per batch. The reach-size
+    distribution is the ``pool.reach.histogram`` metric.
     """
-    sizes = StreamingMoments()
-    for sample in pool.samples:
-        for size in sample.reach_sizes():
-            sizes.push(size)
     return {
         "samples": len(pool.samples),
-        "reach_size": sizes.as_dict(),
         "sources": {
             str(index): count
             for index, count in sorted(pool.community_counts().items())
@@ -392,15 +271,13 @@ class ConvergenceMonitor:
     framework then feeds the monitor:
 
     - :meth:`observe_batch` — every batch of RIC samples as it lands
-      (from either sampling engine, alongside that engine's unified
-      ``last_profile()`` dict): reach sizes feed the
-      ``pool.reach.histogram`` and the batch shape is remembered;
+      (from either sampling engine): reach sizes feed the
+      ``pool.reach.histogram``;
     - :meth:`observe_stage` — every stop-stage evaluation of the
-      candidate seed set: one ``(num_samples, ĉ, halfwidth)`` trajectory
-      point plus per-community activation counts;
+      candidate seed set: one :func:`benefit_interval` trajectory point
+      plus per-community activation counts;
     - :meth:`observe_trial` — every Algorithm 6 (Dagum) cross-check
-      draw: the influence indicators stream into a
-      :class:`StreamingMoments`;
+      draw: the trial and influenced-trial counts;
     - :meth:`finalize` — once, at end of run: pool-composition
       diagnostics and the footprint gauge.
 
@@ -418,28 +295,22 @@ class ConvergenceMonitor:
         self.criterion = criterion
         #: ĉ(S) trajectory: one dict per observed stage.
         self.trajectory: List[Dict[str, Any]] = []
-        #: Algorithm 6 influence-indicator moments (Welford).
-        self.trial_moments = StreamingMoments()
+        #: Algorithm 6 draws, and how many of them were influenced.
+        self.trials = 0
+        self.influenced_trials = 0
         #: Per-community activation counts (stages + Alg. 6 trials).
         self.activation = ActivationTracker()
-        self._batch_profiles: List[Dict[str, Any]] = []
         self._samples_observed = 0
         self._converged = False
         self._composition: Optional[Dict[str, Any]] = None
 
     # -- observation hooks ---------------------------------------------
 
-    def observe_batch(
-        self,
-        samples: Sequence[Any],
-        profile: Optional[Dict[str, Any]] = None,
-    ) -> None:
+    def observe_batch(self, samples: Sequence[Any]) -> None:
         """Record one landed batch of RIC samples.
 
-        ``profile`` is the generating engine's ``last_profile()`` dict
-        (the unified schema both engines share); its mode/shape is kept
-        for the summary's batch log. The reach sizes are only worked out
-        while an instrumentation session records the histogram.
+        The reach sizes are only worked out while an instrumentation
+        session records the histogram.
         """
         if _gate.active:
             for sample in samples:
@@ -450,42 +321,22 @@ class ConvergenceMonitor:
                         buckets=REACH_SIZE_BUCKETS,
                     )
         self._samples_observed += len(samples)
-        if profile is not None:
-            self._batch_profiles.append(
-                {
-                    "mode": profile.get("mode"),
-                    "samples": profile.get("samples"),
-                    "samples_per_sec": profile.get("samples_per_sec"),
-                    "workers": profile.get("workers"),
-                }
-            )
 
     def observe_stage(self, pool, seeds: Iterable[int], influenced: int) -> None:
         """Record one stop-stage evaluation of the candidate seed set.
 
         ``influenced`` is the pool coverage ``Σ_g X_g(S)`` the framework
-        already computed; the monitor derives ĉ(S), its confidence
-        half-width (per the criterion's method and delta, defaulting to
-        a 95% normal interval when unmonitored), appends the trajectory
-        point, publishes the ``estimator.samples.used`` gauge, and
-        folds the per-community influence split into the activation
-        tracker.
+        already computed; the monitor derives ĉ(S) and its
+        :func:`benefit_interval`, appends the trajectory point,
+        publishes the ``estimator.samples.used`` gauge, and folds the
+        per-community influence split into the activation tracker.
         """
         n = len(pool)
         if n < 1:
             raise ObservabilityError("cannot observe a stage on an empty pool")
-        b = pool.total_benefit
-        delta = self.criterion.delta if self.criterion else 0.05
-        method = self.criterion.method if self.criterion else "normal"
-        p_variance = bernoulli_sample_variance(influenced, n)
-        if method == "bernstein":
-            halfwidth = b * empirical_bernstein_halfwidth(
-                p_variance, 1.0, n, delta
-            )
-        else:
-            halfwidth = b * normal_halfwidth(p_variance, n, delta)
-        estimate = b * influenced / n
-        relative = halfwidth / estimate if estimate > 0 else None
+        estimate, halfwidth, relative = benefit_interval(
+            pool.total_benefit, influenced, n
+        )
         self.trajectory.append(
             {
                 "samples": n,
@@ -502,10 +353,12 @@ class ConvergenceMonitor:
     def observe_trial(
         self, value: float, community_index: Optional[int] = None
     ) -> None:
-        """Record one Algorithm 6 influence-indicator draw."""
-        self.trial_moments.push(value)
+        """Record one Algorithm 6 influence-indicator draw (0 or 1)."""
+        influenced = value > 0
+        self.trials += 1
+        self.influenced_trials += influenced
         if community_index is not None:
-            self.activation.observe(community_index, value > 0)
+            self.activation.observe(community_index, influenced)
 
     # -- stopping rule -------------------------------------------------
 
@@ -551,11 +404,22 @@ class ConvergenceMonitor:
         """JSON-ready estimator block for manifests and reports.
 
         Final mean/CI/sample count, the full trajectory, the criterion
-        (when adaptive), Algorithm 6 trial moments, per-community
-        activation rates, batch shapes, and (after :meth:`finalize`)
-        pool composition.
+        (when adaptive), the Algorithm 6 trial count with the mean and
+        standard deviation of its indicators, per-community activation
+        rates, and (after :meth:`finalize`) pool composition.
         """
         last = self.trajectory[-1] if self.trajectory else None
+        trials = None
+        if self.trials:
+            trials = {
+                "count": self.trials,
+                "mean": self.influenced_trials / self.trials,
+                "std": math.sqrt(
+                    bernoulli_sample_variance(
+                        self.influenced_trials, self.trials
+                    )
+                ),
+            }
         return {
             "criterion": self.criterion.as_dict() if self.criterion else None,
             "converged": self._converged,
@@ -565,15 +429,10 @@ class ConvergenceMonitor:
             "relative_width": last["relative_width"] if last else None,
             "stages": len(self.trajectory),
             "trajectory": list(self.trajectory),
-            "estimate_trials": (
-                self.trial_moments.as_dict()
-                if self.trial_moments.count
-                else None
-            ),
+            "estimate_trials": trials,
             "communities": {
                 str(index): stats
                 for index, stats in self.activation.rates().items()
             },
-            "batches": list(self._batch_profiles),
             "pool": self._composition,
         }

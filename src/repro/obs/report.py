@@ -153,9 +153,7 @@ def _estimator_lines(block: Dict[str, Any]) -> List[str]:
     if criterion:
         lines.append(
             f"  stopping rule: relative width <= {criterion.get('ci_width')} "
-            f"after >= {criterion.get('min_samples')} samples "
-            f"({criterion.get('method')}, delta={criterion.get('delta')}) "
-            f"— {status}"
+            f"after >= {criterion.get('min_samples')} samples — {status}"
         )
     lines.append(
         f"  samples used: {block.get('samples', 0)} over "

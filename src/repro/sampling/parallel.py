@@ -25,10 +25,10 @@ worker count ``n`` and batch size.
 
 **Fault tolerance.** Worker processes die in production — OOM kills,
 segfaults in native extensions, operator mistakes. ``sample_many``
-treats that as routine: a crashed pool (``BrokenProcessPool``), a
-worker-raised exception, or a batch exceeding ``batch_timeout`` marks
-only the *failed* batches for re-dispatch; completed batches are kept,
-the executor is rebuilt when broken, and the retry schedule follows a
+treats that as routine: a crashed pool (``BrokenProcessPool``) or a
+worker-raised exception marks only the *failed* batches for
+re-dispatch; completed batches are kept, the executor is rebuilt when
+broken, and the retry schedule follows a
 :class:`~repro.utils.retry.RetryPolicy` (bounded attempts, seeded
 backoff jitter). Re-dispatched batches carry the *same* pre-drawn child
 seeds, so a run that survived a crash is byte-identical to a crash-free
@@ -50,7 +50,6 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import CancelledError, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -175,9 +174,7 @@ class ParallelRICSampler:
     re-dispatched with the same pre-drawn child seeds).
 
     ``retry`` bounds crash recovery (default :data:`DEFAULT_RETRY`:
-    3 attempts); ``batch_timeout`` (seconds) bounds the wait for any
-    single batch result before the batch is declared lost and the pool
-    rebuilt; ``fault_injector`` ships a deterministic
+    3 attempts); ``fault_injector`` ships a deterministic
     :class:`~repro.utils.faults.FaultInjector` into workers for tests
     and benchmarks.
 
@@ -198,22 +195,16 @@ class ParallelRICSampler:
         workers: Optional[int] = None,
         batch_size: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
-        batch_timeout: Optional[float] = None,
         fault_injector: Optional[FaultInjector] = None,
     ) -> None:
         if workers is not None and workers < 1:
             raise SamplingError(f"workers must be >= 1, got {workers}")
         if batch_size is not None and batch_size < 1:
             raise SamplingError(f"batch_size must be >= 1, got {batch_size}")
-        if batch_timeout is not None and batch_timeout <= 0:
-            raise SamplingError(
-                f"batch_timeout must be positive, got {batch_timeout}"
-            )
         self._serial = RICSampler(graph, communities, seed=seed, model=model)
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         self.batch_size = batch_size
         self.retry = retry if retry is not None else DEFAULT_RETRY
-        self.batch_timeout = batch_timeout
         self.fault_injector = fault_injector
         self._executor: Optional[ProcessPoolExecutor] = None
         self._profile: Optional[Dict[str, Any]] = None
@@ -259,8 +250,8 @@ class ParallelRICSampler:
         Identical output to ``RICSampler(seed).sample_many(count)`` —
         the master pre-draws the child seed of every sample in order,
         then only the (deterministic) materialisation is parallelised.
-        Worker crashes, batch timeouts and worker-raised exceptions are
-        healed transparently within the ``retry`` budget; exhaustion
+        Worker crashes and worker-raised exceptions are healed
+        transparently within the ``retry`` budget; exhaustion
         raises :class:`~repro.errors.WorkerCrashError`.
         """
         if count < 0:
@@ -310,7 +301,7 @@ class ParallelRICSampler:
         Returns ``(completed, health)`` where ``completed`` maps batch
         start index to ``(worker_seconds, samples)`` and
         ``health`` carries the retry/restart counters for the profile.
-        Batches that fail (crash, timeout, worker exception) are
+        Batches that fail (crash or worker exception) are
         re-dispatched with their original child seeds — byte-identical
         results regardless of how many failures were healed.
         """
@@ -344,11 +335,11 @@ class ParallelRICSampler:
             broken = False
             for future, start in futures.items():
                 if broken:
-                    # The pool is gone or a worker is wedged: harvest
-                    # batches that did finish, fail the rest fast.
+                    # The pool is gone: harvest batches that did
+                    # finish, fail the rest fast.
                     if future.done() and not future.cancelled():
                         try:
-                            s, secs, out, spans = future.result(timeout=0)
+                            s, secs, out, spans = future.result()
                             completed[s] = (secs, out)
                             pending.pop(s, None)
                             trace.ingest(spans)
@@ -360,16 +351,13 @@ class ParallelRICSampler:
                         failed_batches.add(start)
                     continue
                 try:
-                    s, secs, out, spans = future.result(
-                        timeout=self.batch_timeout
-                    )
+                    s, secs, out, spans = future.result()
                     completed[s] = (secs, out)
                     pending.pop(s, None)
                     trace.ingest(spans)
-                except (BrokenProcessPool, OSError, FuturesTimeoutError) as exc:
-                    # Crashed pool, dead pipe, or a batch overrunning its
-                    # timeout (still hogging a worker): the executor can
-                    # no longer be trusted — rebuild it.
+                except (BrokenProcessPool, OSError) as exc:
+                    # Crashed pool or dead pipe: the executor can no
+                    # longer be trusted — rebuild it.
                     last_error = exc
                     failed_batches.add(start)
                     broken = True

@@ -166,37 +166,6 @@ class RICSamplePool:
         """Ascending distinct sample indices touched by ``node`` (``G_R(u)``)."""
         return list(self._masks.get(node, _NO_MASKS))
 
-    def stats(self) -> Dict[str, float]:
-        """Diagnostic summary of the pool.
-
-        Returns sample count, mean/max reach-set size, mean members per
-        sample, the number of distinct touching nodes, and the most
-        frequent source community's share — the numbers to look at when
-        sampling cost or solver behaviour surprises you.
-        """
-        if not self.samples:
-            return {
-                "num_samples": 0.0,
-                "mean_reach_size": 0.0,
-                "max_reach_size": 0.0,
-                "mean_members": 0.0,
-                "touching_nodes": 0.0,
-                "top_source_share": 0.0,
-            }
-        reach_sizes = [
-            size for sample in self.samples for size in sample.reach_sizes()
-        ]
-        return {
-            "num_samples": float(len(self.samples)),
-            "mean_reach_size": sum(reach_sizes) / len(reach_sizes),
-            "max_reach_size": float(max(reach_sizes)),
-            "mean_members": sum(len(s.members) for s in self.samples)
-            / len(self.samples),
-            "touching_nodes": float(len(self._masks)),
-            "top_source_share": max(self._community_counts.values())
-            / len(self.samples),
-        }
-
     # ------------------------------------------------------------------
     # Objective evaluation on the pool
     # ------------------------------------------------------------------

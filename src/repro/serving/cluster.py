@@ -48,7 +48,7 @@ from repro.obs.manifest import build_manifest, write_manifest
 from repro.serving.router import ReplicaEndpoint, RouterApp
 from repro.serving.scenarios import ScenarioSpec
 from repro.serving.server import ShardApp, ShardHTTPServer, start_http_server
-from repro.serving.shards import ShardStore
+from repro.serving.shards import ShardStore, check_store_settings
 from repro.utils.retry import RetryPolicy
 
 #: Default restart pacing: first respawn after ~0.25 s, doubling to a
@@ -125,6 +125,12 @@ class ClusterConfig:
                 f"heartbeat_failures must be >= 1, got "
                 f"{self.heartbeat_failures}"
             )
+        check_store_settings(
+            self.workers,
+            self.round_size,
+            self.memory_budget_bytes,
+            ClusterError,
+        )
 
 
 def _replica_main(config: ClusterConfig, replica_id: str, port: int) -> None:

@@ -44,11 +44,7 @@ from repro.core import SOLVERS, make_solver
 from repro.core.greedy import RunCache
 from repro.errors import ServingError, UnknownScenarioError
 from repro.obs import metrics, trace
-from repro.obs.diagnostics import (
-    bernoulli_sample_variance,
-    normal_halfwidth,
-    pool_memory_bytes,
-)
+from repro.obs.diagnostics import benefit_interval, pool_memory_bytes
 from repro.rng import derive_seed
 from repro.sampling.parallel import ParallelRICSampler
 from repro.sampling.pool import RICSamplePool
@@ -57,12 +53,33 @@ from repro.utils.faults import FaultInjector
 from repro.utils.retry import RetryPolicy
 from repro.utils.validation import check_seed_budget
 
-#: Confidence level for the reported ĉ(S) interval (1 - delta).
-CI_DELTA = 0.05
-
 #: Adaptive top-up ceiling: a ``ci_width`` request may grow the pool to
 #: at most this multiple of the scenario's warm ``pool_size``.
 MAX_POOL_FACTOR = 4
+
+
+def check_store_settings(
+    workers: Optional[int],
+    round_size: int,
+    memory_budget_bytes: Optional[int],
+    error: Callable[[str], Exception] = ServingError,
+) -> None:
+    """Reject shard-store settings under which every request would fail.
+
+    ``workers`` (when set), ``round_size`` and ``memory_budget_bytes``
+    (when set) must each be at least 1; NaN fails too. Raises
+    ``error`` (a :class:`~repro.errors.ServingError` by default), so a
+    server or cluster refuses to start instead of answering every
+    ``/solve`` with a 400.
+    """
+    if workers is not None and not workers >= 1:
+        raise error(f"workers must be >= 1, got {workers}")
+    if not round_size >= 1:
+        raise error(f"round_size must be >= 1, got {round_size}")
+    if memory_budget_bytes is not None and not memory_budget_bytes >= 1:
+        raise error(
+            f"memory_budget_bytes must be >= 1, got {memory_budget_bytes}"
+        )
 
 
 class WarmShard:
@@ -83,10 +100,7 @@ class WarmShard:
         retry: Optional[RetryPolicy] = None,
         fault_injector: Optional[FaultInjector] = None,
     ) -> None:
-        if round_size < 1:
-            raise ServingError(
-                f"round_size must be >= 1, got {round_size}"
-            )
+        check_store_settings(workers, round_size, None)
         self.spec = spec
         self.graph = graph
         self.communities = communities
@@ -179,9 +193,9 @@ class WarmShard:
         fixed number).
 
         With ``ci_width`` set, the pool is topped up (doubling, in
-        bounded merge rounds) until the relative CI width of ĉ(S) is
-        at most the target or the pool reaches ``pool_size *
-        MAX_POOL_FACTOR``.
+        bounded merge rounds) until the relative width of ĉ(S)'s
+        :func:`~repro.obs.diagnostics.benefit_interval` is at most the
+        target or the pool reaches ``pool_size * MAX_POOL_FACTOR``.
         """
         if solver_name not in SOLVERS:
             raise ServingError(
@@ -202,12 +216,9 @@ class WarmShard:
             ).solve(self.pool, k)
             seeds = sorted(selection.seeds)
             n = len(self.pool)
-            influenced = self.pool.influenced_count(seeds)
-            halfwidth = self.pool.total_benefit * normal_halfwidth(
-                bernoulli_sample_variance(influenced, n), n, delta=CI_DELTA
+            objective, halfwidth, relative = benefit_interval(
+                self.pool.total_benefit, self.pool.influenced_count(seeds), n
             )
-            objective = self.pool.total_benefit * influenced / n
-            relative = halfwidth / objective if objective > 0 else None
             if (
                 ci_width is None
                 or n >= max_pool
@@ -271,11 +282,7 @@ class ShardStore:
     ) -> None:
         if not scenarios:
             raise ServingError("a shard store needs at least one scenario")
-        if memory_budget_bytes is not None and memory_budget_bytes < 1:
-            raise ServingError(
-                f"memory_budget_bytes must be >= 1, got "
-                f"{memory_budget_bytes}"
-            )
+        check_store_settings(workers, round_size, memory_budget_bytes)
         self._specs = dict(scenarios)
         self._instances = dict(instances or {})
         self.workers = workers

@@ -4,7 +4,7 @@ retry/deadline primitives and deterministic fault injection."""
 from repro.utils.faults import Fault, FaultInjected, FaultInjector
 from repro.utils.heap import LazyMaxHeap
 from repro.utils.math import harmonic_number, log_binomial, log_n_choose_k
-from repro.utils.retry import Deadline, RetryPolicy, TimeBudget, as_deadline
+from repro.utils.retry import Deadline, RetryPolicy, as_deadline
 from repro.utils.timing import Stopwatch
 from repro.utils.validation import (
     check_fraction,
@@ -21,7 +21,6 @@ __all__ = [
     "log_n_choose_k",
     "Stopwatch",
     "Deadline",
-    "TimeBudget",
     "RetryPolicy",
     "as_deadline",
     "Fault",

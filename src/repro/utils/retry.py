@@ -1,16 +1,11 @@
 """Retry and deadline primitives for fault-tolerant execution.
 
-Long-running entry points (parallel sampling, IMCAF, campaign drivers)
-share three small building blocks:
+Long-running entry points (parallel sampling, IMCAF, the serving
+cluster) share two small building blocks:
 
 - :class:`Deadline` — a monotonic-clock point in time. Hot loops poll
   ``expired()`` between iterations and degrade gracefully instead of
-  hanging; ``check()`` raises
-  :class:`~repro.errors.DeadlineExceededError` for callers that have
-  nothing partial to return.
-- :class:`TimeBudget` — a reusable pot of seconds that only ticks
-  inside ``with budget.charge():`` sections, so a solver can be charged
-  for its own work but not for time spent in other components.
+  hanging; ``Deadline(math.inf)`` never expires.
 - :class:`RetryPolicy` — bounded attempts with exponential backoff and
   *deterministically seeded* jitter (via :mod:`repro.rng`), so retry
   schedules are reproducible in tests and benchmarks. The policy is a
@@ -28,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Tuple, Type
 
-from repro.errors import DeadlineExceededError, SolverError
+from repro.errors import SolverError
 from repro.rng import make_rng
 
 Clock = Callable[[], float]
@@ -37,10 +32,9 @@ Clock = Callable[[], float]
 class Deadline:
     """A point on the monotonic clock after which work should stop.
 
-    ``Deadline(seconds)`` expires ``seconds`` from construction;
-    :meth:`never` builds a deadline that cannot expire (useful as a
-    no-op default so call sites avoid ``if deadline is not None``
-    branching). The clock is injectable for tests.
+    ``Deadline(seconds)`` expires ``seconds`` from construction, and
+    ``Deadline(math.inf)`` never does. The clock is injectable for
+    tests.
     """
 
     __slots__ = ("_clock", "_expires_at")
@@ -55,14 +49,6 @@ class Deadline:
         self._clock = clock
         self._expires_at = clock() + seconds
 
-    @classmethod
-    def never(cls) -> "Deadline":
-        """A deadline infinitely far in the future (never expires)."""
-        deadline = cls.__new__(cls)
-        deadline._clock = time.monotonic
-        deadline._expires_at = float("inf")
-        return deadline
-
     def remaining(self) -> float:
         """Seconds until expiry (negative once expired, ``inf`` never)."""
         return self._expires_at - self._clock()
@@ -70,14 +56,6 @@ class Deadline:
     def expired(self) -> bool:
         """Whether the deadline has passed."""
         return self._clock() >= self._expires_at
-
-    def check(self, context: str = "operation") -> None:
-        """Raise :class:`DeadlineExceededError` if the deadline passed."""
-        if self.expired():
-            raise DeadlineExceededError(
-                f"{context} exceeded its deadline "
-                f"(over by {-self.remaining():.3f}s)"
-            )
 
     # -- pickling -------------------------------------------------------
     #
@@ -124,68 +102,6 @@ def as_deadline(value) -> Optional[Deadline]:
     )
 
 
-class TimeBudget:
-    """A pot of seconds consumed only inside ``charge()`` sections.
-
-    Unlike :class:`Deadline` (which ticks continuously), a budget is
-    charged explicitly::
-
-        budget = TimeBudget(5.0)
-        with budget.charge():
-            run_solver_stage()          # elapsed seconds are deducted
-        if budget.exhausted():
-            return partial_result
-
-    ``deadline()`` converts the *remaining* budget into a
-    :class:`Deadline` to hand to a deadline-aware callee.
-    """
-
-    def __init__(
-        self, seconds: float, clock: Clock = time.monotonic
-    ) -> None:
-        if not seconds >= 0:  # also rejects NaN, which never runs out
-            raise SolverError(
-                f"budget seconds must be non-negative, got {seconds}"
-            )
-        self._clock = clock
-        self._remaining = float(seconds)
-        self._charge_started: Optional[float] = None
-
-    def remaining(self) -> float:
-        """Unspent seconds (charges in progress are counted live)."""
-        live = 0.0
-        if self._charge_started is not None:
-            live = self._clock() - self._charge_started
-        return self._remaining - live
-
-    def exhausted(self) -> bool:
-        """Whether the budget has been fully consumed."""
-        return self.remaining() <= 0.0
-
-    def deadline(self) -> Deadline:
-        """A :class:`Deadline` expiring when the remaining budget would."""
-        return Deadline(max(0.0, self.remaining()), clock=self._clock)
-
-    def charge(self) -> "TimeBudget":
-        """Context manager deducting the elapsed time of its body."""
-        return self
-
-    def __enter__(self) -> "TimeBudget":
-        if self._charge_started is not None:
-            raise SolverError("TimeBudget.charge() sections cannot nest")
-        self._charge_started = self._clock()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        started = self._charge_started
-        self._charge_started = None
-        if started is not None:
-            self._remaining -= self._clock() - started
-
-    def __repr__(self) -> str:
-        return f"TimeBudget(remaining={self.remaining():.3f}s)"
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retry with exponential backoff and seeded jitter.
@@ -195,8 +111,8 @@ class RetryPolicy:
     at ``max_delay``, plus a jitter of up to ``jitter`` of itself drawn
     from a stream seeded by ``seed`` — identical schedules across runs
     for a fixed seed, and no draw from any shared RNG. ``retry_on``
-    filters which exception types are retryable; everything else
-    propagates immediately.
+    filters which exception types are retryable (:meth:`retryable`);
+    everything else propagates immediately.
 
     The dataclass is frozen and picklable so it can ride along to
     worker processes unchanged.
@@ -264,33 +180,3 @@ class RetryPolicy:
     def retryable(self, exc: BaseException) -> bool:
         """Whether ``exc`` is covered by ``retry_on``."""
         return isinstance(exc, self.retry_on)
-
-    def call(
-        self,
-        fn: Callable,
-        *args,
-        deadline: Optional[Deadline] = None,
-        on_retry: Optional[Callable[[int, BaseException], None]] = None,
-        **kwargs,
-    ):
-        """Invoke ``fn`` with retries; return its first successful result.
-
-        Non-retryable exceptions propagate immediately; retryable ones
-        are re-raised once attempts (or the optional ``deadline``) run
-        out. ``on_retry(attempt_number, exception)`` is called before
-        each backoff sleep — the observability hook tests and loggers
-        use.
-        """
-        delays = self.delays()
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                return fn(*args, **kwargs)
-            except BaseException as exc:  # noqa: BLE001 - filtered below
-                if not self.retryable(exc) or attempt == self.max_attempts:
-                    raise
-                if deadline is not None and deadline.expired():
-                    raise
-                if on_retry is not None:
-                    on_retry(attempt, exc)
-                self.sleep(next(delays))
-        raise AssertionError("unreachable")  # pragma: no cover

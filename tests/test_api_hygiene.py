@@ -25,6 +25,7 @@ PACKAGES = [
     "repro.datasets",
     "repro.experiments",
     "repro.obs",
+    "repro.serving",
     "repro.utils",
 ]
 

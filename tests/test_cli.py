@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, _scenarios_and_budget, main
+from repro.errors import ServingError
 
 
 def test_datasets_command(capsys):
@@ -57,6 +58,25 @@ def test_solve_rejects_nan_before_building_the_instance(capsys, flag):
     captured = capsys.readouterr()
     assert "instance:" not in captured.out
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_serving_flags_reject_a_bad_memory_budget(value):
+    # 0 used to turn eviction off silently, and nan and inf crashed
+    # with a traceback. Parsed here, not run: at a budget the flags
+    # accept, ``serve`` would start a server.
+    for command in ("serve", "cluster"):
+        args = _build_parser().parse_args(
+            [command, "--memory-budget-mb", value]
+        )
+        with pytest.raises(ServingError, match="--memory-budget-mb"):
+            _scenarios_and_budget(args)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_serve_exits_2_on_a_non_finite_memory_budget(capsys, value):
+    assert main(["serve", "--memory-budget-mb", value]) == 2
+    assert "error: --memory-budget-mb" in capsys.readouterr().err
 
 
 def test_solve_command_lt_model(capsys):

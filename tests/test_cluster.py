@@ -418,6 +418,16 @@ def _cluster_config(scenarios, instance, **overrides) -> ClusterConfig:
     return ClusterConfig(specs, **defaults)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("workers", 0), ("round_size", 0), ("memory_budget_bytes", 0)],
+)
+def test_config_rejects_settings_every_request_would_fail(field, value):
+    # These used to spawn replicas that answered every /solve with 400.
+    with pytest.raises(ClusterError, match=f"{field} must be >= 1"):
+        _cluster_config(("alpha",), _instance(), **{field: value})
+
+
 def test_two_replica_cluster_smoke():
     """Spawn 2 replicas, route both scenarios, verify status, drain."""
     config = _cluster_config(("alpha", "beta"), _instance())

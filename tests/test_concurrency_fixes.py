@@ -14,6 +14,7 @@ on top of the sampling/coverage/persistence layers:
 from __future__ import annotations
 
 import json
+import math
 import pickle
 
 import pytest
@@ -114,7 +115,7 @@ class TestDeadlinePickle:
         assert not clone.expired()
 
     def test_never_survives_roundtrip(self):
-        clone = pickle.loads(pickle.dumps(Deadline.never()))
+        clone = pickle.loads(pickle.dumps(Deadline(math.inf)))
         assert clone.remaining() == float("inf")
         assert not clone.expired()
 

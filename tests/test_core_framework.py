@@ -1,6 +1,7 @@
 """IMCAF framework tests (Alg. 5 + Alg. 6)."""
 
 import math
+import statistics
 
 import pytest
 
@@ -151,7 +152,7 @@ def test_estimate_benefit_matches_full_sample_reference(small_imc_instance):
 
     A twin sampler runs the reference loop — ``sample()`` plus
     ``is_influenced_by`` — through the same stopping rule. Value, trial
-    count, convergence, the monitor's trial moments and per-community
+    count, convergence, the monitor's trial counts and per-community
     activation counts, and the master stream must all agree.
     """
     graph, communities = small_imc_instance
@@ -164,6 +165,7 @@ def test_estimate_benefit_matches_full_sample_reference(small_imc_instance):
     )
 
     reference_monitor = ConvergenceMonitor()
+    outcomes = []
 
     def draw():
         sample = twin.sample()
@@ -171,6 +173,7 @@ def test_estimate_benefit_matches_full_sample_reference(small_imc_instance):
         reference_monitor.observe_trial(
             outcome, community_index=sample.community_index
         )
+        outcomes.append(outcome)
         return outcome
 
     reference = dagum_stopping_rule(draw, 0.1, 0.1)
@@ -180,10 +183,16 @@ def test_estimate_benefit_matches_full_sample_reference(small_imc_instance):
         converged=reference.converged,
     )
     assert result.trials > 100
-    for attr in ("count", "mean", "variance", "min", "max"):
-        assert getattr(monitor.trial_moments, attr) == getattr(
-            reference_monitor.trial_moments, attr
-        )
+    assert (monitor.trials, monitor.influenced_trials) == (
+        reference_monitor.trials,
+        reference_monitor.influenced_trials,
+    )
+    assert monitor.trials == result.trials
+    # The summary's moments of the 0/1 indicators, from the counts.
+    trials = monitor.summary()["estimate_trials"]
+    assert trials["count"] == len(outcomes)
+    assert trials["mean"] == pytest.approx(statistics.fmean(outcomes))
+    assert trials["std"] == pytest.approx(statistics.stdev(outcomes))
     assert monitor.activation.rates() == reference_monitor.activation.rates()
     assert fast.next_sample_seed() == twin.next_sample_seed()
 
@@ -208,7 +217,7 @@ def test_estimate_benefit_skips_a_budget_below_the_threshold(
         monitor=monitor,
     )
     assert result == EstimateResult(value=None, trials=0, converged=False)
-    assert monitor.trial_moments.count == 0
+    assert monitor.trials == 0
     assert monitor.activation.rates() == {}
 
     seed_set = frozenset(seeds)
@@ -245,7 +254,7 @@ def test_estimate_benefit_draws_at_a_budget_of_ceil_threshold(
         trials=trials,
         converged=True,
     )
-    assert monitor.trial_moments.count == trials
+    assert monitor.trials == monitor.influenced_trials == trials
 
 
 def test_estimate_benefit_rejects_a_negative_budget(small_imc_instance):

@@ -9,6 +9,7 @@ results.
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -274,11 +275,11 @@ def test_mb_flags_an_arm_the_deadline_cut(pool, monkeypatch, arm):
     solver = getattr(mb, arm)
     cut = dataclasses.replace(solver.solve(pool, 5), truncated=True)
     monkeypatch.setattr(solver, "solve", lambda pool, k, deadline: cut)
-    assert mb.solve(pool, 5, Deadline.never()).truncated
+    assert mb.solve(pool, 5, Deadline(math.inf)).truncated
 
 
 def test_solvers_without_deadline_are_unchanged(pool):
-    bounded = UBG().solve(pool, 5, Deadline.never())
+    bounded = UBG().solve(pool, 5, Deadline(math.inf))
     unbounded = UBG().solve(pool, 5)
     assert bounded.seeds == unbounded.seeds
     assert not unbounded.truncated and not bounded.truncated

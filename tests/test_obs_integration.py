@@ -195,7 +195,10 @@ def test_cli_adaptive_solve_records_estimator_everywhere(capsys, tmp_path):
     report = capsys.readouterr().out
     assert "estimator:" in report
     assert "trajectory:" in report
-    assert "converged" in report
+    assert (
+        "stopping rule: relative width <= 0.3 after >= 50 samples "
+        "— converged"
+    ) in report
 
 
 def test_cli_monitor_flag_is_byte_identical(capsys):

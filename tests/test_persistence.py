@@ -116,6 +116,41 @@ def test_records_validation():
         records_to_runs([{"algorithm": "A"}])
 
 
+BAD_VALUES = [("k", "x"), ("benefit", "lots")]
+
+
+@pytest.mark.parametrize("field, value", BAD_VALUES)
+def test_records_with_a_non_numeric_field_raise_experiment_error(
+    results, field, value
+):
+    # int("x") used to escape as a bare ValueError.
+    records = runs_to_records(results)
+    records[0][field] = value
+    with pytest.raises(ExperimentError, match="malformed run record"):
+        records_to_runs(records)
+
+
+def test_records_that_are_not_a_list_raise_experiment_error(tmp_path):
+    # Iterating the int used to escape as a bare TypeError.
+    path = tmp_path / "runs.json"
+    path.write_text(json.dumps({"version": 1, "records": 5}))
+    with pytest.raises(ExperimentError, match="no list of run records"):
+        load_runs(path)
+
+
+@pytest.mark.parametrize("field, value", BAD_VALUES)
+def test_load_runs_with_a_non_numeric_field_raises_experiment_error(
+    results, tmp_path, field, value
+):
+    path = tmp_path / "runs.json"
+    save_runs(results, path)
+    payload = json.loads(path.read_text())
+    payload["records"][0][field] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ExperimentError, match="runs.json"):
+        load_runs(path)
+
+
 def test_load_runs_rejects_bad_version(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 42, "records": []}))

@@ -162,26 +162,3 @@ def test_rr_pool_grow_and_empty_estimate():
     assert len(pool) == 12
     with pytest.raises(SamplingError):
         pool.grow(-3)
-
-
-def test_pool_stats_empty():
-    graph = from_edge_list(2, [])
-    communities = CommunityStructure(
-        [Community(members=(0,), threshold=1, benefit=1.0)]
-    )
-    pool = RICSamplePool(RICSampler(graph, communities, seed=9))
-    stats = pool.stats()
-    assert stats["num_samples"] == 0.0
-    assert stats["mean_reach_size"] == 0.0
-
-
-def test_pool_stats_manual():
-    pool = _manual_pool()
-    stats = pool.stats()
-    assert stats["num_samples"] == 3.0
-    # Reach sizes: 2,2 | 2 | 1,1 -> mean 8/5.
-    assert stats["mean_reach_size"] == pytest.approx(8 / 5)
-    assert stats["max_reach_size"] == 2.0
-    assert stats["mean_members"] == pytest.approx(5 / 3)
-    assert stats["touching_nodes"] == 5.0
-    assert stats["top_source_share"] == pytest.approx(2 / 3)

@@ -27,7 +27,11 @@ from repro.core.ubg import UBG
 from repro.errors import ServingError
 from repro.graph.generators import planted_partition_graph
 from repro.graph.weights import assign_weighted_cascade
-from repro.obs.diagnostics import pool_memory_bytes
+from repro.obs.diagnostics import (
+    ConvergenceMonitor,
+    benefit_interval,
+    pool_memory_bytes,
+)
 from repro.obs.sinks import JsonlSink
 from repro.serving import (
     ReplicaEndpoint,
@@ -395,6 +399,39 @@ class TestWarmShard:
                 or tight["num_samples"] == 40 * 4
             )
 
+    def test_topup_and_monitor_report_one_interval(self):
+        # The shard's ci_width answer and IMCAF's convergence monitor
+        # bound ĉ(S) with the same benefit_interval, to the last bit.
+        graph, communities = _instance()
+        shard = WarmShard(
+            _spec(pool_size=40), graph, communities, workers=1, round_size=40
+        )
+        with shard.lock:
+            shard.warm()
+            answer, _ = shard.solve(3, ci_width=0.15)
+            pool, seeds = shard.pool, answer["seeds"]
+            influenced = pool.influenced_count(seeds)
+            interval = benefit_interval(
+                pool.total_benefit, influenced, len(pool)
+            )
+            monitor = ConvergenceMonitor()
+            monitor.observe_stage(pool, seeds, influenced)
+        shard.close()
+        served = (
+            answer["objective"],
+            answer["ci_halfwidth"],
+            answer["ci_relative_width"],
+        )
+        point = monitor.trajectory[-1]
+        observed = (
+            point["estimate"],
+            point["halfwidth"],
+            point["relative_width"],
+        )
+        assert answer["num_samples"] == len(pool) > 40  # topped up
+        assert served == interval == observed
+        assert interval[1] > 0
+
 
 # ----------------------------------------------------------------------
 # Shard store: accounting and eviction
@@ -402,6 +439,21 @@ class TestWarmShard:
 
 
 class TestShardStore:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("workers", 0),
+            ("round_size", 0),
+            ("round_size", float("nan")),
+            ("memory_budget_bytes", 0),
+        ],
+    )
+    def test_rejects_settings_every_request_would_fail(self, field, value):
+        # workers=0 and round_size=0 used to build a store whose every
+        # /solve answered 400.
+        with pytest.raises(ServingError, match=f"{field} must be >= 1"):
+            _store(**{field: value})
+
     def test_hit_miss_accounting(self):
         store = _store()
         try:

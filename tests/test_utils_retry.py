@@ -1,12 +1,13 @@
 """Unit tests for the retry/deadline/fault-injection primitives."""
 
+import math
 import pickle
 
 import pytest
 
-from repro.errors import DeadlineExceededError, ReproError, SolverError
+from repro.errors import ReproError, SolverError
 from repro.utils.faults import Fault, FaultInjected, FaultInjector
-from repro.utils.retry import Deadline, RetryPolicy, TimeBudget, as_deadline
+from repro.utils.retry import Deadline, RetryPolicy, as_deadline
 
 
 class FakeClock:
@@ -39,20 +40,12 @@ def test_deadline_expires_on_fake_clock():
     assert deadline.remaining() <= 0.0
 
 
-def test_deadline_check_raises_with_context():
-    clock = FakeClock()
-    deadline = Deadline(1.0, clock=clock)
-    deadline.check("stage")  # not expired: no-op
-    clock.advance(2.0)
-    with pytest.raises(DeadlineExceededError, match="stage"):
-        deadline.check("stage")
-
-
 def test_deadline_never_does_not_expire():
-    deadline = Deadline.never()
+    clock = FakeClock()
+    deadline = Deadline(math.inf, clock=clock)
+    clock.advance(1e12)
     assert not deadline.expired()
     assert deadline.remaining() == float("inf")
-    deadline.check()
 
 
 def test_deadline_rejects_negative_seconds():
@@ -71,47 +64,6 @@ def test_as_deadline_coercions():
     assert 0.0 < coerced.remaining() <= 0.5
     with pytest.raises(SolverError):
         as_deadline("soon")
-
-
-# ----------------------------------------------------------------------
-# TimeBudget
-# ----------------------------------------------------------------------
-
-
-def test_time_budget_only_ticks_inside_charge():
-    clock = FakeClock()
-    budget = TimeBudget(10.0, clock=clock)
-    clock.advance(100.0)  # outside charge: free
-    assert budget.remaining() == pytest.approx(10.0)
-    with budget.charge():
-        clock.advance(4.0)
-    assert budget.remaining() == pytest.approx(6.0)
-    assert not budget.exhausted()
-    with budget.charge():
-        clock.advance(7.0)
-    assert budget.exhausted()
-
-
-def test_time_budget_live_charge_and_deadline():
-    clock = FakeClock()
-    budget = TimeBudget(10.0, clock=clock)
-    with budget.charge():
-        clock.advance(3.0)
-        # Mid-charge, the elapsed time counts live.
-        assert budget.remaining() == pytest.approx(7.0)
-        deadline = budget.deadline()
-        assert deadline.remaining() == pytest.approx(7.0)
-    with pytest.raises(SolverError):
-        with budget.charge():
-            with budget.charge():
-                pass
-
-
-def test_time_budget_rejects_negative():
-    with pytest.raises(SolverError):
-        TimeBudget(-0.1)
-    with pytest.raises(SolverError):
-        TimeBudget(float("nan"))
 
 
 # ----------------------------------------------------------------------
@@ -153,68 +105,12 @@ def test_retry_policy_delay_for_rejects_out_of_schedule():
         policy.delay_for(3)  # only 2 retries exist for 3 attempts
 
 
-def test_retry_policy_call_retries_then_succeeds():
-    attempts = []
-    observed = []
-
-    def flaky():
-        attempts.append(1)
-        if len(attempts) < 3:
-            raise ValueError("transient")
-        return "ok"
-
-    policy = RetryPolicy(
-        max_attempts=3, base_delay=0.0, jitter=0.0, sleep=lambda s: None
-    )
-    result = policy.call(flaky, on_retry=lambda n, exc: observed.append(n))
-    assert result == "ok"
-    assert len(attempts) == 3
-    assert observed == [1, 2]
-
-
-def test_retry_policy_exhaustion_reraises_last_error():
-    def always_fails():
-        raise ValueError("permanent")
-
-    policy = RetryPolicy(
-        max_attempts=2, base_delay=0.0, jitter=0.0, sleep=lambda s: None
-    )
-    with pytest.raises(ValueError, match="permanent"):
-        policy.call(always_fails)
-
-
 def test_retry_policy_non_retryable_propagates_immediately():
-    attempts = []
-
-    def fails():
-        attempts.append(1)
-        raise KeyError("nope")
-
-    policy = RetryPolicy(
-        max_attempts=5, base_delay=0.0, jitter=0.0,
-        retry_on=(ValueError,), sleep=lambda s: None,
-    )
-    with pytest.raises(KeyError):
-        policy.call(fails)
-    assert len(attempts) == 1
-
-
-def test_retry_policy_respects_deadline():
-    clock = FakeClock()
-    deadline = Deadline(1.0, clock=clock)
-    attempts = []
-
-    def fails():
-        attempts.append(1)
-        clock.advance(2.0)  # the first try blows the budget
-        raise ValueError("transient")
-
-    policy = RetryPolicy(
-        max_attempts=10, base_delay=0.0, jitter=0.0, sleep=lambda s: None
-    )
-    with pytest.raises(ValueError):
-        policy.call(fails, deadline=deadline)
-    assert len(attempts) == 1
+    policy = RetryPolicy(retry_on=(ValueError,))
+    assert policy.retryable(ValueError("transient"))
+    assert policy.retryable(UnicodeError("a ValueError subclass"))
+    assert not policy.retryable(KeyError("nope"))
+    assert RetryPolicy().retryable(KeyError("any Exception"))
 
 
 def test_retry_policy_validation():
