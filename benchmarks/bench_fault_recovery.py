@@ -18,7 +18,6 @@ from repro.communities.structure import Community, CommunityStructure
 from repro.experiments.reporting import ascii_table
 from repro.graph.generators import planted_partition_graph
 from repro.graph.weights import assign_weighted_cascade
-from repro.sampling.parallel import ParallelRICSampler
 from repro.sampling.ric import RICSampler
 from repro.utils.faults import Fault, FaultInjector
 from repro.utils.retry import RetryPolicy
@@ -45,7 +44,7 @@ def _instance():
 
 
 def _timed_run(graph, communities, injector):
-    with ParallelRICSampler(
+    with RICSampler(
         graph,
         communities,
         seed=11,

@@ -18,7 +18,6 @@ from repro.datasets.registry import load_dataset
 from repro.experiments.reporting import ascii_table
 from repro.graph.generators import planted_partition_graph
 from repro.graph.weights import assign_weighted_cascade
-from repro.sampling.parallel import ParallelRICSampler
 from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSampler
 
@@ -102,7 +101,7 @@ def test_serial_vs_parallel_throughput(benchmark):
         serial_rate = PARALLEL_SAMPLES / serial_elapsed
         rows.append(("serial", 1, serial_rate, 1.0))
         for workers in WORKER_COUNTS:
-            with ParallelRICSampler(
+            with RICSampler(
                 graph, communities, seed=11, workers=workers
             ) as parallel:
                 parallel.sample_many(32)  # warm the worker pool

@@ -105,7 +105,6 @@ from repro.graph import (
 )
 from repro.im import ris_im
 from repro.sampling import (
-    ParallelRICSampler,
     RICSample,
     RICSamplePool,
     RICSampler,
@@ -156,7 +155,6 @@ __all__ = [
     # sampling
     "RICSample",
     "RICSampler",
-    "ParallelRICSampler",
     "RICSamplePool",
     "RRSampler",
     # core

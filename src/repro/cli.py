@@ -27,12 +27,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.core import SOLVERS, make_solver, solve_imc
 from repro.datasets.registry import DATASETS
 from repro.diffusion.simulator import BenefitEvaluator
-from repro.errors import ReproError, ServingError
+from repro.errors import ReproError, SamplingError, ServingError, SolverError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import (
     fig4_community_structure,
@@ -488,7 +488,13 @@ def _cmd_solve(args, extras: Optional[dict] = None) -> int:
     from repro.serving import ScenarioSpec, build_instance
     from repro.utils.retry import Deadline
 
-    # Reject a bad --ci-width or --deadline before the instance build.
+    # Reject bad settings before the instance build.
+    if args.workers is not None and args.workers < 1:
+        raise SamplingError(f"--workers must be >= 1, got {args.workers}")
+    if args.max_samples < 0:
+        raise SolverError(
+            f"--max-samples must be >= 0, got {args.max_samples}"
+        )
     convergence = None
     if args.ci_width is not None:
         from repro.obs.diagnostics import ConvergenceCriterion
@@ -521,11 +527,6 @@ def _cmd_solve(args, extras: Optional[dict] = None) -> int:
     )
     solver = make_solver(args.solver, derive_seed(args.seed, "solver"))
     profiles: List[dict] = []
-
-    def _collect_profile(info: dict) -> None:
-        if info.get("sampling_profile"):
-            profiles.append(info["sampling_profile"])
-
     result = solve_imc(
         graph,
         communities,
@@ -537,7 +538,7 @@ def _cmd_solve(args, extras: Optional[dict] = None) -> int:
         max_samples=args.max_samples,
         model=args.model,
         workers=args.workers,
-        progress=_collect_profile,
+        progress=lambda info: profiles.append(info["sampling_profile"]),
         deadline=args.deadline,
         convergence=convergence,
     )
@@ -613,9 +614,28 @@ def _cmd_solve(args, extras: Optional[dict] = None) -> int:
     return 0
 
 
+def _parse_list(
+    text: str, flag: str, convert: Callable[[str], Any] = str
+) -> List[Any]:
+    """``flag``'s comma-separated values, each passed through ``convert``.
+
+    An empty list, or a value ``convert`` rejects, raises
+    :class:`~repro.errors.ReproError`: exit 2 with an ``error:`` line.
+    """
+    items = [item.strip() for item in text.split(",") if item.strip()]
+    if not items:
+        raise ReproError(f"{flag} needs at least one value, got {text!r}")
+    try:
+        return [convert(item) for item in items]
+    except ValueError as exc:
+        raise ReproError(
+            f"{flag} takes {convert.__name__} values, got {text!r}"
+        ) from exc
+
+
 def _cmd_compare(args) -> int:
-    algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    k_values = [int(k) for k in args.k.split(",") if k.strip()]
+    algorithms = _parse_list(args.algorithms, "--algorithms")
+    k_values = _parse_list(args.k, "--k", int)
     config = ExperimentConfig(
         dataset=args.dataset,
         scale=args.scale,
@@ -721,7 +741,7 @@ def _scenarios_and_budget(args):
                 f"got {args.memory_budget_mb}"
             )
         budget = int(args.memory_budget_mb * 1024 * 1024)
-    names = [d.strip() for d in args.datasets.split(",") if d.strip()]
+    names = _parse_list(args.datasets, "--datasets")
     scenarios = default_scenarios(
         names,
         scale=args.scale,
@@ -766,7 +786,7 @@ def _cmd_cluster(args) -> int:
     replica_ports = None
     if args.replica_ports:
         replica_ports = tuple(
-            int(p.strip()) for p in args.replica_ports.split(",") if p.strip()
+            _parse_list(args.replica_ports, "--replica-ports", int)
         )
     config = ClusterConfig(
         scenarios,

@@ -37,7 +37,6 @@ from repro.graph.digraph import DiGraph
 from repro.obs import metrics, trace
 from repro.obs.diagnostics import ConvergenceCriterion, ConvergenceMonitor
 from repro.rng import SeedLike, make_rng, spawn_rng
-from repro.sampling.parallel import ParallelRICSampler
 from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSampler
 from repro.utils.math import log_binomial
@@ -276,7 +275,9 @@ def solve_imc(
     (default 100 000) caps the pool for laptop-scale runs — the cap is
     recorded in the result so callers know when the formal guarantee was
     traded for tractability. Pass ``max_samples=None`` for the faithful
-    unbounded-budget behaviour.
+    unbounded-budget behaviour. A negative cap raises
+    :class:`~repro.errors.SolverError`; any cap still allows the first
+    stop stage's ``Λ`` samples.
 
     A pre-built ``pool`` may be supplied to share samples across calls
     (e.g. sweeping ``k`` on one dataset); it must wrap the same graph
@@ -285,22 +286,19 @@ def solve_imc(
     samples realise: ``"ic"`` (the paper's) or ``"lt"`` (the extension
     it sketches in Section II-A).
 
-    ``workers`` selects the sampling engine: ``None`` samples serially
-    (one BFS at a time), and ``n >= 1`` fans batches out to ``n``
-    worker processes (:class:`~repro.sampling.parallel.ParallelRICSampler`;
-    ``0`` or less raises :class:`~repro.errors.SamplingError`). Both
-    engines produce the *identical* pool for a fixed ``seed``, so
-    results are reproducible across engines and worker counts.
+    ``workers`` is the pool sampler's process count: ``None`` or ``1``
+    samples in this process (one BFS at a time), and ``n > 1`` fans
+    batches out to ``n`` worker processes (``0`` or less raises
+    :class:`~repro.errors.SamplingError`). The pool is *identical* for
+    a fixed ``seed`` at every worker count.
 
     ``progress``, when given, is called once per stop stage with a dict
     ``{stage, num_samples, coverage, objective, lambda, psi,
     sampling_profile}`` — the hook long-running callers use for
     logging/UI without the library imposing a logging policy.
-    ``sampling_profile`` carries the active engine's unified sampling
-    profile (:data:`repro.sampling.profile.PROFILE_KEYS`): samples/sec,
-    batch shape, worker utilisation and self-healing counters. Both
-    engines emit the same key set; under the serial engine the fan-out
-    fields are trivial (``mode="serial"``, one batch, no utilisation).
+    ``sampling_profile`` is the pool sampler's
+    :meth:`~repro.sampling.ric.RICSampler.last_profile`: samples/sec,
+    batch shape, worker utilisation and self-healing counters.
 
     ``convergence`` attaches estimator-quality diagnostics
     (``docs/observability.md``, "Estimator quality"). Pass a
@@ -325,6 +323,8 @@ def solve_imc(
     the budget expires before *any* candidate was selected.
     """
     check_seed_budget(k, graph.num_nodes, SolverError)
+    if max_samples is not None and max_samples < 0:
+        raise SolverError(f"max_samples must be >= 0, got {max_samples}")
     communities.validate_against(graph.num_nodes)
     deadline = as_deadline(deadline)
     monitor: Optional[ConvergenceMonitor] = None
@@ -337,18 +337,13 @@ def solve_imc(
     rng = make_rng(seed)
     owns_sampler = pool is None
     if pool is None:
-        if workers is not None:
-            sampler = ParallelRICSampler(
-                graph,
-                communities,
-                seed=spawn_rng(rng),
-                model=model,
-                workers=workers,
-            )
-        else:
-            sampler = RICSampler(
-                graph, communities, seed=spawn_rng(rng), model=model
-            )
+        sampler = RICSampler(
+            graph,
+            communities,
+            seed=spawn_rng(rng),
+            model=model,
+            workers=1 if workers is None else workers,
+        )
         pool = RICSamplePool(sampler)
     else:
         if pool.sampler.graph is not graph or pool.sampler.communities is not communities:
@@ -428,11 +423,7 @@ def solve_imc(
                         "objective": selection.objective,
                         "lambda": lam,
                         "psi": psi,
-                        "sampling_profile": (
-                            sampler.last_profile()
-                            if hasattr(sampler, "last_profile")
-                            else None
-                        ),
+                        "sampling_profile": sampler.last_profile(),
                     }
                 )
             if monitor is not None:
@@ -479,7 +470,7 @@ def solve_imc(
             grow_pool(amount=min(len(pool), math.ceil(cap) - len(pool)))
     finally:
         # Release worker processes when this call created the sampler.
-        if owns_sampler and hasattr(sampler, "close"):
+        if owns_sampler:
             sampler.close()
 
     metadata: Dict[str, Any] = {"epsilon": epsilon, "delta": delta, "k": k}

@@ -37,7 +37,7 @@ class SamplingError(ReproError):
 class WorkerCrashError(SamplingError):
     """Raised when parallel sampling exhausts its retry budget.
 
-    The self-healing :class:`~repro.sampling.parallel.ParallelRICSampler`
+    A :class:`~repro.sampling.ric.RICSampler` with ``workers > 1``
     transparently restarts crashed worker pools and re-dispatches failed
     batches; only when the same work keeps failing for every attempt
     allowed by its :class:`~repro.utils.retry.RetryPolicy` does this

@@ -53,9 +53,9 @@ class ExperimentConfig:
     pool_size: int = 2_000
     #: Monte-Carlo trials when evaluating ``c(S)`` for a returned seed set.
     eval_trials: int = 300
-    #: RIC sampling worker processes: ``None`` samples serially, ``n``
-    #: fans out to ``n`` processes (identical samples for a fixed seed,
-    #: so results don't change).
+    #: RIC sampling worker processes: ``None`` samples in this process,
+    #: ``n`` fans out to ``n`` processes (identical samples for a fixed
+    #: seed, so results don't change).
     workers: Optional[int] = None
     epsilon: float = 0.2
     delta: float = 0.2

@@ -44,7 +44,6 @@ from repro.obs import (
     write_manifest,
 )
 from repro.rng import derive_seed
-from repro.sampling.parallel import ParallelRICSampler
 from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSampler
 from repro.utils.timing import Stopwatch
@@ -151,22 +150,18 @@ def make_pool(
 ) -> RICSamplePool:
     """A RIC pool of ``size`` (default ``config.pool_size``) samples.
 
-    ``config.workers`` selects serial (``None``) or parallel generation;
-    either way the pool contents are identical for a fixed
-    ``config.seed``.
+    ``config.workers`` is the sampler's process count (``None`` samples
+    in this process); the pool contents are identical for a fixed
+    ``config.seed`` at every worker count.
     """
-    seed = derive_seed(config.seed, "ric-pool")
-    parallel = config.workers is not None
-    if parallel:
-        sampler = ParallelRICSampler(
-            graph, communities, seed=seed, workers=config.workers
-        )
-    else:
-        sampler = RICSampler(graph, communities, seed=seed)
-    pool = RICSamplePool(sampler)
-    pool.grow(size if size is not None else config.pool_size)
-    if parallel:
-        sampler.close()
+    with RICSampler(
+        graph,
+        communities,
+        seed=derive_seed(config.seed, "ric-pool"),
+        workers=config.workers or 1,
+    ) as sampler:
+        pool = RICSamplePool(sampler)
+        pool.grow(size if size is not None else config.pool_size)
     if obs_enabled():
         # Instrumented suites get the pool-composition diagnostics
         # (reach-size/source histograms, footprint gauge) for free;

@@ -270,9 +270,8 @@ class ConvergenceMonitor:
     :class:`ConvergenceCriterion` and let ``solve_imc`` wrap it). The
     framework then feeds the monitor:
 
-    - :meth:`observe_batch` — every batch of RIC samples as it lands
-      (from either sampling engine): reach sizes feed the
-      ``pool.reach.histogram``;
+    - :meth:`observe_batch` — every batch of RIC samples as it lands:
+      reach sizes feed the ``pool.reach.histogram``;
     - :meth:`observe_stage` — every stop-stage evaluation of the
       candidate seed set: one :func:`benefit_interval` trajectory point
       plus per-community activation counts;

@@ -38,7 +38,7 @@ DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
 #: *first* when introducing a metric.
 CATALOG: Dict[str, str] = {
     # counters
-    "ric.samples.generated": "RIC samples generated (both engines)",
+    "ric.samples.generated": "RIC samples generated (every sample_many)",
     "estimator.adaptive.stops": "adaptive early stops (CI criterion met)",
     "serving.requests.total": "solve requests answered by the shard server",
     "serving.requests.failed": "solve requests answered with an error",

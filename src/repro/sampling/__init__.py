@@ -13,7 +13,6 @@ Classic RR sets (Reverse Influence Sampling) are included for the IM
 baseline: ``σ(S) = n · E[1_{R ∩ S ≠ ∅}]``.
 """
 
-from repro.sampling.parallel import ParallelRICSampler
 from repro.sampling.pool import RICSamplePool, RRSamplePool
 from repro.sampling.ric import RICSample, RICSampler
 from repro.sampling.rr import RRSampler
@@ -21,7 +20,6 @@ from repro.sampling.rr import RRSampler
 __all__ = [
     "RICSample",
     "RICSampler",
-    "ParallelRICSampler",
     "RRSampler",
     "RICSamplePool",
     "RRSamplePool",

@@ -51,8 +51,6 @@ class RICSamplePool:
     """
 
     def __init__(self, sampler: RICSampler) -> None:
-        # Any object with the RICSampler surface works, notably
-        # repro.sampling.parallel.ParallelRICSampler.
         self.sampler = sampler
         self.samples: List[RICSample] = []
         self._masks: Dict[int, Dict[int, int]] = {}
@@ -96,10 +94,9 @@ class RICSamplePool:
     def grow(self, count: int) -> None:
         """Generate and add ``count`` fresh samples.
 
-        Delegates generation to ``sampler.sample_many`` so batching
-        engines (:class:`~repro.sampling.parallel.ParallelRICSampler`)
-        fan the whole request out to their workers at once; the inverted
-        indexes are still updated incrementally per sample.
+        Delegates generation to ``sampler.sample_many`` so a sampler
+        with worker processes fans the whole request out at once; the
+        inverted indexes are still updated incrementally per sample.
         """
         if count < 0:
             raise SamplingError(f"count must be non-negative, got {count}")

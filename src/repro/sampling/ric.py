@@ -58,8 +58,10 @@ from repro.errors import SamplingError
 from repro.graph.digraph import DiGraph
 from repro.obs import metrics, trace
 from repro.rng import SeedLike, make_rng, spawn_seed
-from repro.sampling.profile import make_profile
+from repro.sampling.parallel import WorkerPool
+from repro.utils.faults import FaultInjector
 from repro.utils.math import popcount
+from repro.utils.retry import RetryPolicy
 
 _NO_SEEDS: FrozenSet[int] = frozenset()
 
@@ -150,20 +152,30 @@ class RICSampler:
     its own child-stream seed (exactly one master draw per sample, via
     :func:`repro.rng.spawn_seed`); all randomness inside a sample comes
     from the child stream. A sample is therefore a pure function of
-    ``(graph, communities, model, child_seed)`` — the property the
-    parallel engine (:mod:`repro.sampling.parallel`) exploits to fan
-    sample generation out to worker processes while staying byte-
-    identical to this serial sampler. The cumulative table of the
-    source distribution ``ρ`` is precomputed so repeated calls are
-    cheap.
+    ``(graph, communities, model, child_seed)``, so the samples do not
+    depend on ``workers``, ``batch_size`` or healed worker crashes. The
+    cumulative table of the source distribution ``ρ`` is precomputed so
+    repeated calls are cheap.
+
+    With ``workers > 1``, a ``sample_many`` call of at least
+    :attr:`MIN_DISPATCH` samples runs in a lazily started
+    :class:`~repro.sampling.parallel.WorkerPool`, in batches of
+    ``batch_size`` (default: a quarter of a worker's share), healing
+    crashes within ``retry`` (default: 3 attempts); ``fault_injector``
+    ships into the workers. Such a sampler owns OS processes: call
+    :meth:`close` (or use it as a context manager) when done.
 
     A sampler is not reentrant: its per-node scratch and its reseeded
     child stream are per sampler, so callers must not sample through
     one instance from two threads at once
     (:class:`~repro.serving.shards.WarmShard` serialises access under
     ``shard.lock``). The graph's ``in_pairs()`` table is re-read per
-    sample, so a sampler follows later mutations of its graph.
+    sample, so a sampler follows later mutations of its graph; worker
+    processes keep the copy taken when they started.
     """
+
+    #: Below this many samples a ``sample_many`` call stays in process.
+    MIN_DISPATCH = 16
 
     def __init__(
         self,
@@ -171,7 +183,15 @@ class RICSampler:
         communities: CommunityStructure,
         seed: SeedLike = None,
         model: str = "ic",
+        workers: int = 1,
+        batch_size: Optional[int] = None,
+        retry: Optional[RetryPolicy] = None,
+        fault_injector: Optional[FaultInjector] = None,
     ) -> None:
+        if not isinstance(workers, int) or workers < 1:
+            raise SamplingError(f"workers must be >= 1, got {workers}")
+        if batch_size is not None and batch_size < 1:
+            raise SamplingError(f"batch_size must be >= 1, got {batch_size}")
         communities.validate_against(graph.num_nodes)
         if model not in ("ic", "lt"):
             raise SamplingError(
@@ -206,6 +226,13 @@ class RICSampler:
             )
         # Guard against floating drift so the last community is reachable.
         self._cumulative[-1] = 1.0
+        self.workers = workers
+        self.batch_size = batch_size
+        self._pool = (
+            WorkerPool(graph, communities, model, workers, retry, fault_injector)
+            if workers > 1
+            else None
+        )
         self._profile: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
@@ -472,25 +499,81 @@ class RICSampler:
         return False
 
     def sample_many(self, count: int) -> List[RICSample]:
-        """Generate ``count`` independent RIC samples."""
+        """Generate ``count`` independent RIC samples.
+
+        Draws every sample's child seed from the master stream first,
+        then materialises the samples in this process, or in the worker
+        processes when ``workers > 1`` and ``count >= MIN_DISPATCH``.
+        The samples equal ``count`` calls of :meth:`sample`. Worker
+        crashes and worker-raised exceptions are healed within the
+        ``retry`` budget; exhaustion raises
+        :class:`~repro.errors.WorkerCrashError`.
+        """
         if count < 0:
             raise SamplingError(f"count must be non-negative, got {count}")
-        with trace.span("ric/sample_many", mode="serial", samples=count):
+        pool = self._pool if count >= self.MIN_DISPATCH else None
+        mode = "serial" if pool is None else "parallel"
+        with trace.span(
+            "ric/sample_many", mode=mode, samples=count, workers=self.workers
+        ) as span:
             began = time.perf_counter()
-            samples = [self.sample() for _ in range(count)]
-            self._profile = make_profile(
-                "serial", count, time.perf_counter() - began
+            rng = self._rng
+            seeds = [spawn_seed(rng) for _ in range(count)]
+            batch, batches, utilization = count, 1, None
+            health = dict(
+                retries=0, worker_restarts=0, failed_batches=[], attempts=1
+            )
+            if pool is None:
+                samples = [self.sample_from_seed(s) for s in seeds]
+            else:
+                batch = self.batch_size or -(-count // (self.workers * 4))
+                batches = -(-count // batch)
+                span.set(batches=batches, batch_size=batch)
+                samples, busy, health = pool.run(seeds, batch)
+            elapsed = time.perf_counter() - began
+            if pool is not None and elapsed > 0:
+                utilization = min(1.0, busy / (self.workers * elapsed))
+            self._profile = dict(
+                mode=mode,
+                samples=count,
+                elapsed_seconds=elapsed,
+                samples_per_sec=count / elapsed if elapsed else float("inf"),
+                workers=self.workers,
+                batches=batches,
+                batch_size=batch,
+                worker_utilization=utilization,
+                **health,
             )
             metrics.inc("ric.samples.generated", count)
         return samples
 
     def last_profile(self) -> Optional[Dict[str, Any]]:
-        """Profile of the most recent ``sample_many`` call.
+        """Profile of the most recent ``sample_many`` call (or ``None``).
 
-        The dict has the unified sampling-profile schema
-        (:data:`repro.sampling.profile.PROFILE_KEYS`) with
-        ``mode="serial"`` and trivial fan-out fields (``workers=1``,
-        one batch sized ``samples``, no utilisation or self-healing
-        activity). ``None`` before the first ``sample_many`` call.
+        Keys, in order: ``mode`` (``"serial"``, drawn in this process,
+        or ``"parallel"``, drawn by workers), ``samples``,
+        ``elapsed_seconds``, ``samples_per_sec``, the fan-out shape
+        ``workers``, ``batches`` and ``batch_size``,
+        ``worker_utilization`` (the fraction of worker wall-clock spent
+        generating; ``None`` when serial), and the self-healing counters
+        of :meth:`~repro.sampling.parallel.WorkerPool.run` (``0``,
+        ``0``, ``[]`` and ``1`` when serial).
         """
         return self._profile
+
+    def close(self) -> None:
+        """Shut the worker processes down (idempotent).
+
+        A no-op for a sampler without workers. A later parallel
+        ``sample_many`` starts fresh workers and continues the master
+        stream where it left off; one raced against ``close()`` raises
+        :class:`~repro.errors.SamplingError`.
+        """
+        if self._pool is not None:
+            self._pool.close()
+
+    def __enter__(self) -> "RICSampler":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()

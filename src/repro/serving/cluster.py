@@ -42,12 +42,17 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.errors import ClusterError
+from repro.errors import ClusterError, ReproError
 from repro.obs.events import EventJournal
 from repro.obs.manifest import build_manifest, write_manifest
 from repro.serving.router import ReplicaEndpoint, RouterApp
 from repro.serving.scenarios import ScenarioSpec
-from repro.serving.server import ShardApp, ShardHTTPServer, start_http_server
+from repro.serving.server import (
+    ShardApp,
+    ShardHTTPServer,
+    listen,
+    start_http_server,
+)
 from repro.serving.shards import ShardStore, check_store_settings
 from repro.utils.retry import RetryPolicy
 
@@ -186,7 +191,7 @@ def _replica_main(config: ClusterConfig, replica_id: str, port: int) -> None:
         on_evict=on_evict,
     )
     app = ShardApp(store, default_solver=config.default_solver)
-    server = ShardHTTPServer((config.host, port), app)
+    server: Optional[ShardHTTPServer] = None
 
     def _drain(signum, frame) -> None:
         def _run() -> None:
@@ -198,8 +203,10 @@ def _replica_main(config: ClusterConfig, replica_id: str, port: int) -> None:
 
         threading.Thread(target=_run, daemon=True).start()
 
-    signal.signal(signal.SIGTERM, _drain)
+    code = 0
     try:
+        server = listen(app, config.host, port)
+        signal.signal(signal.SIGTERM, _drain)
         if config.warm:
             for name in store.scenario_names():
                 shard = store.get(name)
@@ -208,14 +215,18 @@ def _replica_main(config: ClusterConfig, replica_id: str, port: int) -> None:
         if journal is not None:
             journal.emit("server.started", port=port, warm=config.warm)
         server.serve_forever()
+    except ReproError as exc:  # a bind or warm-up failure
+        print(f"error: replica {replica_id}: {exc}", file=sys.stderr)
+        code = 2
     finally:
-        server.server_close()
+        if server is not None:
+            server.server_close()
         app.close()
         if owns_session:
             obs.disable()
         if journal is not None:
             journal.close()
-    sys.exit(0)
+    sys.exit(code)
 
 
 def _reserve_port(host: str) -> int:

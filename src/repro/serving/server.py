@@ -352,12 +352,14 @@ class GracefulHTTPServer(ThreadingHTTPServer):
     request_queue_size = 1024
 
     def __init__(self, address: Tuple[str, int], handler_class) -> None:
+        # Set first: a failed bind calls server_close() from inside
+        # super().__init__, which must then re-raise the bind error.
+        self._socket_closed = False
         super().__init__(address, handler_class)
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         self._idle = threading.Event()
         self._idle.set()
-        self._socket_closed = False
 
     def finish_request(self, request, client_address) -> None:
         """Dispatch one connection, counted against the drain barrier."""
@@ -506,6 +508,20 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(500, {"error": str(exc)})
 
 
+def listen(
+    app: Union[ShardApp, RouterApp], host: str, port: int
+) -> ShardHTTPServer:
+    """A :class:`ShardHTTPServer` for ``app`` bound to ``(host, port)``.
+
+    A port that cannot be bound (in use, out of range, not permitted)
+    raises :class:`~repro.errors.ServingError` naming the address.
+    """
+    try:
+        return ShardHTTPServer((host, port), app)
+    except (OSError, OverflowError) as exc:
+        raise ServingError(f"cannot listen on {host}:{port}: {exc}") from exc
+
+
 def start_http_server(
     app: Union[ShardApp, RouterApp], host: str = "127.0.0.1", port: int = 0
 ) -> ShardHTTPServer:
@@ -518,7 +534,7 @@ def start_http_server(
     ``server.drain()`` for a graceful stop, or ``server.shutdown();
     server.server_close()``, then ``app.close()`` for a shard app.
     """
-    server = ShardHTTPServer((host, port), app)
+    server = listen(app, host, port)
     thread = threading.Thread(
         target=server.serve_forever, name="repro-serve", daemon=True
     )
@@ -529,7 +545,7 @@ def start_http_server(
 
 def run_server(app: ShardApp, host: str, port: int) -> int:
     """Serve ``app`` until ``/shutdown`` or Ctrl-C; returns exit code."""
-    server = ShardHTTPServer((host, port), app)
+    server = listen(app, host, port)
     bound = server.server_address
     print(f"serving on http://{bound[0]}:{bound[1]} "
           f"(scenarios: {', '.join(app.store.scenario_names())})")

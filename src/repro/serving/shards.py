@@ -2,8 +2,8 @@
 
 A :class:`WarmShard` is the serving unit for one scenario: a
 :class:`~repro.sampling.pool.RICSamplePool` fed by a
-:class:`~repro.sampling.parallel.ParallelRICSampler` (which ships
-contiguous batches of pre-drawn child seeds to its worker processes),
+:class:`~repro.sampling.ric.RICSampler` (which ships contiguous batches
+of pre-drawn child seeds to its worker processes),
 plus per-version state: the greedy runs UBG and GreedyC resume
 (:class:`~repro.core.greedy.RunCache`) and the solve cache. Growth
 follows an MPC-style discipline: bounded ``round_size`` merge rounds —
@@ -35,6 +35,7 @@ detects a race.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple
@@ -46,8 +47,8 @@ from repro.errors import ServingError, UnknownScenarioError
 from repro.obs import metrics, trace
 from repro.obs.diagnostics import benefit_interval, pool_memory_bytes
 from repro.rng import derive_seed
-from repro.sampling.parallel import ParallelRICSampler
 from repro.sampling.pool import RICSamplePool
+from repro.sampling.ric import RICSampler
 from repro.serving.scenarios import ScenarioSpec, build_instance
 from repro.utils.faults import FaultInjector
 from repro.utils.retry import RetryPolicy
@@ -85,8 +86,10 @@ def check_store_settings(
 class WarmShard:
     """One scenario's warm pool, sampler, and per-version runs and answers.
 
-    All methods below :attr:`lock` in the docstring must be called with
-    ``shard.lock`` held; the store and the HTTP app do so.
+    ``workers`` is the sampler's process count; ``None`` uses every
+    core (``os.cpu_count()``). All methods below :attr:`lock` in the
+    docstring must be called with ``shard.lock`` held; the store and the
+    HTTP app do so.
     """
 
     def __init__(
@@ -114,12 +117,12 @@ class WarmShard:
         self.last_used = time.monotonic()
         #: Footprint after the last merge round (pool_memory_bytes).
         self.bytes = 0
-        self.sampler = ParallelRICSampler(
+        self.sampler = RICSampler(
             graph,
             communities,
             seed=spec.seed,
             model=spec.model,
-            workers=workers,
+            workers=workers if workers is not None else os.cpu_count() or 1,
             retry=retry,
             fault_injector=fault_injector,
         )
@@ -265,7 +268,8 @@ class ShardStore:
     builds joins the same per-scenario dict and stays for the store's
     lifetime. ``memory_budget_bytes`` bounds the summed shard
     footprint (the pools, :attr:`WarmShard.bytes`); the kept instances
-    are not charged to it. ``None`` disables eviction.
+    are not charged to it. ``None`` disables eviction. ``workers=None``
+    gives every shard's sampler all cores, as :class:`WarmShard` does.
     """
 
     def __init__(

@@ -1,9 +1,31 @@
 """CLI tests (direct main() invocation with captured stdout)."""
 
+import os
+import socket
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import _build_parser, _scenarios_and_budget, main
 from repro.errors import ServingError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m repro *argv`` in a subprocess, bounded by a timeout."""
+    path = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 def test_datasets_command(capsys):
@@ -77,6 +99,60 @@ def test_serving_flags_reject_a_bad_memory_budget(value):
 def test_serve_exits_2_on_a_non_finite_memory_budget(capsys, value):
     assert main(["serve", "--memory-budget-mb", value]) == 2
     assert "error: --memory-budget-mb" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--workers", "0"], ["--max-samples", "-5"]]
+)
+def test_solve_rejects_bad_limits_before_building_the_instance(capsys, flags):
+    # --workers 0 used to fail after the build, and --max-samples -5
+    # ran as if it were the first stop stage's floor.
+    code = main(
+        ["solve", "--dataset", "facebook", "--scale", "0.1", "--k", "3",
+         *flags]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "instance:" not in captured.out
+    assert f"error: {flags[0]} must be >= " in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["compare", "--k", "5,x"], "--k"),
+        (["compare", "--k", ","], "--k"),
+        (["compare", "--algorithms", ","], "--algorithms"),
+        (["serve", "--datasets", ","], "--datasets"),
+        # Only input that fails to parse: a cluster command that parses
+        # would start a cluster.
+        (["cluster", "--replica-ports", "a,b"], "--replica-ports"),
+    ],
+)
+def test_bad_lists_exit_2_with_an_error_line(capsys, argv, flag):
+    assert main(argv) == 2
+    assert f"error: {flag} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--port", "{busy}"],
+        ["serve", "--port", "70000"],
+        ["cluster", "--replicas", "1", "--port", "{busy}"],
+        ["cluster", "--replicas", "1", "--replica-ports", "70000"],
+    ],
+)
+def test_serving_commands_exit_2_on_an_unbindable_port(argv):
+    # A failed bind used to surface as an AttributeError traceback.
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        busy = str(holder.getsockname()[1])
+        result = _run_cli(*(arg.format(busy=busy) for arg in argv))
+    assert result.returncode == 2, result.stderr
+    assert "cannot listen on 127.0.0.1:" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_solve_command_lt_model(capsys):

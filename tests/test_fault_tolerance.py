@@ -10,6 +10,8 @@ results.
 
 import dataclasses
 import math
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -22,7 +24,6 @@ from repro.core.ubg import UBG, GreedyC
 from repro.errors import SamplingError, WorkerCrashError
 from repro.graph.generators import planted_partition_graph
 from repro.graph.weights import assign_weighted_cascade
-from repro.sampling.parallel import ParallelRICSampler
 from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSampler
 from repro.utils.faults import Fault, FaultInjected, FaultInjector
@@ -60,7 +61,7 @@ def test_worker_kill_recovers_byte_identical(instance):
         # attempt only; the re-dispatched batch (attempt 1) survives.
         [Fault.kill_on("sample", start=8, attempt=0, index=2)]
     )
-    with ParallelRICSampler(
+    with RICSampler(
         graph,
         communities,
         seed=11,
@@ -88,7 +89,7 @@ def test_worker_exception_heals_without_pool_restart(instance):
         # only the failed batch is re-dispatched.
         [Fault.raise_on("generate_batch", start=16, attempt=0)]
     )
-    with ParallelRICSampler(
+    with RICSampler(
         graph,
         communities,
         seed=11,
@@ -112,7 +113,7 @@ def test_retry_exhaustion_raises_worker_crash_error(instance):
         # No attempt constraint: batch 0 fails on *every* attempt.
         [Fault.raise_on("generate_batch", start=0)]
     )
-    with ParallelRICSampler(
+    with RICSampler(
         graph,
         communities,
         seed=11,
@@ -134,7 +135,7 @@ def test_crashed_pool_then_clean_reuse(instance):
     injector = FaultInjector(
         [Fault.kill_on("generate_batch", start=8, attempt=0)]
     )
-    with ParallelRICSampler(
+    with RICSampler(
         graph,
         communities,
         seed=11,
@@ -149,12 +150,43 @@ def test_crashed_pool_then_clean_reuse(instance):
     assert first + second == expected
 
 
+@pytest.mark.fault
+def test_pool_broken_during_submit_heals(instance, monkeypatch):
+    """A worker that dies while batches are still being submitted makes
+    ``submit`` raise ``BrokenProcessPool``: the unsubmitted batches stay
+    pending and the pool is rebuilt, as for a crash seen in a result."""
+    graph, communities = instance
+    expected = RICSampler(graph, communities, seed=11).sample_many(48)
+    submit = ProcessPoolExecutor.submit
+    calls = []
+
+    def submit_then_break(self, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise BrokenProcessPool("a worker died during submission")
+        return submit(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_then_break)
+    with RICSampler(
+        graph,
+        communities,
+        seed=11,
+        workers=2,
+        batch_size=8,
+        retry=FAST_RETRY,
+    ) as sampler:
+        got = sampler.sample_many(48)
+        profile = sampler.last_profile()
+    assert got == expected
+    assert profile["worker_restarts"] >= 1
+
+
 # ------------------------------------------------- close() semantics
 
 
 def test_close_is_idempotent(instance):
     graph, communities = instance
-    sampler = ParallelRICSampler(graph, communities, seed=3, workers=2)
+    sampler = RICSampler(graph, communities, seed=3, workers=2)
     sampler.sample_many(24)
     sampler.close()
     sampler.close()  # double-close must be a no-op
@@ -163,7 +195,7 @@ def test_close_is_idempotent(instance):
 def test_sampling_after_close_uses_fresh_pool(instance):
     graph, communities = instance
     expected = RICSampler(graph, communities, seed=3).sample_many(48)
-    sampler = ParallelRICSampler(
+    sampler = RICSampler(
         graph, communities, seed=3, workers=2, batch_size=8
     )
     first = sampler.sample_many(24)
@@ -181,7 +213,7 @@ def test_close_while_sampling_raises_sampling_error(instance):
         # The first batch stalls long enough for close() to win the race.
         [Fault.delay_on("generate_batch", seconds=0.4)]
     )
-    sampler = ParallelRICSampler(
+    sampler = RICSampler(
         graph,
         communities,
         seed=3,

@@ -17,7 +17,6 @@ from repro.errors import SolverError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import planted_partition_graph
 from repro.graph.weights import assign_weighted_cascade
-from repro.sampling.parallel import ParallelRICSampler
 from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSampler
 from repro.serving.scenarios import ScenarioSpec, build_instance
@@ -219,7 +218,7 @@ def test_flat_matches_reference_on_a_saturated_serving_pool():
         name="fb", dataset="facebook", scale=0.2, seed=100, pool_size=600
     )
     graph, communities = build_instance(spec)
-    sampler = ParallelRICSampler(
+    sampler = RICSampler(
         graph, communities, seed=spec.seed, model=spec.model, workers=1
     )
     try:

@@ -13,12 +13,30 @@ import pytest
 from repro.communities.structure import Community, CommunityStructure
 from repro.core.framework import solve_imc
 from repro.core.ubg import UBG
-from repro.errors import SamplingError
+from repro.errors import SamplingError, SolverError
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import make_pool
 from repro.graph.generators import planted_partition_graph
 from repro.graph.weights import assign_weighted_cascade
-from repro.sampling.parallel import ParallelRICSampler
 from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSampler
+
+
+#: The keys of every ``RICSampler.last_profile()``, in order.
+PROFILE_FIELDS = (
+    "mode",
+    "samples",
+    "elapsed_seconds",
+    "samples_per_sec",
+    "workers",
+    "batches",
+    "batch_size",
+    "worker_utilization",
+    "retries",
+    "worker_restarts",
+    "failed_batches",
+    "attempts",
+)
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +88,7 @@ def test_compact_encoding_is_canonical_tuples(instance):
 def test_parallel_matches_serial_for_all_worker_counts(instance, workers):
     graph, communities = instance
     serial = RICSampler(graph, communities, seed=42).sample_many(48)
-    with ParallelRICSampler(
+    with RICSampler(
         graph, communities, seed=42, workers=workers
     ) as parallel:
         assert parallel.sample_many(48) == serial
@@ -80,7 +98,7 @@ def test_parallel_matches_serial_for_all_worker_counts(instance, workers):
 def test_parallel_deterministic_across_batch_sizes(instance, batch_size):
     graph, communities = instance
     serial = RICSampler(graph, communities, seed=9).sample_many(30)
-    with ParallelRICSampler(
+    with RICSampler(
         graph, communities, seed=9, workers=2, batch_size=batch_size
     ) as parallel:
         assert parallel.sample_many(30) == serial
@@ -92,7 +110,7 @@ def test_parallel_pools_byte_identical(instance):
     graph, communities = instance
     serial_pool = RICSamplePool(RICSampler(graph, communities, seed=7))
     serial_pool.grow(40)
-    with ParallelRICSampler(graph, communities, seed=7, workers=3) as sampler:
+    with RICSampler(graph, communities, seed=7, workers=3) as sampler:
         parallel_pool = RICSamplePool(sampler)
         parallel_pool.grow(40)
     assert parallel_pool.samples == serial_pool.samples
@@ -109,7 +127,7 @@ def test_interleaved_sample_and_sample_many_match_serial(instance):
     graph, communities = instance
     serial = RICSampler(graph, communities, seed=13)
     expected = [serial.sample() for _ in range(40)]
-    with ParallelRICSampler(graph, communities, seed=13, workers=2) as par:
+    with RICSampler(graph, communities, seed=13, workers=2) as par:
         got = [par.sample(), par.sample()]
         got.extend(par.sample_many(30))
         got.extend(par.sample() for _ in range(8))
@@ -119,7 +137,7 @@ def test_interleaved_sample_and_sample_many_match_serial(instance):
 def test_parallel_lt_model_matches_serial(instance):
     graph, communities = instance
     serial = RICSampler(graph, communities, seed=21, model="lt").sample_many(24)
-    with ParallelRICSampler(
+    with RICSampler(
         graph, communities, seed=21, model="lt", workers=2
     ) as parallel:
         assert parallel.sample_many(24) == serial
@@ -130,7 +148,7 @@ def test_parallel_lt_model_matches_serial(instance):
 
 def test_profile_reports_parallel_run(instance):
     graph, communities = instance
-    with ParallelRICSampler(graph, communities, seed=1, workers=2) as sampler:
+    with RICSampler(graph, communities, seed=1, workers=2) as sampler:
         assert sampler.last_profile() is None
         sampler.sample_many(32)
         profile = sampler.last_profile()
@@ -144,27 +162,26 @@ def test_profile_reports_parallel_run(instance):
 
 def test_profile_reports_inline_run_below_dispatch_floor(instance):
     graph, communities = instance
-    with ParallelRICSampler(graph, communities, seed=1, workers=2) as sampler:
+    with RICSampler(graph, communities, seed=1, workers=2) as sampler:
         sampler.sample_many(4)
         profile = sampler.last_profile()
-    assert profile["mode"] == "inline"
+    assert profile["mode"] == "serial"
+    assert profile["workers"] == 2
     assert profile["worker_utilization"] is None
 
 
 def test_serial_and_parallel_profiles_share_key_set(instance):
-    """Consumers must never branch on the engine: both samplers report
-    the unified schema (``repro.sampling.profile.PROFILE_KEYS``)."""
-    from repro.sampling.profile import PROFILE_KEYS
-
+    """Consumers must never branch on the mode: an in-process and a
+    parallel run report the same keys, in the same order."""
     graph, communities = instance
     serial = RICSampler(graph, communities, seed=1)
     serial.sample_many(16)
     serial_profile = serial.last_profile()
-    with ParallelRICSampler(graph, communities, seed=1, workers=2) as sampler:
+    with RICSampler(graph, communities, seed=1, workers=2) as sampler:
         sampler.sample_many(32)
         parallel_profile = sampler.last_profile()
-    assert tuple(serial_profile) == PROFILE_KEYS
-    assert tuple(parallel_profile) == PROFILE_KEYS
+    assert tuple(serial_profile) == PROFILE_FIELDS
+    assert tuple(parallel_profile) == PROFILE_FIELDS
     assert serial_profile["mode"] == "serial"
     assert serial_profile["workers"] == 1
     assert parallel_profile["mode"] == "parallel"
@@ -172,7 +189,7 @@ def test_serial_and_parallel_profiles_share_key_set(instance):
 
 def test_close_is_idempotent_and_allows_resampling(instance):
     graph, communities = instance
-    sampler = ParallelRICSampler(graph, communities, seed=2, workers=2)
+    sampler = RICSampler(graph, communities, seed=2, workers=2)
     sampler.sample_many(20)
     sampler.close()
     sampler.close()
@@ -184,10 +201,10 @@ def test_close_is_idempotent_and_allows_resampling(instance):
 def test_validation_errors(instance):
     graph, communities = instance
     with pytest.raises(SamplingError):
-        ParallelRICSampler(graph, communities, workers=0)
+        RICSampler(graph, communities, workers=0)
     with pytest.raises(SamplingError):
-        ParallelRICSampler(graph, communities, batch_size=0)
-    with ParallelRICSampler(graph, communities, seed=1, workers=1) as sampler:
+        RICSampler(graph, communities, batch_size=0)
+    with RICSampler(graph, communities, seed=1, workers=1) as sampler:
         with pytest.raises(SamplingError):
             sampler.sample_many(-1)
         assert sampler.sample_many(0) == []
@@ -204,6 +221,37 @@ def test_solve_imc_engine_parallel_matches_serial(instance):
     assert parallel.selection.seeds == serial.selection.seeds
     assert parallel.num_samples == serial.num_samples
     assert parallel.selection.objective == serial.selection.objective
+
+
+def test_library_defaults_sample_in_process(instance):
+    # solve_imc and ExperimentConfig resolve workers=None to one
+    # process; only the serving shards default to every core.
+    graph, communities = instance
+    events = []
+    solve_imc(
+        graph, communities, k=2, solver=UBG(), seed=3, max_samples=400,
+        workers=None, progress=events.append,
+    )
+    pool = make_pool(
+        graph, communities, ExperimentConfig(workers=None, pool_size=64)
+    )
+    profiles = (events[-1]["sampling_profile"], pool.sampler.last_profile())
+    for profile in profiles:
+        assert profile["mode"] == "serial"
+        assert profile["workers"] == 1
+
+
+def test_solve_imc_rejects_a_negative_sample_cap(instance):
+    graph, communities = instance
+    with pytest.raises(SolverError, match="max_samples must be >= 0"):
+        solve_imc(
+            graph, communities, k=2, solver=UBG(), seed=1, max_samples=-5
+        )
+    # A cap of 0 still runs the first stop stage.
+    result = solve_imc(
+        graph, communities, k=2, solver=UBG(), seed=1, max_samples=0
+    )
+    assert result.num_samples >= result.lambda_threshold
 
 
 def test_solve_imc_rejects_zero_workers(instance):

@@ -15,7 +15,6 @@ import pytest
 from repro.communities.structure import Community, CommunityStructure
 from repro.graph.generators import planted_partition_graph
 from repro.graph.weights import assign_weighted_cascade
-from repro.sampling.parallel import ParallelRICSampler
 from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSampler
 
@@ -48,7 +47,7 @@ def test_parallel_engine_dispatch_overhead_bounded(smoke_instance):
     """Batched dispatch: a modest request must not take worker-per-sample
     time (the failure mode batching exists to prevent)."""
     graph, communities = smoke_instance
-    with ParallelRICSampler(
+    with RICSampler(
         graph, communities, seed=3, workers=2
     ) as sampler:
         start = time.perf_counter()
@@ -81,7 +80,7 @@ def test_parallel_speedup_on_multicore():
     start = time.perf_counter()
     RICSampler(graph, communities, seed=9).sample_many(count)
     serial_elapsed = time.perf_counter() - start
-    with ParallelRICSampler(
+    with RICSampler(
         graph, communities, seed=9, workers=4
     ) as sampler:
         sampler.sample_many(8)  # warm the worker pool

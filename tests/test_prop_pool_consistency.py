@@ -17,7 +17,6 @@ from repro.communities.structure import Community, CommunityStructure
 from repro.core.flat_engine import FlatCoverage
 from repro.core.objective import CoverageState
 from repro.graph.digraph import DiGraph
-from repro.sampling.parallel import ParallelRICSampler
 from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSampler
 
@@ -275,7 +274,7 @@ def test_mask_index_matches_reach_sets_on_parallel_pools(recipe):
     graph, structure, seed, ops, seed_sets = recipe
     # Two workers and batches of 8: grows of 16+ samples fan out to
     # worker processes, smaller ones stay inline.
-    with ParallelRICSampler(
+    with RICSampler(
         graph, structure, seed=seed, workers=2, batch_size=8
     ) as sampler:
         pool = RICSamplePool(sampler)

@@ -14,6 +14,7 @@ import http.client
 import json
 import os
 import random
+import socket
 import sys
 import threading
 import time
@@ -39,11 +40,13 @@ from repro.serving import (
     RouterApp,
     ScenarioSpec,
     ShardApp,
+    ShardHTTPServer,
     ShardStore,
     WarmShard,
     build_instance,
     start_http_server,
 )
+from repro.serving.server import listen
 from repro.utils.faults import Fault, FaultInjector
 
 from tests.test_prop_greedy_runs import counting_engine_calls
@@ -332,7 +335,7 @@ class TestWarmShard:
 
     def test_solve_matches_offline_pipeline(self):
         from repro.core.ubg import UBG
-        from repro.sampling.parallel import ParallelRICSampler
+        from repro.sampling.ric import RICSampler
         from repro.sampling.pool import RICSamplePool
 
         spec = _spec()
@@ -343,7 +346,7 @@ class TestWarmShard:
             served, _ = shard.solve(5)
         shard.close()
         pool = RICSamplePool(
-            ParallelRICSampler(
+            RICSampler(
                 graph, communities, seed=spec.seed, model=spec.model, workers=1
             )
         )
@@ -453,6 +456,18 @@ class TestShardStore:
         # /solve answered 400.
         with pytest.raises(ServingError, match=f"{field} must be >= 1"):
             _store(**{field: value})
+
+    def test_default_workers_are_all_cores(self):
+        # serve's documented default: the shard resolves workers=None to
+        # every core; the sampler's own default is one process. Not
+        # warmed, so the test starts no worker process on a large host.
+        store = _store(workers=None)
+        try:
+            assert store.get("planted").sampler.workers == (
+                os.cpu_count() or 1
+            )
+        finally:
+            store.close()
 
     def test_hit_miss_accounting(self):
         store = _store()
@@ -805,6 +820,25 @@ class _FrontDoorTests:
         finally:
             conn.close()
         assert _get(port, "/healthz")[0] == 200
+
+
+def test_an_unbindable_port_raises_the_bind_error():
+    # A failed bind calls server_close() from inside the stdlib
+    # constructor, which used to raise AttributeError instead.
+    app = ShardApp(_store())
+    try:
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            with pytest.raises(OSError):
+                ShardHTTPServer(("127.0.0.1", port), app)
+            with pytest.raises(ServingError, match="cannot listen on"):
+                listen(app, "127.0.0.1", port)
+        with pytest.raises(ServingError, match="cannot listen on"):
+            listen(app, "127.0.0.1", 70000)
+    finally:
+        app.close()
 
 
 class TestHTTPServer(_FrontDoorTests):
