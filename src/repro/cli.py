@@ -636,6 +636,10 @@ def _parse_list(
 def _cmd_compare(args) -> int:
     algorithms = _parse_list(args.algorithms, "--algorithms")
     k_values = _parse_list(args.k, "--k", int)
+    if args.trials < 1:
+        raise ReproError(f"--trials must be >= 1, got {args.trials}")
+    if args.resume and not args.checkpoint:
+        raise ReproError("--resume needs --checkpoint PATH")
     config = ExperimentConfig(
         dataset=args.dataset,
         scale=args.scale,
@@ -644,7 +648,7 @@ def _cmd_compare(args) -> int:
         eval_trials=args.eval_trials,
         seed=args.seed,
     )
-    if args.trials <= 1:
+    if args.trials == 1:
         from repro.experiments.checkpoint import as_checkpoint
         from repro.experiments.runner import run_suite
 

@@ -11,13 +11,6 @@ the benchmark modules can both print the paper-style rows and assert the
 qualitative shape.
 """
 
-from repro.experiments.campaign import (
-    CampaignCell,
-    best_algorithm_per_cell,
-    campaign_records,
-    cell_key,
-    run_campaign,
-)
 from repro.experiments.checkpoint import (
     CheckpointStore,
     ResumeReport,
@@ -55,19 +48,8 @@ from repro.experiments.solution_report import (
     render_report,
     solution_report,
 )
-from repro.experiments.stats import (
-    AggregatedCell,
-    collect_samples,
-    repeat_suite,
-    win_rate,
-)
-from repro.experiments.sweeps import (
-    bt_candidate_sweep,
-    celf_speedup,
-    formation_comparison,
-    maf_arm_comparison,
-    pool_size_error_sweep,
-)
+from repro.experiments.stats import AggregatedCell, repeat_suite
+from repro.experiments.sweeps import formation_comparison
 from repro.experiments.tables import table1_datasets
 
 __all__ = [
@@ -87,10 +69,6 @@ __all__ = [
     "format_series",
     "save_runs",
     "load_runs",
-    "celf_speedup",
-    "pool_size_error_sweep",
-    "maf_arm_comparison",
-    "bt_candidate_sweep",
     "formation_comparison",
     "scaling_study",
     "ScalePoint",
@@ -98,17 +76,10 @@ __all__ = [
     "render_report",
     "CommunityOutcome",
     "repeat_suite",
-    "collect_samples",
-    "win_rate",
     "AggregatedCell",
     "perturbation_study",
     "perturb_weights",
     "PerturbationResult",
-    "run_campaign",
-    "campaign_records",
-    "best_algorithm_per_cell",
-    "cell_key",
-    "CampaignCell",
     "CheckpointStore",
     "ResumeReport",
     "as_checkpoint",

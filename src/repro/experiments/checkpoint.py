@@ -1,18 +1,16 @@
-"""Crash-safe checkpointing for long experiment campaigns.
+"""Crash-safe checkpointing for long experiment suites.
 
 A :class:`CheckpointStore` is a JSONL file of ``{"key", "payload"}``
-records, one per completed unit of work (a campaign grid cell, or one
-algorithm × k run of a suite). Every :meth:`CheckpointStore.record`
-rewrites the file via a sibling temporary file, ``fsync`` and
-``os.replace``, so the checkpoint on disk is always a complete,
-parseable prefix of the work done — a crash (power loss, OOM kill,
-Ctrl-C) can lose at most the record being written, never corrupt the
-earlier ones.
+records, one per completed algorithm × k run of a suite. Every
+:meth:`CheckpointStore.record` rewrites the file via a sibling
+temporary file, ``fsync`` and ``os.replace``, so the checkpoint on disk
+is always a complete, parseable prefix of the work done — a crash
+(power loss, OOM kill, Ctrl-C) can lose at most the record being
+written, never corrupt the earlier ones.
 
 On restart, pass the same path with ``resume=True`` (the default): the
-store loads the completed keys and the drivers
-(:func:`~repro.experiments.campaign.run_campaign`,
-:func:`~repro.experiments.runner.run_suite`) skip them, recomputing
+store loads the completed keys and
+:func:`~repro.experiments.runner.run_suite` skips them, recomputing
 nothing that already finished. A :class:`ResumeReport` summarises what
 was skipped versus recomputed.
 

@@ -9,8 +9,8 @@ the field defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.errors import ExperimentError
 
@@ -60,11 +60,6 @@ class ExperimentConfig:
     epsilon: float = 0.2
     delta: float = 0.2
     seed: int = 7
-    #: Crash-safety checkpoint file for ``run_suite``/``run_campaign``
-    #: (``None`` disables). Completed work units are recorded here
-    #: atomically; a rerun with the same path resumes instead of
-    #: recomputing.
-    checkpoint_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.formation not in (
@@ -89,13 +84,13 @@ class ExperimentConfig:
             raise ExperimentError(
                 f"pool_size must be >= 1, got {self.pool_size}"
             )
+        if self.eval_trials < 1:
+            raise ExperimentError(
+                f"eval_trials must be >= 1, got {self.eval_trials}"
+            )
         if self.workers is not None and self.workers < 1:
             raise ExperimentError(
                 f"workers must be >= 1, got {self.workers}"
-            )
-        if self.checkpoint_path is not None and not str(self.checkpoint_path):
-            raise ExperimentError(
-                "checkpoint_path must be a non-empty path or None"
             )
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":

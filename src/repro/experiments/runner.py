@@ -284,16 +284,16 @@ def run_suite(
     Returns ``{algorithm: [AlgorithmRun per k]}``.
 
     ``checkpoint`` (a path or a
-    :class:`~repro.experiments.checkpoint.CheckpointStore`; defaults to
-    ``config.checkpoint_path``) makes the suite crash-safe: every
-    completed algorithm × k run is recorded atomically, and a rerun
-    against the same checkpoint skips completed runs entirely. Each run
-    derives its RNG streams from ``config.seed`` alone, so a resumed
-    suite is identical to an uninterrupted one. Set ``resume=False`` to
-    discard an existing checkpoint file instead of resuming from it.
+    :class:`~repro.experiments.checkpoint.CheckpointStore`) makes the
+    suite crash-safe: every completed algorithm × k run is recorded
+    atomically, and a rerun against the same checkpoint skips completed
+    runs entirely. Each run derives its RNG streams from ``config.seed``
+    alone, so a resumed suite is identical to an uninterrupted one. Set
+    ``resume=False`` to discard an existing checkpoint file instead of
+    resuming from it. A grid of configs is a loop of ``run_suite``
+    calls, each with its own checkpoint file, since the run keys name
+    only the algorithm and ``k``.
     """
-    if checkpoint is None and config.checkpoint_path is not None:
-        checkpoint = config.checkpoint_path
     store = as_checkpoint(checkpoint, resume=resume)
     todo = [
         (name, k)

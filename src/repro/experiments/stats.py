@@ -3,7 +3,7 @@
 The paper reports the average of ten runs per configuration
 (Section VI-A). :func:`repeat_suite` runs a suite under several derived
 seeds and aggregates each (algorithm, k) cell into mean ± normal-
-approximation confidence half-width, plus pairwise win rates.
+approximation confidence half-width.
 """
 
 from __future__ import annotations
@@ -76,55 +76,3 @@ def repeat_suite(
             )
         )
     return cells
-
-
-def win_rate(
-    cells_or_samples: Dict[Tuple[str, int], List[float]],
-    algorithm_a: str,
-    algorithm_b: str,
-) -> float:
-    """Fraction of (k, trial) pairs where ``a`` strictly beats ``b``.
-
-    Operates on raw per-trial samples keyed by ``(algorithm, k)``;
-    trials are matched positionally (same derived seed per index).
-    """
-    wins = 0
-    total = 0
-    for (algorithm, k), samples in cells_or_samples.items():
-        if algorithm != algorithm_a:
-            continue
-        other = cells_or_samples.get((algorithm_b, k))
-        if other is None:
-            continue
-        for a_value, b_value in zip(samples, other):
-            total += 1
-            if a_value > b_value:
-                wins += 1
-    if total == 0:
-        raise ExperimentError(
-            f"no comparable trials between {algorithm_a!r} and {algorithm_b!r}"
-        )
-    return wins / total
-
-
-def collect_samples(
-    config: ExperimentConfig,
-    algorithms: Sequence[str],
-    k_values: Sequence[int],
-    trials: int = 10,
-    candidate_limit: int = 50,
-) -> Dict[Tuple[str, int], List[float]]:
-    """Raw per-trial benefit samples keyed by (algorithm, k) — the
-    input :func:`win_rate` consumes."""
-    samples: Dict[Tuple[str, int], List[float]] = {}
-    for trial in range(trials):
-        trial_config = config.with_overrides(
-            seed=derive_seed(config.seed, "trial", trial) or 0
-        )
-        results = run_suite(
-            trial_config, algorithms, k_values, candidate_limit=candidate_limit
-        )
-        for algorithm, runs in results.items():
-            for run in runs:
-                samples.setdefault((algorithm, run.k), []).append(run.benefit)
-    return samples

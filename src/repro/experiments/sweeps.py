@@ -1,113 +1,18 @@
-"""Ablation sweeps as library functions.
+"""The community-formation sweep as a library function.
 
-The benchmark modules exercise these; they are public API so users can
-run the same studies at their own scales and archive the results via
-:mod:`repro.experiments.persistence`.
+``benchmarks/bench_ablation_formation.py`` runs it; it is public API so
+users can run the same study at their own scales and archive the
+results via :mod:`repro.experiments.persistence`. The other ablations
+(CELF, pool size, MAF arms, BT candidates) are the
+``benchmarks/bench_ablation_*.py`` modules themselves.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
-from repro.core.bt import BT
-from repro.core.greedy import greedy_eager_nu, lazy_greedy_nu
-from repro.core.maf import MAF
-from repro.diffusion.simulator import community_benefit_monte_carlo
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import build_instance, make_pool
-from repro.rng import derive_seed
-from repro.sampling.pool import RICSamplePool
-from repro.sampling.ric import RICSampler
-from repro.utils.timing import Stopwatch
-
-
-def celf_speedup(
-    config: ExperimentConfig, k: int = 20
-) -> Dict[str, float]:
-    """Compare CELF vs eager greedy on the ν objective.
-
-    Returns ``{eager_value, lazy_value, eager_seconds, lazy_seconds,
-    speedup}``.
-    """
-    graph, communities = build_instance(config)
-    pool = make_pool(graph, communities, config)
-    eager_timer, lazy_timer = Stopwatch(), Stopwatch()
-    with eager_timer:
-        eager_seeds = greedy_eager_nu(pool, k)
-    with lazy_timer:
-        lazy_seeds = lazy_greedy_nu(pool, k)
-    return {
-        "eager_value": pool.fractional_count(eager_seeds),
-        "lazy_value": pool.fractional_count(lazy_seeds),
-        "eager_seconds": eager_timer.elapsed,
-        "lazy_seconds": lazy_timer.elapsed,
-        "speedup": eager_timer.elapsed / max(lazy_timer.elapsed, 1e-9),
-    }
-
-
-def pool_size_error_sweep(
-    config: ExperimentConfig,
-    sizes: Sequence[int] = (50, 200, 800, 3200),
-    trials: int = 3,
-    reference_trials: int = 20_000,
-) -> Dict[int, float]:
-    """Mean relative error of ``ĉ_R(S)`` vs Monte Carlo per pool size."""
-    graph, communities = build_instance(config)
-    seeds = list(communities[0].members[:2]) + list(communities[1].members[:2])
-    reference = community_benefit_monte_carlo(
-        graph,
-        communities,
-        seeds,
-        num_trials=reference_trials,
-        seed=derive_seed(config.seed, "sweep-ref"),
-    )
-    errors: Dict[int, List[float]] = {size: [] for size in sizes}
-    for trial in range(trials):
-        sampler = RICSampler(
-            graph, communities, seed=derive_seed(config.seed, "sweep", trial)
-        )
-        pool = RICSamplePool(sampler)
-        for size in sizes:
-            pool.grow_to(size)
-            estimate = pool.estimate_benefit(seeds)
-            errors[size].append(abs(estimate - reference) / max(reference, 1e-9))
-    return {size: sum(e) / len(e) for size, e in errors.items()}
-
-
-def maf_arm_comparison(
-    config: ExperimentConfig, k: int = 15
-) -> Dict[str, float]:
-    """Pool objective of MAF's S1, S2 and the combined solver."""
-    graph, communities = build_instance(config)
-    pool = make_pool(graph, communities, config)
-    solver = MAF(seed=derive_seed(config.seed, "maf-arms"))
-    s1 = solver._build_s1(pool, k)
-    s2 = solver._build_s2(pool, k)
-    combined = solver.solve(pool, k)
-    return {
-        "s1_value": pool.estimate_benefit(s1),
-        "s2_value": pool.estimate_benefit(s2),
-        "combined_value": combined.objective,
-    }
-
-
-def bt_candidate_sweep(
-    config: ExperimentConfig,
-    limits: Sequence[Optional[int]] = (5, 20, 60, None),
-    k: int = 8,
-) -> List[Tuple[Optional[int], float, float]]:
-    """BT quality/runtime per candidate limit:
-    ``[(limit, pool_objective, seconds)]``."""
-    graph, communities = build_instance(config)
-    pool = make_pool(graph, communities, config)
-    rows: List[Tuple[Optional[int], float, float]] = []
-    for limit in limits:
-        solver = BT(candidate_limit=limit)
-        timer = Stopwatch()
-        with timer:
-            result = solver.solve(pool, k)
-        rows.append((limit, result.objective, timer.elapsed))
-    return rows
+from repro.experiments.runner import run_suite
 
 
 def formation_comparison(
@@ -121,8 +26,6 @@ def formation_comparison(
     Extends Fig. 4's Louvain-vs-Random comparison with the
     label-propagation detector.
     """
-    from repro.experiments.runner import run_suite
-
     results: Dict[str, float] = {}
     for formation in formations:
         suite = run_suite(

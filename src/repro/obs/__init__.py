@@ -13,8 +13,8 @@ record of the run:
   request latencies).
 - **Manifests** (:func:`build_manifest`): one JSON document per run
   binding git SHA, platform, RNG seeds, a config hash, phase timings
-  and the metrics snapshot — written atomically alongside checkpoint /
-  campaign artifacts.
+  and the metrics snapshot — written atomically alongside checkpoint
+  artifacts.
 
 See ``docs/observability.md`` for the span and metric name registry and
 end-to-end examples.

@@ -26,6 +26,7 @@ import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional
 
+from repro.errors import ObservabilityError
 from repro.obs.metrics import metrics
 from repro.obs.sinks import read_jsonl
 
@@ -128,10 +129,15 @@ def merge_event_logs(paths: Iterable[str]) -> List[Dict[str, Any]]:
     """Merge several journals into one timeline, ordered by wall clock.
 
     Wall clocks across processes on one host are close enough to order
-    lifecycle events (seconds apart); ties keep per-file order.
+    lifecycle events (seconds apart); ties keep per-file order. A
+    journal that does not parse raises
+    :class:`~repro.errors.ObservabilityError` naming it.
     """
     merged: List[Dict[str, Any]] = []
     for path in paths:
-        merged.extend(read_events(path))
+        try:
+            merged.extend(read_events(path))
+        except ValueError as exc:
+            raise ObservabilityError(f"cannot parse {path!r}: {exc}") from exc
     merged.sort(key=lambda record: record.get("ts", 0.0))
     return merged

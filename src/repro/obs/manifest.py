@@ -6,7 +6,7 @@ hash (what), phase timings aggregated from the trace and the final
 metrics snapshot (how it went). It is written with the same atomic
 temp-file + ``fsync`` + ``os.replace`` discipline as
 :class:`~repro.experiments.checkpoint.CheckpointStore`, so it can sit
-safely alongside checkpoint/campaign artifacts.
+safely alongside checkpoint artifacts.
 
 Schema (``repro-run-manifest/1``)::
 

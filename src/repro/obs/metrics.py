@@ -22,7 +22,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from repro.obs import _gate
 
 #: Default histogram bucket upper edges, in seconds — spans the range
-#: from sub-millisecond kernel calls to minutes-long campaign cells.
+#: from sub-millisecond kernel calls to minutes-long experiment suites.
 DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0, 300.0,
 )

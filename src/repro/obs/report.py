@@ -15,7 +15,7 @@ from __future__ import annotations
 import glob
 import json
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ObservabilityError
 from repro.obs.events import merge_event_logs
@@ -424,6 +424,20 @@ def _cluster_topology_lines(manifest: Optional[Dict[str, Any]]) -> List[str]:
     return lines
 
 
+def _parsed(path: str, read: Callable[[str], Any]) -> Any:
+    """``read(path)``; a file that does not parse raises
+    :class:`~repro.errors.ObservabilityError` naming it."""
+    try:
+        return read(path)
+    except ValueError as exc:  # json.JSONDecodeError included
+        raise ObservabilityError(f"cannot parse {path!r}: {exc}") from exc
+
+
+def _read_json(path: str) -> Any:
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
 def render_cluster_report(rundir: str) -> str:
     """Stitch a cluster run directory into one rendered report.
 
@@ -436,14 +450,15 @@ def render_cluster_report(rundir: str) -> str:
     tolerates any subset being absent, since a SIGKILL'd replica never
     writes its final dumps. Raises
     :class:`~repro.errors.ObservabilityError` when the directory has no
-    cluster artifacts at all.
+    cluster artifacts at all, or naming the file when one of them does
+    not parse.
     """
     if not os.path.isdir(rundir):
         raise ObservabilityError(f"{rundir!r} is not a run directory")
     manifest_path = os.path.join(rundir, "cluster.manifest.json")
     manifest = None
     if os.path.exists(manifest_path):
-        manifest = load_manifest(manifest_path)
+        manifest = _parsed(manifest_path, load_manifest)
     event_paths = sorted(glob.glob(os.path.join(rundir, "*.events.jsonl")))
     top_journal = os.path.join(rundir, "events.jsonl")
     if os.path.exists(top_journal):
@@ -453,13 +468,12 @@ def render_cluster_report(rundir: str) -> str:
     spans: List[Dict[str, Any]] = []
     for path in trace_paths:
         spans.extend(
-            r for r in read_jsonl(path) if r.get("type") == "span"
+            r for r in _parsed(path, read_jsonl) if r.get("type") == "span"
         )
     metrics_path = os.path.join(rundir, "cluster.metrics.json")
     aggregation = None
     if os.path.exists(metrics_path):
-        with open(metrics_path, "r", encoding="utf-8") as handle:
-            aggregation = json.load(handle)
+        aggregation = _parsed(metrics_path, _read_json)
     if manifest is None and not events and not spans and aggregation is None:
         raise ObservabilityError(
             f"{rundir!r} contains no cluster observability artifacts "

@@ -62,8 +62,7 @@ SPAN_CATALOG: Dict[str, str] = {
     "mb/bt_arm": "MB arm running BT",
     "experiment/run_algorithm": "one algorithm run inside an experiment",
     "experiment/evaluate": "common-pool evaluation of one algorithm's seeds",
-    "campaign/cell": "one (dataset, threshold, formation) campaign cell",
-    "checkpoint/record": "campaign checkpoint write",
+    "checkpoint/record": "experiment checkpoint write",
     "bench/sampling": "sampling benchmark lane",
     "bench/engine": "engine benchmark lane",
     "router/solve": "router-side request span (one client /solve)",

@@ -30,7 +30,6 @@ router-level failover and restart invisible to clients beyond latency.
 from __future__ import annotations
 
 import http.client
-import json
 import multiprocessing
 import os
 import signal
@@ -347,7 +346,13 @@ class Supervisor:
         deadline = time.monotonic() + self.config.startup_timeout
         for state in self._replicas.values():
             if not self._await_healthy(state, deadline):
+                exitcode = state.process.exitcode
                 self.stop()
+                if exitcode is not None:
+                    raise ClusterError(
+                        f"replica {state.replica_id} exited with code "
+                        f"{exitcode} during start-up"
+                    )
                 raise ClusterError(
                     f"replica {state.replica_id} did not become healthy "
                     f"within {self.config.startup_timeout:.1f}s"
@@ -689,12 +694,13 @@ class ServingCluster:
         if self.journal is not None and self.router_server is not None:
             # Final fleet sweep while every surviving replica can still
             # answer a scrape; the aggregation document is the report's
-            # "fleet metrics" section.
+            # "fleet metrics" section, written atomically like the
+            # manifest.
             document = self.router_app.fleet.aggregate(force=True)
-            path = os.path.join(self.config.run_dir, "cluster.metrics.json")
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+            write_manifest(
+                document,
+                os.path.join(self.config.run_dir, "cluster.metrics.json"),
+            )
         if self.router_server is not None:
             self.router_server.drain(self.config.drain_timeout)
             self.router_server = None

@@ -1,4 +1,4 @@
-"""Crash-safe campaign checkpointing: atomicity, resume, determinism."""
+"""Crash-safe suite checkpointing: atomicity, resume, determinism."""
 
 import json
 import os
@@ -6,7 +6,6 @@ import os
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.campaign import cell_key, run_campaign
 from repro.experiments.checkpoint import (
     CheckpointStore,
     ResumeReport,
@@ -142,37 +141,3 @@ def test_suite_full_checkpoint_recomputes_nothing(tmp_path):
     assert store.report().num_computed == 0
     assert store.report().num_skipped == len(ALGOS) * len(KS)
     assert _sig(first) == _sig(second)
-
-
-def test_suite_uses_config_checkpoint_path(tmp_path):
-    path = str(tmp_path / "via_config.jsonl")
-    config = CONFIG.with_overrides(checkpoint_path=path)
-    run_suite(config, ["Degree"], KS)
-    assert os.path.exists(path)
-    store = CheckpointStore(path)
-    assert sorted(store.keys()) == ["Degree|k=3"]
-
-
-def test_config_rejects_empty_checkpoint_path():
-    with pytest.raises(ExperimentError):
-        ExperimentConfig(checkpoint_path="")
-
-
-# ------------------------------------------------------------ campaign
-
-
-def test_campaign_checkpoint_resume(tmp_path):
-    path = tmp_path / "campaign.jsonl"
-    kwargs = dict(thresholds=("fractional", "bounded"))
-    reference = run_campaign(CONFIG, ["Degree"], KS, **kwargs)
-    run_campaign(CONFIG, ["Degree"], KS, checkpoint=path, **kwargs)
-    store = CheckpointStore(path)
-    assert cell_key("facebook", "fractional", "louvain") in store
-    resumed = run_campaign(
-        CONFIG, ["Degree"], KS, checkpoint=store, **kwargs
-    )
-    assert store.report().num_computed == 0
-    assert store.report().num_skipped == 2
-    assert [(c.dataset, c.threshold, c.formation, _sig(c.runs)) for c in resumed] == [
-        (c.dataset, c.threshold, c.formation, _sig(c.runs)) for c in reference
-    ]

@@ -118,6 +118,30 @@ def test_solve_rejects_bad_limits_before_building_the_instance(capsys, flags):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--trials", "0"],
+        ["compare", "--trials", "-3"],
+        ["compare", "--eval-trials", "0"],
+        ["compare", "--resume"],
+    ],
+)
+def test_compare_rejects_counts_before_building_the_instance(
+    monkeypatch, capsys, argv
+):
+    # A count the run cannot honour, or --resume with nothing to
+    # resume from, must fail before any instance is built.
+    built = []
+    monkeypatch.setattr(
+        "repro.experiments.runner.build_instance",
+        lambda config: built.append(config),
+    )
+    assert main(argv) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not built
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (["compare", "--k", "5,x"], "--k"),
@@ -153,6 +177,10 @@ def test_serving_commands_exit_2_on_an_unbindable_port(argv):
     assert result.returncode == 2, result.stderr
     assert "cannot listen on 127.0.0.1:" in result.stderr
     assert "Traceback" not in result.stderr
+    if "--replica-ports" in argv:
+        # The replica exits on its bind error, which is no timeout.
+        assert "replica r0 exited with code 2" in result.stderr
+        assert "did not become healthy" not in result.stderr
 
 
 def test_solve_command_lt_model(capsys):

@@ -7,6 +7,7 @@ ablation index or the README table, and the deliverable documents
 exist and are non-trivial.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,22 @@ SRC = ROOT / "src" / "repro"
 
 def _doc_text(*names):
     return "\n".join((ROOT / name).read_text() for name in names)
+
+
+def _documented_names(*headers):
+    """Backticked names in the first column of every
+    docs/observability.md table whose header row starts with one of
+    ``headers``."""
+    names = []
+    in_table = False
+    for line in (ROOT / "docs" / "observability.md").read_text().splitlines():
+        if line.startswith(headers):
+            in_table = True
+        elif in_table and line.startswith("|"):
+            names += re.findall(r"`([^`]+)`", line.split("|")[1])
+        else:
+            in_table = False
+    return names
 
 
 def test_required_documents_exist_and_substantial():
@@ -123,19 +140,9 @@ def test_every_catalogued_metric_is_documented():
 
 
 def test_every_documented_metric_is_catalogued():
-    import re
-
     from repro.obs.metrics import CATALOG
 
-    documented = []
-    in_table = False
-    for line in (ROOT / "docs" / "observability.md").read_text().splitlines():
-        if line.startswith(("| Counter |", "| Gauge |", "| Histogram |")):
-            in_table = True
-        elif in_table and line.startswith("|"):
-            documented += re.findall(r"`([^`]+)`", line.split("|")[1])
-        else:
-            in_table = False
+    documented = _documented_names("| Counter |", "| Gauge |", "| Histogram |")
     assert documented, "no metric tables found in docs/observability.md"
     stale = sorted(name for name in documented if name not in CATALOG)
     assert not stale, (
@@ -225,6 +232,23 @@ def test_every_span_and_event_name_is_documented():
         "span/event names absent from docs/observability.md: "
         f"{undocumented}"
     )
+
+
+def test_every_documented_span_and_event_is_catalogued():
+    from repro.obs.events import EVENT_TYPES
+    from repro.obs.tracer import SPAN_CATALOG
+
+    for header, catalog in (
+        ("| Span |", SPAN_CATALOG),
+        ("| Event |", EVENT_TYPES),
+    ):
+        documented = _documented_names(header)
+        assert documented, f"no {header} table in docs/observability.md"
+        stale = sorted(name for name in documented if name not in catalog)
+        assert not stale, (
+            f"docs/observability.md's {header} table names entries "
+            f"missing from the catalogue: {stale}"
+        )
 
 
 def test_span_lint_script_passes_as_a_script():

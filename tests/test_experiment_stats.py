@@ -5,12 +5,7 @@ import pytest
 from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_instance
-from repro.experiments.stats import (
-    AggregatedCell,
-    collect_samples,
-    repeat_suite,
-    win_rate,
-)
+from repro.experiments.stats import AggregatedCell, repeat_suite
 
 FAST = ExperimentConfig(
     dataset="facebook", scale=0.08, pool_size=120, eval_trials=40, seed=11
@@ -32,25 +27,6 @@ def test_repeat_suite_aggregates_cells():
 def test_repeat_suite_validates_trials():
     with pytest.raises(ExperimentError):
         repeat_suite(FAST, ["MAF"], [3], trials=0)
-
-
-def test_collect_samples_shape():
-    samples = collect_samples(FAST, ["MAF", "KS"], [3, 5], trials=2)
-    assert set(samples) == {("MAF", 3), ("MAF", 5), ("KS", 3), ("KS", 5)}
-    assert all(len(v) == 2 for v in samples.values())
-
-
-def test_win_rate_bounds_and_reflexivity():
-    samples = collect_samples(FAST, ["MAF", "KS"], [5], trials=3)
-    rate = win_rate(samples, "MAF", "KS")
-    assert 0.0 <= rate <= 1.0
-    # An algorithm never strictly beats itself.
-    assert win_rate(samples, "KS", "KS") == 0.0
-
-
-def test_win_rate_requires_comparable_data():
-    with pytest.raises(ExperimentError):
-        win_rate({("A", 1): [1.0]}, "A", "B")
 
 
 def test_greedy_modularity_formation_builds():

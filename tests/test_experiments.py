@@ -38,6 +38,8 @@ def test_config_validation():
         ExperimentConfig(scale=-1)
     with pytest.raises(ExperimentError):
         ExperimentConfig(pool_size=0)
+    with pytest.raises(ExperimentError, match="eval_trials"):
+        ExperimentConfig(eval_trials=0)
 
 
 def test_config_with_overrides():

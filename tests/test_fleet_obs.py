@@ -448,6 +448,37 @@ class TestClusterReporter:
         with pytest.raises(ObservabilityError, match="run directory"):
             render_cluster_report(str(tmp_path / "missing"))
 
+    @pytest.mark.parametrize(
+        "name, garble_first_line",
+        [
+            ("cluster.metrics.json", False),
+            ("cluster.manifest.json", False),
+            # A torn final line is tolerated in JSONL; a bad earlier
+            # line is not.
+            ("events.jsonl", True),
+            ("router.trace.jsonl", True),
+        ],
+    )
+    def test_a_malformed_artifact_is_an_error_naming_it(
+        self, tmp_path, capsys, name, garble_first_line
+    ):
+        from repro.cli import main
+        from repro.errors import ObservabilityError
+
+        rundir = self._rundir(tmp_path)
+        path = os.path.join(rundir, name)
+        if garble_first_line:
+            with open(path, "r+", encoding="utf-8") as handle:
+                text = handle.read()
+                handle.seek(0)
+                handle.write("{not json\n" + text)
+        else:
+            os.truncate(path, os.path.getsize(path) // 2)
+        with pytest.raises(ObservabilityError, match=name):
+            render_cluster_report(rundir)
+        assert main(["report", "--cluster", rundir]) == 2
+        assert f"error: cannot parse '{path}'" in capsys.readouterr().err
+
 
 # ----------------------------------------------------------------------
 # Full-plane chaos floor (slow lane): SIGKILL under load with run_dir

@@ -83,7 +83,10 @@ def test_parallel_speedup_on_multicore():
     with RICSampler(
         graph, communities, seed=9, workers=4
     ) as sampler:
-        sampler.sample_many(8)  # warm the worker pool
+        # Below MIN_DISPATCH samples no worker starts, so warm with that
+        # many: the timed call must not pay for the pool start-up.
+        sampler.sample_many(sampler.MIN_DISPATCH)
+        assert sampler.last_profile()["mode"] == "parallel"
         start = time.perf_counter()
         sampler.sample_many(count)
         parallel_elapsed = time.perf_counter() - start

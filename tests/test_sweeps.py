@@ -1,57 +1,11 @@
 """Sweep driver tests (fast configurations)."""
 
-import pytest
-
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.sweeps import (
-    bt_candidate_sweep,
-    celf_speedup,
-    formation_comparison,
-    maf_arm_comparison,
-    pool_size_error_sweep,
-)
+from repro.experiments.sweeps import formation_comparison
 
 FAST = ExperimentConfig(
     dataset="facebook", scale=0.08, pool_size=150, eval_trials=50, seed=5
 )
-
-
-def test_celf_speedup_fields():
-    result = celf_speedup(FAST, k=6)
-    assert set(result) == {
-        "eager_value",
-        "lazy_value",
-        "eager_seconds",
-        "lazy_seconds",
-        "speedup",
-    }
-    assert result["lazy_value"] >= result["eager_value"] * 0.99
-    assert result["speedup"] > 0
-
-
-def test_pool_size_error_sweep_shrinks():
-    errors = pool_size_error_sweep(
-        FAST, sizes=(40, 640), trials=2, reference_trials=4000
-    )
-    assert set(errors) == {40, 640}
-    assert errors[640] <= errors[40] + 0.05
-
-
-def test_maf_arm_comparison_combined_is_max():
-    result = maf_arm_comparison(FAST, k=8)
-    assert result["combined_value"] >= max(
-        result["s1_value"], result["s2_value"]
-    ) - 1e-9
-
-
-def test_bt_candidate_sweep_rows():
-    config = FAST.with_overrides(threshold="bounded", pool_size=100)
-    rows = bt_candidate_sweep(config, limits=(3, None), k=4)
-    assert len(rows) == 2
-    (limited, v_lim, t_lim), (full, v_full, t_full) = rows
-    assert limited == 3 and full is None
-    assert v_lim <= v_full + 1e-9
-    assert t_lim >= 0 and t_full >= 0
 
 
 def test_formation_comparison_includes_label_propagation():
