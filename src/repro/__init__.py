@@ -31,6 +31,7 @@ from repro.baselines import (
     im_seeds,
     ks_seeds,
     random_seeds,
+    ris_im,
 )
 from repro.communities import (
     Community,
@@ -103,13 +104,7 @@ from repro.graph import (
     watts_strogatz_graph,
     write_edge_list,
 )
-from repro.im import ris_im
-from repro.sampling import (
-    RICSample,
-    RICSamplePool,
-    RICSampler,
-    RRSampler,
-)
+from repro.sampling import RICSample, RICSamplePool, RICSampler
 from repro.utils.faults import Fault, FaultInjected, FaultInjector
 from repro.utils.retry import Deadline, RetryPolicy
 
@@ -156,7 +151,6 @@ __all__ = [
     "RICSample",
     "RICSampler",
     "RICSamplePool",
-    "RRSampler",
     # core
     "CoverageState",
     "FlatCoverage",
@@ -176,7 +170,7 @@ __all__ = [
     "DkSReduction",
     "dks_to_imc",
     "induced_edge_count",
-    # im + baselines
+    # baselines
     "ris_im",
     "hbc_seeds",
     "ks_seeds",

@@ -32,7 +32,13 @@ from typing import Any, Callable, List, Optional, Sequence
 from repro.core import SOLVERS, make_solver, solve_imc
 from repro.datasets.registry import DATASETS
 from repro.diffusion.simulator import BenefitEvaluator
-from repro.errors import ReproError, SamplingError, ServingError, SolverError
+from repro.errors import (
+    EstimationError,
+    ReproError,
+    SamplingError,
+    ServingError,
+    SolverError,
+)
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import (
     fig4_community_structure,
@@ -494,6 +500,10 @@ def _cmd_solve(args, extras: Optional[dict] = None) -> int:
     if args.max_samples < 0:
         raise SolverError(
             f"--max-samples must be >= 0, got {args.max_samples}"
+        )
+    if args.eval_trials < 0:
+        raise EstimationError(
+            f"--eval-trials must be >= 0, got {args.eval_trials}"
         )
     convergence = None
     if args.ci_width is not None:

@@ -31,7 +31,7 @@ class CommunityError(ReproError):
 
 
 class SamplingError(ReproError):
-    """Raised when RIC / RR sample generation receives invalid input."""
+    """Raised when RIC sample generation receives invalid input."""
 
 
 class WorkerCrashError(SamplingError):

@@ -2,11 +2,12 @@
 
 A :class:`CheckpointStore` is a JSONL file of ``{"key", "payload"}``
 records, one per completed algorithm × k run of a suite. Every
-:meth:`CheckpointStore.record` rewrites the file via a sibling
-temporary file, ``fsync`` and ``os.replace``, so the checkpoint on disk
-is always a complete, parseable prefix of the work done — a crash
-(power loss, OOM kill, Ctrl-C) can lose at most the record being
-written, never corrupt the earlier ones.
+:meth:`CheckpointStore.record` rewrites the file atomically
+(:func:`~repro.obs.sinks.write_atomic`: sibling temporary file,
+``fsync``, ``os.replace``), so the checkpoint on disk is always a
+complete, parseable prefix of the work done — a crash (power loss, OOM
+kill, Ctrl-C) can lose at most the record being written, never corrupt
+the earlier ones.
 
 On restart, pass the same path with ``resume=True`` (the default): the
 store loads the completed keys and
@@ -29,6 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ExperimentError
 from repro.obs import trace
+from repro.obs.sinks import write_atomic
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -138,31 +140,23 @@ class CheckpointStore:
     def record(self, key: str, payload: Any) -> None:
         """Record ``key`` as completed with ``payload``, atomically.
 
-        The whole store is rewritten to ``<path>.tmp`` on the same
-        filesystem, fsync'd, then ``os.replace``d over ``path`` — so
-        readers (and a post-crash resume) never observe a partial file.
+        The whole store is rewritten through
+        :func:`~repro.obs.sinks.write_atomic`, so readers (and a
+        post-crash resume) never observe a partial file.
         """
         self._payloads[key] = payload
         if key not in self._computed:
             self._computed.append(key)
         with trace.span("checkpoint/record", key=key):
-            tmp_path = f"{self.path}.tmp"
-            with open(tmp_path, "w", encoding="utf-8") as fh:
-                for existing_key, existing_payload in self._payloads.items():
-                    fh.write(
-                        json.dumps(
-                            {
-                                "version": _SCHEMA_VERSION,
-                                "key": existing_key,
-                                "payload": existing_payload,
-                            },
-                            sort_keys=True,
-                        )
-                    )
-                    fh.write("\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_path, self.path)
+            lines = [
+                json.dumps(
+                    {"version": _SCHEMA_VERSION, "key": done, "payload": value},
+                    sort_keys=True,
+                )
+                + "\n"
+                for done, value in self._payloads.items()
+            ]
+            write_atomic(self.path, "".join(lines))
 
     def report(self) -> ResumeReport:
         """Skipped/computed summary of this store's session."""

@@ -47,6 +47,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import planted_partition_graph
 from repro.graph.weights import assign_weighted_cascade
 from repro.obs import environment_fingerprint, trace
+from repro.obs.sinks import write_atomic
 from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSampler
 
@@ -216,7 +217,8 @@ def record_entry(
     """Append ``entry`` to the trajectory artifact (atomic rewrite).
 
     Returns the full artifact after the append. The write goes through
-    a temp file + ``os.replace`` so a crash cannot leave a torn JSON.
+    :func:`~repro.obs.sinks.write_atomic`, so a crash cannot leave a
+    torn JSON.
     """
     path = path or default_artifact_path()
     data = load_trajectory(path)
@@ -225,11 +227,7 @@ def record_entry(
         "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
     )
     data["trajectory"].append(stamped)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
     return data
 
 

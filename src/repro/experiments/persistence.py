@@ -19,6 +19,7 @@ from repro.experiments.runner import (
     run_from_record,
     run_to_record,
 )
+from repro.obs.sinks import write_atomic
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -56,23 +57,16 @@ def save_runs(
 ) -> None:
     """Archive suite results (plus free-form ``metadata``) to JSON.
 
-    The write is crash-safe: the payload goes to a sibling temporary
-    file first, is fsync'd, then atomically ``os.replace``d over
-    ``path`` — a crash mid-archive leaves any previous archive intact
-    rather than a truncated JSON file.
+    The write is crash-safe (:func:`~repro.obs.sinks.write_atomic`): a
+    crash mid-archive leaves any previous archive intact rather than a
+    truncated JSON file.
     """
     payload = {
         "version": _SCHEMA_VERSION,
         "metadata": metadata or {},
         "records": runs_to_records(results),
     }
-    path = os.fspath(path)
-    tmp_path = f"{path}.tmp"
-    with open(tmp_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp_path, path)
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
 def load_runs(path: PathLike) -> Dict[str, List[AlgorithmRun]]:

@@ -199,7 +199,7 @@ class DiGraph:
     def in_pairs(self) -> List[Tuple[Tuple[int, float], ...]]:
         """Per-node traversal table: ``pairs[v]`` holds the ``(source,
         weight)`` pairs of ``v``'s in-edges in adjacency order, as
-        immutable tuples — the table every reverse sampler iterates.
+        immutable tuples — the table the RIC sampler iterates.
         Built lazily; any mutation drops it, and it is not pickled."""
         if self._in_pairs is None:
             self._in_pairs = list(map(_pairs, self._in, self._in_w))

@@ -3,9 +3,9 @@
 A manifest is one JSON document that makes a run *attributable* after
 the fact: git SHA and platform (where), RNG seeds and a configuration
 hash (what), phase timings aggregated from the trace and the final
-metrics snapshot (how it went). It is written with the same atomic
-temp-file + ``fsync`` + ``os.replace`` discipline as
-:class:`~repro.experiments.checkpoint.CheckpointStore`, so it can sit
+metrics snapshot (how it went). It is written atomically
+(:func:`~repro.obs.sinks.write_atomic`, like
+:class:`~repro.experiments.checkpoint.CheckpointStore`), so it can sit
 safely alongside checkpoint artifacts.
 
 Schema (``repro-run-manifest/1``)::
@@ -41,6 +41,7 @@ from typing import Any, Dict, Iterable, Optional
 from repro.errors import ObservabilityError
 from repro.obs.environment import environment_fingerprint
 from repro.obs.metrics import metrics
+from repro.obs.sinks import write_atomic
 from repro.obs.tracer import phase_timings, trace
 
 #: Manifest schema identifier (bump when the document shape changes).
@@ -103,21 +104,10 @@ def build_manifest(
 
 
 def write_manifest(manifest: Dict[str, Any], path: str) -> str:
-    """Write ``manifest`` to ``path`` atomically; returns ``path``.
-
-    Same crash discipline as the checkpoint store: sibling temp file,
-    ``fsync``, ``os.replace`` — a reader (or a post-crash resume) never
-    observes a partial manifest.
-    """
-    path = os.fspath(path)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    return path
+    """Write ``manifest`` to ``path`` atomically
+    (:func:`~repro.obs.sinks.write_atomic`); returns ``path``."""
+    text = json.dumps(manifest, indent=2, sort_keys=True, default=str)
+    return write_atomic(path, text + "\n")
 
 
 def load_manifest(path: str) -> Dict[str, Any]:

@@ -433,9 +433,12 @@ def _parsed(path: str, read: Callable[[str], Any]) -> Any:
         raise ObservabilityError(f"cannot parse {path!r}: {exc}") from exc
 
 
-def _read_json(path: str) -> Any:
+def _read_object(path: str) -> Dict[str, Any]:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        document = json.load(handle)
+    if not isinstance(document, dict):
+        raise ObservabilityError(f"{path!r} holds no JSON object")
+    return document
 
 
 def render_cluster_report(rundir: str) -> str:
@@ -451,7 +454,7 @@ def render_cluster_report(rundir: str) -> str:
     writes its final dumps. Raises
     :class:`~repro.errors.ObservabilityError` when the directory has no
     cluster artifacts at all, or naming the file when one of them does
-    not parse.
+    not parse or holds something other than JSON objects.
     """
     if not os.path.isdir(rundir):
         raise ObservabilityError(f"{rundir!r} is not a run directory")
@@ -473,7 +476,7 @@ def render_cluster_report(rundir: str) -> str:
     metrics_path = os.path.join(rundir, "cluster.metrics.json")
     aggregation = None
     if os.path.exists(metrics_path):
-        aggregation = _parsed(metrics_path, _read_json)
+        aggregation = _parsed(metrics_path, _read_object)
     if manifest is None and not events and not spans and aggregation is None:
         raise ObservabilityError(
             f"{rundir!r} contains no cluster observability artifacts "
@@ -539,8 +542,7 @@ def render_report(path: str) -> str:
             f"a JSONL trace"
         ) from exc
     if records and all(
-        isinstance(r, dict) and r.get("type") in _METRIC_RECORD_TYPES
-        for r in records
+        r.get("type") in _METRIC_RECORD_TYPES for r in records
     ):
         return render_metrics(records)
     return render_trace(records)

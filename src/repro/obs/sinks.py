@@ -5,9 +5,11 @@ Two write disciplines, matched to the artifact:
 - :class:`JsonlSink` *streams*: one line per record, flushed as
   written, so a crashed run leaves a readable prefix (the same
   torn-tail-tolerant JSONL convention the checkpoint store uses).
-- :func:`write_jsonl` writes a whole record list *atomically* (sibling
-  temp file, ``fsync``, ``os.replace``) — used for end-of-run artifacts
-  like the metrics dump, where a half-written file is worse than none.
+- :func:`write_jsonl` writes a whole record list *atomically* through
+  :func:`write_atomic` (sibling temp file, ``fsync``, ``os.replace``;
+  manifests, archived results, checkpoints and the kernel-bench
+  trajectory use it too) — used for end-of-run artifacts like the
+  metrics dump, where a half-written file is worse than none.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import json
 import os
 from typing import Any, Dict, Iterable, Optional
+
+from repro.errors import ObservabilityError
 
 
 class JsonlSink:
@@ -52,23 +56,34 @@ class JsonlSink:
         self.close()
 
 
-def write_jsonl(path: str, records: Iterable[Dict[str, Any]]) -> str:
-    """Write ``records`` to ``path`` as JSONL, atomically.
+def write_atomic(path: str, text: str) -> str:
+    """Replace ``path`` with ``text`` so that a crash cannot tear it.
 
-    The records go to a sibling ``<path>.tmp`` first, are ``fsync``-ed,
-    then ``os.replace``-d over ``path`` — a crash cannot leave a torn
-    file. Returns ``path``.
+    ``text`` goes to a sibling ``<path>.tmp`` first, is flushed and
+    ``fsync``-ed, then ``os.replace``-d over ``path``: a reader, or a
+    resume after a crash, sees the old file or the new one, never a
+    prefix. Returns ``path``.
     """
     path = os.fspath(path)
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True, default=str))
-            handle.write("\n")
+        handle.write(text)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
     return path
+
+
+def write_jsonl(path: str, records: Iterable[Dict[str, Any]]) -> str:
+    """Write ``records`` to ``path`` as JSONL, atomically
+    (:func:`write_atomic`). Returns ``path``."""
+    return write_atomic(
+        path,
+        "".join(
+            json.dumps(record, sort_keys=True, default=str) + "\n"
+            for record in records
+        ),
+    )
 
 
 def read_jsonl(path: str) -> list:
@@ -82,7 +97,10 @@ def read_jsonl(path: str) -> list:
     to a record just because its prefix happens to parse. A terminated
     but malformed final line is also tolerated (crash-mid-write
     signature, same convention as the checkpoint store) and dropped;
-    malformed earlier lines raise ``json.JSONDecodeError``.
+    malformed earlier lines raise ``json.JSONDecodeError``. A line that
+    parses to anything but an object (``5``, ``[1, 2]``) is no torn
+    write: it raises :class:`~repro.errors.ObservabilityError` naming
+    the file.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -96,9 +114,14 @@ def read_jsonl(path: str) -> list:
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError:
             if lineno == len(lines):
                 break
             raise
+        if not isinstance(record, dict):
+            raise ObservabilityError(
+                f"{path!r} line {lineno} holds no JSON object"
+            )
+        records.append(record)
     return records

@@ -1,4 +1,4 @@
-"""Sampling substrate: RIC samples (Algorithm 1), RR sets, pools.
+"""Sampling substrate: RIC samples (Algorithm 1) and their pool.
 
 The Reverse Influenceable Community (RIC) sample is the paper's key
 estimation device: pick a source community ``C_g`` with probability
@@ -9,18 +9,16 @@ member mask per reaching node. Then
 ``c(S) = b · E[X_g(S)]`` where ``X_g(S) = 1`` iff ``S`` intersects the
 reach sets of at least ``h_g`` members (Lemma 1).
 
-Classic RR sets (Reverse Influence Sampling) are included for the IM
-baseline: ``σ(S) = n · E[1_{R ∩ S ≠ ∅}]``.
+Over singleton communities (threshold 1, benefit 1) a RIC sample is a
+classic RR set and ``c(S) = σ(S) = n · E[1_{R ∩ S ≠ ∅}]``; the IM
+baseline (:mod:`repro.baselines.im_baseline`) samples that way.
 """
 
-from repro.sampling.pool import RICSamplePool, RRSamplePool
+from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSample, RICSampler
-from repro.sampling.rr import RRSampler
 
 __all__ = [
     "RICSample",
     "RICSampler",
-    "RRSampler",
     "RICSamplePool",
-    "RRSamplePool",
 ]

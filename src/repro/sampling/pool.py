@@ -12,20 +12,10 @@ node's ``(ĉ, ν)`` marginal there until the next :meth:`add`.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Mapping,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.errors import SamplingError
 from repro.sampling.ric import RICSample, RICSampler
-from repro.sampling.rr import RRSampler
 from repro.utils.math import popcount
 
 _NO_MASKS: Mapping[int, int] = MappingProxyType({})
@@ -232,49 +222,3 @@ class RICSamplePool:
             return 0.0
         return self.total_benefit * self.fractional_count(seeds) / len(self.samples)
 
-
-class RRSamplePool:
-    """A growing collection of classic RR sets with a node index."""
-
-    def __init__(self, sampler: RRSampler) -> None:
-        self.sampler = sampler
-        self.samples: List[FrozenSet[int]] = []
-        self._membership: Dict[int, List[int]] = {}
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def add(self, rr_set: FrozenSet[int]) -> None:
-        """Append one RR set and index its members."""
-        index = len(self.samples)
-        self.samples.append(rr_set)
-        for node in rr_set:
-            self._membership.setdefault(node, []).append(index)
-
-    def grow(self, count: int) -> None:
-        """Generate and add ``count`` fresh RR sets."""
-        if count < 0:
-            raise SamplingError(f"count must be non-negative, got {count}")
-        for _ in range(count):
-            self.add(self.sampler.sample())
-
-    def sets_containing(self, node: int) -> Sequence[int]:
-        """Indices of RR sets containing ``node``."""
-        return self._membership.get(node, ())
-
-    def coverage(self, seeds: Iterable[int]) -> int:
-        """Number of RR sets hit by ``seeds``."""
-        hit: Set[int] = set()
-        for v in set(seeds):
-            hit.update(self.sets_containing(v))
-        return len(hit)
-
-    def estimate_spread(self, seeds: Iterable[int]) -> float:
-        """``σ̂(S) = n · coverage / |R|``; 0.0 on an empty pool."""
-        if not self.samples:
-            return 0.0
-        return (
-            self.sampler.graph.num_nodes
-            * self.coverage(seeds)
-            / len(self.samples)
-        )

@@ -1,13 +1,26 @@
-"""Hand-built RIC samples for tests.
+"""Hand-built RIC samples and singleton instances for tests.
 
 Tests state a sample the way the paper does, by its per-member reach
 sets ``R_g(u)``; :func:`ric_sample` packs them into the ``(node,
 member-mask)`` pairs a :class:`~repro.sampling.ric.RICSample` stores.
+:func:`singletons` is classic IM as an IMC instance: a RIC sample of
+its community ``v`` is an RR set rooted at ``v``.
 """
 
 from typing import AbstractSet, Dict, Sequence
 
+from repro.communities.structure import Community, CommunityStructure
 from repro.sampling.ric import RICSample
+
+
+def singletons(num_nodes: int) -> CommunityStructure:
+    """One threshold-1, benefit-1 community per node, indexed by node."""
+    return CommunityStructure(
+        [
+            Community(members=(v,), threshold=1, benefit=1.0)
+            for v in range(num_nodes)
+        ]
+    )
 
 
 def ric_sample(

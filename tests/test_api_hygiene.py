@@ -13,31 +13,10 @@ import pytest
 
 import repro
 
-PACKAGES = [
-    "repro",
-    "repro.graph",
-    "repro.communities",
-    "repro.diffusion",
-    "repro.sampling",
-    "repro.core",
-    "repro.im",
-    "repro.baselines",
-    "repro.datasets",
-    "repro.experiments",
-    "repro.obs",
-    "repro.serving",
-    "repro.utils",
-]
-
 
 def _all_modules():
-    names = set(PACKAGES)
-    for package_name in PACKAGES:
-        package = importlib.import_module(package_name)
-        if hasattr(package, "__path__"):
-            for info in pkgutil.iter_modules(package.__path__):
-                names.add(f"{package_name}.{info.name}")
-    return sorted(names)
+    walked = pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    return sorted({"repro"} | {info.name for info in walked})
 
 
 MODULES = _all_modules()

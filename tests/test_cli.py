@@ -102,11 +102,13 @@ def test_serve_exits_2_on_a_non_finite_memory_budget(capsys, value):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--workers", "0"], ["--max-samples", "-5"]]
+    "flags",
+    [["--workers", "0"], ["--max-samples", "-5"], ["--eval-trials", "-5"]],
 )
 def test_solve_rejects_bad_limits_before_building_the_instance(capsys, flags):
-    # --workers 0 used to fail after the build, and --max-samples -5
-    # ran as if it were the first stop stage's floor.
+    # --workers 0 used to fail after the build, --max-samples -5 ran as
+    # if it were the first stop stage's floor, and --eval-trials -5
+    # skipped the Monte-Carlo evaluation as 0 does.
     code = main(
         ["solve", "--dataset", "facebook", "--scale", "0.1", "--k", "3",
          *flags]

@@ -8,9 +8,12 @@ edges), a fresh 20,000-sample pool per instance must put ``ĉ_R(S)``
 within two binomial standard errors of the exact ``c(S)`` for at least
 0.9 of all seed sets of size 1 and 2 (0.954 is expected; a seed set
 that always or never influences must be estimated exactly), and the
-upper bound ``ν_R(S)`` (eq. 7) must never fall below ``ĉ_R(S)``. The
-sweep runs in the ``conformance`` lane (it is also ``slow``); one fixed
-instance runs in tier-1. The LT path waits for an exact LT enumerator.
+upper bound ``ν_R(S)`` (eq. 7) must never fall below ``ĉ_R(S)``. Each
+random graph is also checked as a singleton instance, one threshold-1,
+benefit-1 community per node: classic IM, where ``c(S) = σ(S)`` and the
+pool is the IM baseline's RR-set pool. The sweep runs in the
+``conformance`` lane (it is also ``slow``); one fixed instance of each
+kind runs in tier-1. The LT path waits for an exact LT enumerator.
 """
 
 import itertools
@@ -20,10 +23,12 @@ import random
 import pytest
 
 from repro.communities.structure import Community, CommunityStructure
-from repro.diffusion.simulator import community_benefit_exact
+from repro.diffusion.simulator import community_benefit_exact, spread_exact
 from repro.graph.digraph import DiGraph
 from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSampler
+
+from tests.ric_samples import singletons
 
 pytestmark = pytest.mark.conformance
 
@@ -35,14 +40,17 @@ INSTANCE_SEEDS = range(20)
 FIXED_INSTANCE = 8
 
 
-def random_instance(seed):
-    """5-8 nodes, at most 12 edges and one or two communities."""
+def random_instance(seed, singleton=False):
+    """5-8 nodes, at most 12 edges and one or two communities, or with
+    ``singleton`` the same graph with one community per node."""
     rng = random.Random(seed)
     n = rng.randint(5, 8)
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     graph = DiGraph(n)
     for u, v in rng.sample(pairs, rng.randint(4, 12)):
         graph.add_edge(u, v, rng.choice((0.2, 0.4, 0.6, 0.8)))
+    if singleton:
+        return graph, singletons(n)
     nodes = list(range(n))
     rng.shuffle(nodes)
     communities = []
@@ -59,21 +67,27 @@ def random_instance(seed):
     return graph, CommunityStructure(communities)
 
 
-def lemma1_cases(seed):
-    """``(exact c(S), ĉ_R(S), ν_R(S))`` for every seed set of size 1, 2."""
-    graph, communities = random_instance(seed)
+def lemma1_cases(seed, singleton=False):
+    """``(exact c(S), ĉ_R(S), ν_R(S))`` for every seed set of size 1, 2,
+    as shares of ``b``."""
+    graph, communities = random_instance(seed, singleton)
     pool = RICSamplePool(RICSampler(graph, communities, seed=seed))
     pool.grow(POOL_SIZE)
     b = communities.total_benefit
-    return [
-        (
-            community_benefit_exact(graph, communities, seeds) / b,
-            pool.estimate_benefit(seeds) / b,
-            pool.estimate_upper_bound(seeds) / b,
-        )
-        for size in (1, 2)
-        for seeds in itertools.combinations(range(graph.num_nodes), size)
-    ]
+    cases = []
+    for size in (1, 2):
+        for seeds in itertools.combinations(range(graph.num_nodes), size):
+            exact = community_benefit_exact(graph, communities, seeds)
+            if singleton:
+                assert exact == pytest.approx(spread_exact(graph, seeds))
+            cases.append(
+                (
+                    exact / b,
+                    pool.estimate_benefit(seeds) / b,
+                    pool.estimate_upper_bound(seeds) / b,
+                )
+            )
+    return cases
 
 
 def check_lemma1(cases):
@@ -97,10 +111,19 @@ def check_lemma1(cases):
 
 @pytest.mark.slow
 def test_pool_estimate_within_two_standard_errors_at_rate():
-    check_lemma1(
-        [case for seed in INSTANCE_SEEDS for case in lemma1_cases(seed)]
-    )
+    for singleton in (False, True):
+        check_lemma1(
+            [
+                case
+                for seed in INSTANCE_SEEDS
+                for case in lemma1_cases(seed, singleton)
+            ]
+        )
 
 
 def test_pool_estimate_within_two_standard_errors_fixed_instance():
     check_lemma1(lemma1_cases(FIXED_INSTANCE))
+
+
+def test_pool_estimate_within_two_standard_errors_fixed_singleton_instance():
+    check_lemma1(lemma1_cases(FIXED_INSTANCE, singleton=True))

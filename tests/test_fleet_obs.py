@@ -479,6 +479,42 @@ class TestClusterReporter:
         assert main(["report", "--cluster", rundir]) == 2
         assert f"error: cannot parse '{path}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            # ``report PATH`` on a trace outside any run directory.
+            "run.trace.jsonl",
+            # ``report --cluster DIR`` on each kind of artifact.
+            "events.jsonl",
+            "router.trace.jsonl",
+            "cluster.metrics.json",
+        ],
+    )
+    def test_json_that_is_no_object_is_an_error_naming_it(
+        self, tmp_path, capsys, name
+    ):
+        # Valid JSON of the wrong shape used to end in an
+        # AttributeError traceback (exit 1).
+        from repro.cli import main
+
+        rundir = self._rundir(tmp_path)
+        path = os.path.join(rundir, name)
+        argv = (
+            ["report", path]
+            if name == "run.trace.jsonl"
+            else ["report", "--cluster", rundir]
+        )
+        for value in (5, "x", [1, 2]):
+            line = json.dumps(value) + "\n"
+            if name.endswith(".jsonl") and os.path.exists(path):
+                with open(path, "r", encoding="utf-8") as handle:
+                    line += handle.read()
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(line)
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"error: '{path}' " in err and "no JSON object" in err
+
 
 # ----------------------------------------------------------------------
 # Full-plane chaos floor (slow lane): SIGKILL under load with run_dir

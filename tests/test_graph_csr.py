@@ -21,7 +21,8 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import planted_partition_graph
 from repro.graph.weights import assign_weighted_cascade
 from repro.sampling.ric import RICSampler
-from repro.sampling.rr import RRSampler
+
+from tests.ric_samples import singletons
 
 
 @pytest.fixture(scope="module")
@@ -98,10 +99,8 @@ def test_digraph_pair_tables_follow_mutation(instance):
 
     ic = RICSampler(graph, communities, seed=8)
     lt = RICSampler(graph, communities, seed=8, model="lt")
-    rr = RRSampler(graph, seed=8)
     ic.sample()
     lt.sample()
-    rr.sample()
     fresh_copy()
     graph.add_nodes(2)
     fresh_copy()
@@ -121,11 +120,6 @@ def test_digraph_pair_tables_follow_mutation(instance):
         fresh = RICSampler(oracle, communities, seed=8, model=model)
         fresh.sample()
         assert sampler.sample_many(100) == fresh.sample_many(100)
-    fresh_rr = RRSampler(oracle, seed=8)
-    fresh_rr.sample()
-    assert [rr.sample() for _ in range(100)] == [
-        fresh_rr.sample() for _ in range(100)
-    ]
     for seed in range(10):
         assert simulate_ic(graph, [new - 1, seed], seed=seed) == simulate_ic(
             oracle, [new - 1, seed], seed=seed
@@ -167,11 +161,12 @@ def test_ric_sampling_byte_identical_lt(instance):
 
 
 def test_rr_sampling_byte_identical(instance):
+    # RR sets: RIC samples over singleton communities.
     graph, _ = instance
-    original = RRSampler(graph, seed=9)
-    copied = RRSampler(pickled(graph), seed=9)
-    for _ in range(200):
-        assert original.sample() == copied.sample()
+    rr_sets = singletons(graph.num_nodes)
+    original = RICSampler(graph, rr_sets, seed=9).sample_many(200)
+    copied = RICSampler(pickled(graph), rr_sets, seed=9).sample_many(200)
+    assert original == copied
 
 
 def test_simulations_byte_identical(instance):

@@ -1,15 +1,23 @@
-"""Classic IM solver tests (RIS)."""
+"""Classic IM solver tests (RIS).
+
+RR sets are RIC samples over singleton communities, and greedy max
+coverage over them is :func:`~repro.core.greedy.lazy_greedy_nu` (at
+threshold 1, ``ν`` is coverage).
+"""
 
 import pytest
 
+from repro.baselines import ris_im
+from repro.core.greedy import lazy_greedy_nu
 from repro.diffusion.simulator import spread_exact, spread_monte_carlo
 from repro.errors import SolverError
 from repro.graph.builders import from_edge_list
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.weights import assign_weighted_cascade
-from repro.im.ris_im import ris_im, rr_greedy_cover
-from repro.sampling.pool import RRSamplePool
-from repro.sampling.rr import RRSampler
+from repro.sampling.pool import RICSamplePool
+from repro.sampling.ric import RICSampler
+
+from tests.ric_samples import singletons
 
 
 @pytest.fixture
@@ -19,17 +27,20 @@ def star_graph():
     return g
 
 
-def test_rr_greedy_cover_picks_hub(star_graph):
-    pool = RRSamplePool(RRSampler(star_graph, seed=1))
+def rr_pool(graph, seed):
+    """A pool of 400 RR sets."""
+    pool = RICSamplePool(RICSampler(graph, singletons(graph.num_nodes), seed))
     pool.grow(400)
-    seeds = rr_greedy_cover(pool, 1)
+    return pool
+
+
+def test_rr_greedy_cover_picks_hub(star_graph):
+    seeds = lazy_greedy_nu(rr_pool(star_graph, 1), 1)
     assert seeds == [0]
 
 
 def test_rr_greedy_cover_multiple_seeds(star_graph):
-    pool = RRSamplePool(RRSampler(star_graph, seed=2))
-    pool.grow(400)
-    seeds = rr_greedy_cover(pool, 2)
+    seeds = lazy_greedy_nu(rr_pool(star_graph, 2), 2)
     assert 0 in seeds
     assert len(seeds) == 2
 
@@ -45,7 +56,11 @@ def test_ris_im_validates(star_graph):
     with pytest.raises(SolverError):
         ris_im(star_graph, 0)
     with pytest.raises(SolverError):
+        ris_im(star_graph, 8)
+    with pytest.raises(SolverError):
         ris_im(star_graph, 1, epsilon=0.0)
+    with pytest.raises(SolverError):
+        ris_im(star_graph, 1, delta=1.0)
 
 
 def test_ris_im_near_optimal_on_scale_free():

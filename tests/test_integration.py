@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from repro.baselines import hbc_seeds, im_seeds, ks_seeds
+from repro.baselines import hbc_seeds, im_seeds, ks_seeds, ris_im
 from repro.communities.louvain import louvain_communities
 from repro.communities.structure import Community, CommunityStructure
 from repro.communities.thresholds import build_structure, constant_thresholds
@@ -19,7 +19,6 @@ from repro.diffusion.simulator import (
 )
 from repro.graph.generators import planted_partition_graph
 from repro.graph.weights import assign_weighted_cascade
-from repro.im.ris_im import ris_im
 from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSampler
 

@@ -1,6 +1,8 @@
-"""JSON persistence tests: community structures and experiment runs."""
+"""JSON persistence tests: community structures, experiment runs and the
+atomic writer every artifact goes through."""
 
 import json
+import os
 
 import pytest
 
@@ -12,6 +14,8 @@ from repro.communities.io import (
 )
 from repro.communities.structure import Community, CommunityStructure
 from repro.errors import CommunityError, ExperimentError
+from repro.experiments.checkpoint import CheckpointStore
+from repro.experiments.kernel_bench import record_entry
 from repro.experiments.persistence import (
     load_runs,
     records_to_runs,
@@ -19,6 +23,8 @@ from repro.experiments.persistence import (
     save_runs,
 )
 from repro.experiments.runner import AlgorithmRun
+from repro.obs.manifest import MANIFEST_SCHEMA, write_manifest
+from repro.obs.sinks import write_jsonl
 
 
 @pytest.fixture
@@ -156,3 +162,40 @@ def test_load_runs_rejects_bad_version(tmp_path):
     path.write_text(json.dumps({"version": 42, "records": []}))
     with pytest.raises(ExperimentError):
         load_runs(path)
+
+
+
+# ------------------------------------------------------- atomic writers
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: record_entry({"samples": 1}, path),
+        lambda path: write_manifest({"schema": MANIFEST_SCHEMA}, path),
+        lambda path: write_jsonl(path, [{"type": "span"}]),
+        lambda path: CheckpointStore(path, resume=False).record("k", 1),
+        lambda path: save_runs({}, path),
+    ],
+    ids=["record_entry", "write_manifest", "write_jsonl", "checkpoint",
+         "save_runs"],
+)
+def test_atomic_writers_fsync_before_they_rename(tmp_path, monkeypatch, write):
+    # Without the fsync a crash just after the rename can leave the
+    # artifact (e.g. benchmarks/BENCH_kernels.json) truncated.
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        calls.append("fsync")
+        fsync(fd)
+
+    def recording_replace(source, target):
+        calls.append("replace")
+        replace(source, target)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    write(str(tmp_path / "artifact"))
+    assert calls == ["fsync", "replace"]
+    assert os.listdir(tmp_path) == ["artifact"]

@@ -5,11 +5,10 @@ import pytest
 from repro.communities.structure import Community, CommunityStructure
 from repro.errors import SamplingError
 from repro.graph.builders import from_edge_list
-from repro.sampling.pool import RICSamplePool, RRSamplePool
+from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSampler
-from repro.sampling.rr import RRSampler
 
-from tests.ric_samples import ric_sample
+from tests.ric_samples import ric_sample, singletons
 
 
 def _manual_pool():
@@ -139,25 +138,27 @@ def test_pool_estimates_converge_to_exact():
     assert pool.estimate_benefit([0, 1]) == pytest.approx(exact, abs=0.02)
 
 
-# ------------------------------------------------------------- RR pool
+# --------------------------------------------- RR pool (singleton communities)
 
 
 def test_rr_pool_membership_and_coverage():
+    # RR sets {0, 1} (root 1) and {2} (root 2): coverage is the
+    # influenced count and the spread estimate is n * coverage / |R|.
     graph = from_edge_list(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    pool = RRSamplePool(RRSampler(graph, seed=4))
-    pool.add(frozenset({0, 1}))
-    pool.add(frozenset({2}))
-    assert list(pool.sets_containing(0)) == [0]
-    assert pool.coverage([0]) == 1
-    assert pool.coverage([0, 2]) == 2
-    assert pool.coverage([]) == 0
-    assert pool.estimate_spread([0, 2]) == pytest.approx(3 * 2 / 2)
+    pool = RICSamplePool(RICSampler(graph, singletons(3), seed=4))
+    pool.add(ric_sample(1, 1, (1,), [{0, 1}]))
+    pool.add(ric_sample(2, 1, (2,), [{2}]))
+    assert pool.samples_touched_by(0) == [0]
+    assert pool.influenced_count([0]) == 1
+    assert pool.influenced_count([0, 2]) == 2
+    assert pool.influenced_count([]) == 0
+    assert pool.estimate_benefit([0, 2]) == pytest.approx(3 * 2 / 2)
 
 
 def test_rr_pool_grow_and_empty_estimate():
     graph = from_edge_list(3, [(0, 1, 0.5)])
-    pool = RRSamplePool(RRSampler(graph, seed=5))
-    assert pool.estimate_spread([0]) == 0.0
+    pool = RICSamplePool(RICSampler(graph, singletons(3), seed=5))
+    assert pool.estimate_benefit([0]) == 0.0
     pool.grow(12)
     assert len(pool) == 12
     with pytest.raises(SamplingError):
