@@ -41,11 +41,15 @@ def ris_im(
     and doubles until the greedy solution covers at least the SSA-style
     threshold ``Λ = (2 + 2ε/3)·ln(1/δ)/ε²`` of them (or holds
     ``max_samples``), so the spread estimate has bounded relative error
-    at the returned solution.
+    at the returned solution. A negative cap raises
+    :class:`~repro.errors.SolverError`; any cap still allows the first
+    stage's ``Λ`` samples.
     """
     check_seed_budget(k, graph.num_nodes, SolverError)
     check_fraction(epsilon, "epsilon", SolverError)
     check_fraction(delta, "delta", SolverError)
+    if max_samples < 0:
+        raise SolverError(f"max_samples must be >= 0, got {max_samples}")
     lam = (2.0 + 2.0 * epsilon / 3.0) * math.log(1.0 / delta) / (epsilon * epsilon)
     singletons = CommunityStructure(
         [

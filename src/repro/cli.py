@@ -618,6 +618,7 @@ def _cmd_solve(args, extras: Optional[dict] = None) -> int:
             communities,
             result.selection.seeds,
             num_trials=max(args.eval_trials, 100),
+            model=args.model,
             seed=derive_seed(args.seed, "report"),
         )
         print(render_report(outcomes, top=15))

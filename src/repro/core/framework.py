@@ -103,23 +103,30 @@ def psi_sample_bound(
     alpha: float,
     epsilon: float,
     delta: float,
+    opt_lower_bound: Optional[float] = None,
 ) -> float:
     """``Ψ`` of eq. 22 with ``ε₁ = ε₂ = ε/2`` and ``δ₁ = δ₂ = δ/2``.
 
-    ``Ψ = (b·h)/(β·k) · max(2 ln(1/δ₁)/ε₁², 3 ln(C(n,k)/δ₂)/(α²ε₂²))``
+    ``Ψ = b/L · max(2 ln(1/δ₁)/ε₁², 3 ln(C(n,k)/δ₂)/(α²ε₂²))`` with
+    ``L = opt_lower_bound`` (``solve_imc_static`` passes its guess) or,
+    by default, :func:`optimal_benefit_lower_bound`'s ``βk/h``. A
+    non-positive ``L`` raises :class:`~repro.errors.SolverError`.
     """
     check_fraction(epsilon, "epsilon", SolverError)
     check_fraction(delta, "delta", SolverError)
     if alpha <= 0:
         raise SolverError(f"alpha must be positive, got {alpha}")
+    if opt_lower_bound is None:
+        opt_lower_bound = optimal_benefit_lower_bound(communities, k)
+    elif opt_lower_bound <= 0:
+        raise SolverError("optimum lower bound must be positive")
     eps1 = eps2 = epsilon / 2.0
     delta1 = delta2 = delta / 2.0
     b = communities.total_benefit
-    lower = optimal_benefit_lower_bound(communities, k)
     term1 = 2.0 * math.log(1.0 / delta1) / (eps1 * eps1)
     log_union = log_binomial(graph.num_nodes, k) + math.log(1.0 / delta2)
     term2 = 3.0 * log_union / (alpha * alpha * eps2 * eps2)
-    return (b / lower) * max(term1, term2)
+    return (b / opt_lower_bound) * max(term1, term2)
 
 
 def lambda_stop_threshold(epsilon: float, delta: float) -> float:

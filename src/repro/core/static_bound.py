@@ -23,17 +23,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.communities.structure import CommunityStructure
-from repro.core.framework import MAXRSolver
+from repro.core.framework import (
+    MAXRSolver,
+    optimal_benefit_lower_bound,
+    psi_sample_bound,
+)
 from repro.core.solution import SeedSelection
 from repro.errors import SolverError
 from repro.graph.digraph import DiGraph
 from repro.rng import SeedLike, make_rng, spawn_rng
 from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSampler
-from repro.utils.math import log_binomial
 from repro.utils.validation import check_fraction, check_seed_budget
 
 
@@ -46,27 +48,6 @@ class StaticIMCResult:
     lower_bound: float
     theta: float
     guesses_tried: int
-
-
-def _theta(
-    graph: DiGraph,
-    communities: CommunityStructure,
-    k: int,
-    alpha: float,
-    epsilon: float,
-    delta: float,
-    opt_lower_bound: float,
-) -> float:
-    """Sample count from eq. 16 with ``c(S*)`` replaced by a bound."""
-    if opt_lower_bound <= 0:
-        raise SolverError("optimum lower bound must be positive")
-    eps1 = eps2 = epsilon / 2.0
-    delta1 = delta2 = delta / 2.0
-    b = communities.total_benefit
-    term1 = 2.0 * math.log(1.0 / delta1) / (eps1 * eps1)
-    log_union = log_binomial(graph.num_nodes, k) + math.log(1.0 / delta2)
-    term2 = 3.0 * log_union / (alpha * alpha * eps2 * eps2)
-    return (b / opt_lower_bound) * max(term1, term2)
 
 
 def solve_imc_static(
@@ -107,7 +88,9 @@ def solve_imc_static(
     for _ in range(max_guesses):
         guesses += 1
         theta_x = min(
-            _theta(graph, communities, k, alpha, epsilon, delta_guess, x),
+            psi_sample_bound(
+                graph, communities, k, alpha, epsilon, delta_guess, x
+            ),
             float(max_samples),
         )
         pool.grow_to(math.ceil(theta_x))
@@ -121,12 +104,12 @@ def solve_imc_static(
     if lower_bound is None:
         # All guesses failed (or the cap bit): fall back to the paper's
         # worst-case bound so the final phase is still well-defined.
-        from repro.core.framework import optimal_benefit_lower_bound
-
         lower_bound = optimal_benefit_lower_bound(communities, k)
 
     theta = min(
-        _theta(graph, communities, k, alpha, epsilon, delta / 2.0, lower_bound),
+        psi_sample_bound(
+            graph, communities, k, alpha, epsilon, delta / 2.0, lower_bound
+        ),
         float(max_samples),
     )
     pool.grow_to(math.ceil(theta))

@@ -17,14 +17,14 @@ from repro.diffusion.independent_cascade import (
     sample_live_edge_graph,
     simulate_ic,
 )
-from repro.diffusion.linear_threshold import lt_live_edge_graph, simulate_lt
-from repro.diffusion.trace import (
-    CascadeTrace,
-    average_tipping_profile,
-    trace_cascade,
+from repro.diffusion.linear_threshold import (
+    check_lt_weights,
+    lt_live_edge_graph,
+    simulate_lt,
 )
 from repro.diffusion.simulator import (
     BenefitEvaluator,
+    average_tipping_profile,
     community_benefit_exact,
     community_benefit_monte_carlo,
     influenced_communities,
@@ -37,8 +37,7 @@ __all__ = [
     "simulate_lt",
     "sample_live_edge_graph",
     "lt_live_edge_graph",
-    "CascadeTrace",
-    "trace_cascade",
+    "check_lt_weights",
     "average_tipping_profile",
     "BenefitEvaluator",
     "CommonWorldEvaluator",

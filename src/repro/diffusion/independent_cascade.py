@@ -12,7 +12,7 @@ test suite.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, List, Set
+from typing import Iterable, Set
 
 from repro.graph.digraph import DiGraph
 from repro.rng import SeedLike, make_rng
@@ -62,35 +62,3 @@ def sample_live_edge_graph(graph: DiGraph, seed: SeedLike = None) -> DiGraph:
             live.add_edge(u, v, 1.0)
     return live
 
-
-def ic_round_trace(
-    graph: DiGraph,
-    seeds: Iterable[int],
-    seed: SeedLike = None,
-) -> List[Set[int]]:
-    """Run IC round by round; return the list of per-round activations.
-
-    ``result[0]`` is the seed set; ``result[t]`` the nodes first
-    activated at round ``t``. Useful for visualisation and for tests of
-    the round-based formulation's equivalence with :func:`simulate_ic`.
-    """
-    rng = make_rng(seed)
-    active: Set[int] = set()
-    current: Set[int] = set()
-    for s in seeds:
-        if s not in active:
-            active.add(s)
-            current.add(s)
-    rounds: List[Set[int]] = [set(current)]
-    pairs = graph.out_pairs()
-    while current:
-        next_round: Set[int] = set()
-        for u in sorted(current):
-            for v, w in pairs[u]:
-                if v not in active and rng.random() < w:
-                    active.add(v)
-                    next_round.add(v)
-        if next_round:
-            rounds.append(next_round)
-        current = next_round
-    return rounds

@@ -19,6 +19,19 @@ from repro.graph.digraph import DiGraph
 from repro.rng import SeedLike, make_rng
 
 
+def check_lt_weights(graph: DiGraph) -> None:
+    """Raise :class:`GraphError` unless every node's incoming weights
+    sum to at most ``1 + 1e-9``, the LT model's requirement."""
+    for v, entries in enumerate(graph.in_pairs()):
+        total = sum(w for _, w in entries)
+        if total > 1.0 + 1e-9:
+            raise GraphError(
+                f"LT model requires incoming weights to sum to <= 1; "
+                f"node {v} has total {total:.6f} "
+                "(use assign_weighted_cascade)"
+            )
+
+
 def lt_live_edge_graph(graph: DiGraph, seed: SeedLike = None) -> DiGraph:
     """Draw a deterministic graph from LT's triggering-set distribution.
 
@@ -29,17 +42,12 @@ def lt_live_edge_graph(graph: DiGraph, seed: SeedLike = None) -> DiGraph:
     is distributed exactly like an LT cascade — the basis of the LT
     extension of RIC sampling.
     """
+    check_lt_weights(graph)
     rng = make_rng(seed)
     live = DiGraph(graph.num_nodes)
     for v, entries in enumerate(graph.in_pairs()):
         if not entries:
             continue
-        total = sum(w for _, w in entries)
-        if total > 1.0 + 1e-9:
-            raise GraphError(
-                f"LT live-edge model requires incoming weights <= 1; "
-                f"node {v} has total {total:.6f}"
-            )
         draw = rng.random()
         cumulative = 0.0
         for u, w in entries:
@@ -58,20 +66,14 @@ def simulate_lt(
 ) -> Set[int]:
     """Run one LT cascade; return the set of activated nodes.
 
-    With ``strict=True`` (default) the function validates that every
-    node's incoming weights sum to at most ``1 + 1e-9`` and raises
-    :class:`GraphError` otherwise; with ``strict=False`` the weights are
-    used as-is (thresholds above the reachable mass simply never fire).
+    With ``strict=True`` (default) the function first runs
+    :func:`check_lt_weights`; with ``strict=False`` the weights are
+    used as-is (thresholds above the reachable mass simply never fire),
+    which is how a caller running many cascades on one graph skips
+    re-checking it per cascade.
     """
     if strict:
-        for v, entries in enumerate(graph.in_pairs()):
-            total = sum(w for _, w in entries)
-            if total > 1.0 + 1e-9:
-                raise GraphError(
-                    f"LT model requires incoming weights to sum to <= 1; "
-                    f"node {v} has total {total:.6f} "
-                    "(use assign_weighted_cascade or strict=False)"
-                )
+        check_lt_weights(graph)
     rng = make_rng(seed)
     thresholds: Dict[int, float] = {}
     incoming_active: Dict[int, float] = {}

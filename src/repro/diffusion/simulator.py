@@ -1,10 +1,11 @@
 """Forward evaluation of spread and community benefit.
 
 ``c(S)`` — the expected benefit of influenced communities — is #P-hard
-to compute exactly, so the library offers three evaluators:
+to compute exactly, so the library offers these evaluators:
 
 - :func:`community_benefit_monte_carlo` — plain Monte-Carlo mean over
-  IC (or LT) cascades;
+  IC (or LT) cascades, one trial loop shared with
+  :func:`spread_monte_carlo` and :func:`average_tipping_profile`;
 - :class:`BenefitEvaluator` — the same with a persistent configuration,
   shared by experiments;
 - :func:`community_benefit_exact` — exact value by enumerating all
@@ -15,19 +16,19 @@ to compute exactly, so the library offers three evaluators:
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, List, Optional, Sequence, Set
+from functools import partial
+from typing import Dict, Iterable, Iterator, List, Set
 
 from repro.communities.structure import CommunityStructure
 from repro.diffusion.independent_cascade import simulate_ic
-from repro.diffusion.linear_threshold import simulate_lt
+from repro.diffusion.linear_threshold import check_lt_weights, simulate_lt
 from repro.errors import EstimationError
 from repro.graph.analysis import forward_reachable
 from repro.graph.digraph import DiGraph
 from repro.rng import SeedLike, make_rng, spawn_rng
 
-CascadeFn = Callable[..., Set[int]]
-
-_MODELS = {"ic": simulate_ic, "lt": simulate_lt}
+# LT's cascades skip the weight check: _cascades runs it once per call.
+_MODELS = {"ic": simulate_ic, "lt": partial(simulate_lt, strict=False)}
 
 
 def influenced_communities(
@@ -53,6 +54,31 @@ def benefit_of_active_set(
     )
 
 
+def _cascades(
+    graph: DiGraph,
+    seeds: Iterable[int],
+    num_trials: int,
+    model: str,
+    seed: SeedLike,
+) -> Iterator[Set[int]]:
+    """Active sets of ``num_trials`` cascades of ``model`` from ``seeds``.
+
+    Each cascade runs on its own child stream of ``seed``'s RNG, in
+    trial order. Every Monte-Carlo evaluator is a loop over this.
+    """
+    if num_trials < 1:
+        raise EstimationError(f"num_trials must be >= 1, got {num_trials}")
+    cascade = _MODELS.get(model)
+    if cascade is None:
+        raise EstimationError(f"unknown model {model!r}; expected 'ic' or 'lt'")
+    if model == "lt":
+        check_lt_weights(graph)
+    rng = make_rng(seed)
+    seed_list = list(seeds)
+    for _ in range(num_trials):
+        yield cascade(graph, seed_list, seed=spawn_rng(rng))
+
+
 def community_benefit_monte_carlo(
     graph: DiGraph,
     communities: CommunityStructure,
@@ -62,16 +88,8 @@ def community_benefit_monte_carlo(
     seed: SeedLike = None,
 ) -> float:
     """Monte-Carlo estimate of ``c(S)`` under the chosen diffusion model."""
-    if num_trials < 1:
-        raise EstimationError(f"num_trials must be >= 1, got {num_trials}")
-    cascade = _MODELS.get(model)
-    if cascade is None:
-        raise EstimationError(f"unknown model {model!r}; expected 'ic' or 'lt'")
-    rng = make_rng(seed)
-    seed_list = list(seeds)
     total = 0.0
-    for _ in range(num_trials):
-        active = cascade(graph, seed_list, seed=spawn_rng(rng))
+    for active in _cascades(graph, seeds, num_trials, model, seed):
         total += benefit_of_active_set(active, communities)
     return total / num_trials
 
@@ -84,17 +102,32 @@ def spread_monte_carlo(
     seed: SeedLike = None,
 ) -> float:
     """Monte-Carlo estimate of the classic influence spread ``σ(S)``."""
-    if num_trials < 1:
-        raise EstimationError(f"num_trials must be >= 1, got {num_trials}")
-    cascade = _MODELS.get(model)
-    if cascade is None:
-        raise EstimationError(f"unknown model {model!r}; expected 'ic' or 'lt'")
-    rng = make_rng(seed)
-    seed_list = list(seeds)
     total = 0
-    for _ in range(num_trials):
-        total += len(cascade(graph, seed_list, seed=spawn_rng(rng)))
+    for active in _cascades(graph, seeds, num_trials, model, seed):
+        total += len(active)
     return total / num_trials
+
+
+def average_tipping_profile(
+    graph: DiGraph,
+    communities: CommunityStructure,
+    seeds: Iterable[int],
+    num_trials: int = 200,
+    model: str = "ic",
+    seed: SeedLike = None,
+) -> Dict[int, float]:
+    """Per-community probability of tipping, averaged over cascades.
+
+    Returns ``{community_index: Pr[tipped]}`` under the chosen
+    diffusion model — the per-community decomposition of
+    ``c(S)/b_i``. Communities that never tip across all trials are
+    included with probability 0.0.
+    """
+    tipped_counts = [0] * communities.r
+    for active in _cascades(graph, seeds, num_trials, model, seed):
+        for index in influenced_communities(active, communities):
+            tipped_counts[index] += 1
+    return {i: tipped_counts[i] / num_trials for i in range(communities.r)}
 
 
 def _live_edge_realizations(graph: DiGraph):

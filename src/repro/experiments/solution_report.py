@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 from repro.communities.structure import CommunityStructure
-from repro.diffusion.trace import average_tipping_profile
+from repro.diffusion.simulator import average_tipping_profile
 from repro.experiments.reporting import ascii_table
 from repro.graph.digraph import DiGraph
 from repro.rng import SeedLike
@@ -40,13 +40,20 @@ def solution_report(
     communities: CommunityStructure,
     seeds: Iterable[int],
     num_trials: int = 500,
+    model: str = "ic",
     seed: SeedLike = None,
 ) -> List[CommunityOutcome]:
-    """Build the per-community outcome rows, sorted by expected benefit
-    (descending), ties by community index."""
+    """Build the per-community outcome rows under the chosen diffusion
+    model, sorted by expected benefit (descending), ties by community
+    index."""
     seed_list = list(seeds)
     profile = average_tipping_profile(
-        graph, communities, seed_list, num_trials=num_trials, seed=seed
+        graph,
+        communities,
+        seed_list,
+        num_trials=num_trials,
+        model=model,
+        seed=seed,
     )
     seed_set = set(seed_list)
     outcomes = []

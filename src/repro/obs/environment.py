@@ -73,10 +73,9 @@ def require_clean_tree(allow_dirty: bool = False,
     """Raise :class:`~repro.errors.ReproError` when the working tree is
     dirty and ``allow_dirty`` is not set.
 
-    Used by ``python -m repro bench --record`` and
-    ``benchmarks/record_bench.py``: a perf-trajectory entry stamped
-    with a commit SHA is a lie if the tree it ran on differs from that
-    commit. An *unknown* state (no git) is allowed — the entry simply
+    Used by ``python -m repro bench --record``: a perf-trajectory entry
+    stamped with a commit SHA is a lie if the tree it ran on differs
+    from that commit. An *unknown* state (no git) is allowed — the entry simply
     records no SHA.
     """
     if allow_dirty:

@@ -477,6 +477,13 @@ def render_cluster_report(rundir: str) -> str:
     aggregation = None
     if os.path.exists(metrics_path):
         aggregation = _parsed(metrics_path, _read_object)
+        snapshot = aggregation.get("snapshot") or aggregation
+        replicas = aggregation.get("replicas") or {}
+        for key, block in (("snapshot", snapshot), ("replicas", replicas)):
+            if not isinstance(block, dict):
+                raise ObservabilityError(
+                    f"{metrics_path!r} holds no JSON object under {key!r}"
+                )
     if manifest is None and not events and not spans and aggregation is None:
         raise ObservabilityError(
             f"{rundir!r} contains no cluster observability artifacts "
@@ -496,8 +503,6 @@ def render_cluster_report(rundir: str) -> str:
     lines.append("slowest traces:")
     lines.extend(_slowest_trace_lines(spans))
     if aggregation is not None:
-        snapshot = aggregation.get("snapshot") or aggregation
-        replicas = aggregation.get("replicas") or {}
         lines.append(
             f"fleet metrics (aggregated over {len(replicas)} replica "
             f"scrape(s)):"

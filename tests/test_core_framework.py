@@ -80,6 +80,21 @@ def test_psi_decreasing_in_alpha_epsilon(two_communities):
         psi_sample_bound(graph, two_communities, 2, 0.0, 0.2, 0.2)
 
 
+def test_psi_scales_inversely_with_the_optimum_lower_bound(two_communities):
+    graph = from_edge_list(6, [])
+    lower = optimal_benefit_lower_bound(two_communities, 2)
+    base = psi_sample_bound(graph, two_communities, 2, 0.5, 0.2, 0.2)
+    assert psi_sample_bound(
+        graph, two_communities, 2, 0.5, 0.2, 0.2, lower
+    ) == base
+    assert psi_sample_bound(
+        graph, two_communities, 2, 0.5, 0.2, 0.2, 2 * lower
+    ) == pytest.approx(base / 2)
+    for bad in (0.0, -1.0):
+        with pytest.raises(SolverError, match="lower bound"):
+            psi_sample_bound(graph, two_communities, 2, 0.5, 0.2, 0.2, bad)
+
+
 def test_psi_grows_with_n(two_communities):
     small = from_edge_list(6, [])
     big = from_edge_list(600, [])

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.diffusion.independent_cascade import (
-    ic_round_trace,
     sample_live_edge_graph,
     simulate_ic,
 )
@@ -87,20 +86,6 @@ def test_sample_live_edge_extreme_probabilities():
     live = sample_live_edge_graph(g, seed=4)
     assert live.has_edge(0, 1)
     assert not live.has_edge(1, 2)
-
-
-def test_round_trace_structure(line_graph):
-    rounds = ic_round_trace(line_graph, [0], seed=5)
-    assert rounds[0] == {0}
-    assert rounds[1] == {1}
-    assert rounds[2] == {2}
-    assert rounds[3] == {3}
-
-
-def test_round_trace_union_equals_simulation_support(line_graph):
-    rounds = ic_round_trace(line_graph, [0], seed=6)
-    union = set().union(*rounds)
-    assert union == {0, 1, 2, 3}
 
 
 def test_deterministic_with_seed(triangle_graph):

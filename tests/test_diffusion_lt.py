@@ -65,3 +65,40 @@ def test_empty_seed_set():
 def test_deterministic_with_seed():
     g = from_edge_list(4, [(0, 1, 0.5), (1, 2, 0.5), (0, 3, 0.5)])
     assert simulate_lt(g, [0], seed=5) == simulate_lt(g, [0], seed=5)
+
+
+def test_monte_carlo_evaluators_check_the_weights_once_per_call(monkeypatch):
+    from repro.communities.structure import Community, CommunityStructure
+    from repro.diffusion import linear_threshold, simulator
+
+    communities = CommunityStructure(
+        [Community(members=(2,), threshold=1, benefit=1.0)]
+    )
+    evaluators = (
+        lambda g: simulator.community_benefit_monte_carlo(
+            g, communities, [0], num_trials=50, model="lt"
+        ),
+        lambda g: simulator.spread_monte_carlo(g, [0], num_trials=50, model="lt"),
+        lambda g: simulator.average_tipping_profile(
+            g, communities, [0], num_trials=50, model="lt"
+        ),
+    )
+    overweight = from_edge_list(3, [(0, 2, 0.8), (1, 2, 0.8)])
+    for evaluate in evaluators:
+        with pytest.raises(GraphError, match="sum to <= 1"):
+            evaluate(overweight)
+
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        check(graph)
+
+    check = linear_threshold.check_lt_weights
+    monkeypatch.setattr(linear_threshold, "check_lt_weights", counted)
+    monkeypatch.setattr(simulator, "check_lt_weights", counted)
+    valid = from_edge_list(3, [(0, 2, 0.5), (1, 2, 0.5)])
+    for evaluate in evaluators:
+        calls.clear()
+        evaluate(valid)
+        assert len(calls) == 1

@@ -1,13 +1,10 @@
-"""Cascade trace tests."""
+"""Community tipping profile tests."""
 
 import pytest
 
 from repro.communities.structure import Community, CommunityStructure
-from repro.diffusion.trace import (
-    CascadeTrace,
-    average_tipping_profile,
-    trace_cascade,
-)
+from repro.diffusion import average_tipping_profile, community_benefit_monte_carlo
+from repro.experiments.solution_report import solution_report
 from repro.graph.builders import from_edge_list
 
 
@@ -22,49 +19,6 @@ def chain_instance():
         ]
     )
     return graph, communities
-
-
-def test_trace_rounds_and_activation(chain_instance):
-    graph, communities = chain_instance
-    trace = trace_cascade(graph, communities, [0], seed=1)
-    assert trace.rounds[0] == frozenset({0})
-    assert trace.activation_round == {0: 0, 1: 1, 2: 2, 3: 3}
-    assert trace.num_rounds == 4
-    assert trace.total_activated == 4
-
-
-def test_trace_community_tipping_rounds(chain_instance):
-    graph, communities = chain_instance
-    trace = trace_cascade(graph, communities, [0], seed=1)
-    # Community 0 ({1,2}, h=2) tips when node 2 activates at round 2;
-    # community 1 ({3}) tips at round 3.
-    assert trace.community_tipping == {0: 2, 1: 3}
-    assert trace.influenced_benefit == 3.0
-    assert trace.tipped_communities() == [0, 1]
-
-
-def test_trace_seed_round_counts_toward_threshold(chain_instance):
-    graph, communities = chain_instance
-    trace = trace_cascade(graph, communities, [1, 2], seed=1)
-    assert trace.community_tipping[0] == 0  # tipped by the seeds
-
-
-def test_trace_untipped_community_absent():
-    graph = from_edge_list(3, [(0, 1, 0.0)])
-    communities = CommunityStructure(
-        [Community(members=(1, 2), threshold=2, benefit=5.0)]
-    )
-    trace = trace_cascade(graph, communities, [0], seed=2)
-    assert trace.community_tipping == {}
-    assert trace.influenced_benefit == 0.0
-
-
-def test_trace_is_frozen_dataclass(chain_instance):
-    graph, communities = chain_instance
-    trace = trace_cascade(graph, communities, [0], seed=3)
-    assert isinstance(trace, CascadeTrace)
-    with pytest.raises(AttributeError):
-        trace.influenced_benefit = 99.0
 
 
 def test_average_tipping_profile_probabilities():
@@ -86,3 +40,39 @@ def test_average_tipping_profile_matches_benefit_decomposition(chain_instance):
     )
     # Deterministic chain: both communities always tip.
     assert profile == {0: 1.0, 1: 1.0}
+
+
+def test_tipping_profile_follows_the_diffusion_model():
+    # 0 -> 1 <- 2 at weight 0.5 each, seeds {0, 2}. Under LT node 1's
+    # active in-weight is 1.0, above every threshold, so {1} always
+    # tips; under IC it tips unless both coins fail: 1 - 0.5^2 = 0.75.
+    graph = from_edge_list(3, [(0, 1, 0.5), (2, 1, 0.5)])
+    communities = CommunityStructure(
+        [Community(members=(1,), threshold=1, benefit=1.0)]
+    )
+    lt = average_tipping_profile(
+        graph, communities, [0, 2], num_trials=500, model="lt", seed=1
+    )
+    assert lt == {0: 1.0}
+    (outcome,) = solution_report(
+        graph, communities, [0, 2], num_trials=500, model="lt", seed=1
+    )
+    assert outcome.tipping_probability == 1.0
+    ic = average_tipping_profile(
+        graph, communities, [0, 2], num_trials=4000, model="ic", seed=2
+    )
+    assert ic[0] == pytest.approx(0.75, abs=0.03)
+    # The profile's trials are the Monte-Carlo c(S) trials.
+    assert ic[0] == community_benefit_monte_carlo(
+        graph, communities, [0, 2], num_trials=4000, model="ic", seed=2
+    )
+
+
+def test_tipping_profile_rejects_bad_trials_and_models(chain_instance):
+    from repro.errors import EstimationError
+
+    graph, communities = chain_instance
+    with pytest.raises(EstimationError):
+        average_tipping_profile(graph, communities, [0], num_trials=0)
+    with pytest.raises(EstimationError):
+        average_tipping_profile(graph, communities, [0], model="sir")

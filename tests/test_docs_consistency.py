@@ -84,6 +84,63 @@ def test_every_benchmark_indexed():
     assert not missing, f"benchmarks absent from DESIGN/README: {missing}"
 
 
+def _api_table_symbols():
+    """``(package, symbol)`` for every backticked symbol in the first
+    column of docs/api.md's ``## repro.*`` tables. A call signature is
+    cut at its ``(``; a backticked module in parentheses after the
+    names, as in ``(`repro.core.greedy`)``, annotates the row and is
+    skipped."""
+    pairs = []
+    package = None
+    for line in (ROOT / "docs" / "api.md").read_text().splitlines():
+        if line.startswith("## "):
+            heading = re.match(r"## (repro(?:\.\w+)*)", line)
+            package = heading.group(1) if heading else None
+        elif package and line.startswith("|"):
+            cell = re.sub(r"\(`[^`]+`\)", "", line.split("|")[1])
+            pairs += [
+                (package, symbol.split("(")[0])
+                for symbol in re.findall(r"`([^`]+)`", cell)
+            ]
+    return pairs
+
+
+def _resolves(package_name, symbol):
+    """Whether ``symbol`` (dotted, e.g. ``Class.method`` or
+    ``module.Name``) is an attribute of the package or of one of its
+    submodules."""
+    import importlib
+    import pkgutil
+
+    package = importlib.import_module(package_name)
+    modules = [package] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(
+            package.__path__, prefix=f"{package_name}."
+        )
+    ]
+    for module in modules:
+        target = module
+        for part in symbol.split("."):
+            target = getattr(target, part, None)
+            if target is None:
+                break
+        else:
+            return True
+    return False
+
+
+def test_every_api_md_symbol_resolves():
+    pairs = _api_table_symbols()
+    assert len(pairs) > 100, "api.md table parser found too few symbols"
+    unresolved = [
+        f"{package}: {symbol}"
+        for package, symbol in pairs
+        if not _resolves(package, symbol)
+    ]
+    assert not unresolved, f"docs/api.md names missing from the code: {unresolved}"
+
+
 def test_experiments_md_covers_every_paper_artifact():
     text = (ROOT / "EXPERIMENTS.md").read_text()
     for artifact in ("Table I", "Fig. 4", "Fig. 5", "Fig. 6", "Fig. 7", "Fig. 8"):

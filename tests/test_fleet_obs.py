@@ -515,6 +515,30 @@ class TestClusterReporter:
             err = capsys.readouterr().err
             assert f"error: '{path}' " in err and "no JSON object" in err
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"snapshot": 5, "replicas": 3},
+            {"snapshot": 5, "replicas": {}},
+            {"snapshot": {}, "replicas": [1, 2]},
+        ],
+    )
+    def test_metrics_blocks_that_are_no_objects_are_an_error_naming_it(
+        self, tmp_path, capsys, document
+    ):
+        # An object whose fleet blocks have the wrong shape used to end
+        # in a TypeError or AttributeError traceback (exit 1), or to
+        # render a list of replicas as if it were a scrape count.
+        from repro.cli import main
+
+        rundir = self._rundir(tmp_path)
+        path = os.path.join(rundir, "cluster.metrics.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        assert main(["report", "--cluster", rundir]) == 2
+        err = capsys.readouterr().err
+        assert f"error: '{path}' " in err and "no JSON object" in err
+
 
 # ----------------------------------------------------------------------
 # Full-plane chaos floor (slow lane): SIGKILL under load with run_dir

@@ -61,6 +61,8 @@ def test_ris_im_validates(star_graph):
         ris_im(star_graph, 1, epsilon=0.0)
     with pytest.raises(SolverError):
         ris_im(star_graph, 1, delta=1.0)
+    with pytest.raises(SolverError, match="max_samples"):
+        ris_im(star_graph, 1, max_samples=-5)
 
 
 def test_ris_im_near_optimal_on_scale_free():
